@@ -26,7 +26,6 @@ from popref.datagen import DatasetSpec, generate_splits
 from popref.embeddings import WorldConfig, build_synthetic_world
 from popref.harness import evaluate
 from popref.numerics import Rng
-from popref.training import TrainConfig
 
 
 def fmt(value):
@@ -84,10 +83,9 @@ def main() -> None:
         world,
         oo["train"],
         oo["test"],
-        TrainConfig(epochs=4, seed=0),
+        {"train.epochs": "4", "train.seed": "0",
+         "model.d_ent": "32", "model.n_sensors": "8"},
         shuffle_seed=0,
-        d_ent=32,
-        n_sensors=8,
     )
     n_moved = sum(
         1 for img, src in result.image_permutation.items() if img != src

@@ -68,7 +68,9 @@ from .errors import (
 )
 from .harness import (
     Metrics,
+    build_model,
     evaluate,
+    fit,
     parse_kv_file,
     run_experiment,
 )

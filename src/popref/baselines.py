@@ -21,19 +21,20 @@ Six predictors calibrate the evaluation scale:
 from dataclasses import dataclass, field
 
 from .datagen import POINT, ReferenceAct
-from .embeddings import SyntheticWorld, encode_act, shuffle_images
+from .embeddings import SyntheticWorld, shuffle_images
 from .errors import ConfigError, UnsupportedInputError
-from .harness import Metrics, evaluate
-from .numerics import Rng, derive_seed
-from .pop_model import (
-    PopConfig,
-    PopParams,
-    PopTrainable,
-    Prediction,
-    init_params,
-    predict,
+from .harness import (
+    Metrics,
+    build_encoding,
+    build_model,
+    encode_split,
+    evaluate,
+    fit,
+    infer_task,
 )
-from .training import TrainConfig, TrainLog, train
+from .numerics import Rng, derive_seed
+from .pop_model import PopParams, Prediction, predict
+from .training import TrainLog
 
 
 @dataclass(frozen=True)
@@ -198,10 +199,8 @@ def run_imgshuffle(
     world: SyntheticWorld,
     train_acts: list[ReferenceAct],
     test_acts: list[ReferenceAct],
-    train_config: TrainConfig,
+    manifest: dict[str, str],
     shuffle_seed: int = 0,
-    d_ent: int = 300,
-    n_sensors: int = 100,
 ) -> ImgShuffleResult:
     """Train and evaluate the pointing network on an image-shuffled world.
 
@@ -209,27 +208,26 @@ def run_imgshuffle(
     vector; the SAME shuffled world encodes both the train and the test
     split, so the permutation is consistent end to end.  Intended for
     attribute-bearing data, where attributes stay informative after the
-    image/word link is severed.  The permutation and its seed are recorded
-    in the result for the run manifest.
+    image/word link is severed.  The network, its encoding and its training
+    follow the manifest's ``model.*``, ``encoding.*`` and ``train.*`` keys,
+    exactly as a ``pop`` run of :func:`~popref.harness.run_experiment`
+    would.  The permutation and its seed are recorded in the result for the
+    run manifest.
     """
+    if not train_acts:
+        raise ConfigError("the image-shuffle run needs training acts")
     shuffled = shuffle_images(world, shuffle_seed)
-    encoded_train = [encode_act(a, shuffled, "dense") for a in train_acts]
-    encoded_test = [encode_act(a, shuffled, "dense") for a in test_acts]
-    config = PopConfig(
-        d_query=encoded_train[0].query_vec.size,
-        d_cand=encoded_train[0].candidate_vecs[0].size,
-        d_ent=d_ent,
-        n_sensors=n_sensors,
-    )
-    params = init_params(
-        config, Rng(derive_seed(train_config.seed, "imgshuffle-init"))
-    )
-    log = train(PopTrainable(params), encoded_train, train_config)
-    metrics = evaluate(lambda act: predict(params, act), encoded_test)
+    mode, normalize_blocks = build_encoding(manifest, "pop")
+    encoded_train = encode_split(shuffled, train_acts, mode, normalize_blocks)
+    encoded_test = encode_split(shuffled, test_acts, mode, normalize_blocks)
+    config = build_model(manifest, "pop", encoded_train[0].query_vec.size,
+                         encoded_train[0].candidate_vecs[0].size)
+    fitted = fit(manifest, "pop", config, encoded_train, infer_task(train_acts))
+    metrics = evaluate(lambda act: predict(fitted.params, act), encoded_test)
     return ImgShuffleResult(
         metrics=metrics,
         shuffle_seed=shuffle_seed,
-        params=params,
-        train_log=log,
+        params=fitted.params,
+        train_log=fitted.log,
         image_permutation=dict(shuffled.image_permutation),
     )

@@ -21,42 +21,30 @@ import sys
 from . import baselines
 from .checkpoint import (
     load_checkpoint,
-    pipeline_record,
-    pop_record,
     restore_pipeline,
     restore_pop,
     save_checkpoint,
 )
 from .datagen import dataset_stats, generate_splits, read_jsonl, write_jsonl
-from .embeddings import WorldConfig, build_synthetic_world, encode_act
+from .embeddings import WorldConfig, build_synthetic_world
 from .errors import ConfigError, NumericError, PopRefError
 from .harness import (
-    DEFAULT_EPOCHS,
     MODEL_KINDS,
     TASKS,
     build_dataset_spec,
-    build_train_config,
+    build_encoding,
+    build_model,
     build_world_config,
+    encode_split,
     evaluate,
+    fit,
+    infer_task,
     parse_kv_file,
     validate_manifest_keys,
 )
-from .numerics import Rng, derive_seed
-from .pipeline_model import (
-    PipelineConfig,
-    gradcheck_pipeline,
-    pipeline_predict,
-    train_pipeline,
-    tune_thresholds,
-)
-from .pop_model import (
-    PopConfig,
-    PopTrainable,
-    gradcheck_pop,
-    init_params,
-    predict,
-)
-from .training import train
+from .numerics import Rng
+from .pipeline_model import gradcheck_pipeline, pipeline_predict, tune_thresholds
+from .pop_model import gradcheck_pop, predict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,60 +102,23 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _infer_task(acts) -> str:
-    return "object-attr" if acts[0].query.attribute is not None else "object-only"
-
-
 def _cmd_train(args) -> int:
     kv = _load_config(args.config)
     acts = read_jsonl(args.data)
     if not acts:
         raise ConfigError(f"no training acts in {args.data}")
-    world, world_config, world_seed = _world_from(kv)
-    mode = "one-hot" if args.model == "trpop" else "dense"
-    encoded = [
-        encode_act(act, world, mode, allow_unknown=args.allow_unknown)
-        for act in acts
-    ]
-    train_config = build_train_config(kv, DEFAULT_EPOCHS[args.model])
-    d_query = encoded[0].query_vec.size
-    d_cand = encoded[0].candidate_vecs[0].size
-    extra = {
-        "task": _infer_task(acts),
-        "encoding": mode,
-        "normalize_blocks": False,
-        "world_config": world_config.to_dict(),
-        "world_seed": world_seed,
-    }
+    world, _, _ = _world_from(kv)
+    mode, normalize_blocks = build_encoding(kv, args.model)
+    encoded = encode_split(world, acts, mode, normalize_blocks,
+                           allow_unknown=args.allow_unknown)
+    config = build_model(kv, args.model, encoded[0].query_vec.size,
+                         encoded[0].candidate_vecs[0].size)
+    fitted = fit(kv, args.model, config, encoded, infer_task(acts))
 
-    if args.model == "pipeline":
-        config = PipelineConfig(
-            d_query=d_query,
-            d_cand=d_cand,
-            d_shared=int(kv.get("model.d_shared", 300)),
-            margin=float(kv.get("model.margin", 0.5)),
-        )
-        params, log = train_pipeline(encoded, config, train_config)
-        record = pipeline_record(params, extra=extra)
-    else:
-        config = PopConfig(
-            d_query=d_query,
-            d_cand=d_cand,
-            d_ent=int(kv.get("model.d_ent", 300)),
-            n_sensors=int(kv.get("model.n_sensors", 100)),
-            contrast=kv.get("model.contrast", "relu"),
-            score_squash=kv.get("model.score_squash", "sigmoid"),
-        )
-        params = init_params(
-            config, Rng(derive_seed(train_config.seed, "init", args.model))
-        )
-        log = train(PopTrainable(params), encoded, train_config)
-        record = pop_record(params, kind=args.model, extra=extra)
-
-    save_checkpoint(record, args.out_checkpoint)
-    losses = ", ".join(f"{v:.4f}" for v in log.epoch_losses)
-    print(f"trained {args.model} for {train_config.epochs} epochs "
-          f"({log.updates} updates)")
+    save_checkpoint(fitted.record(), args.out_checkpoint)
+    losses = ", ".join(f"{v:.4f}" for v in fitted.log.epoch_losses)
+    print(f"trained {args.model} for {len(fitted.log.epoch_losses)} epochs "
+          f"({fitted.log.updates} updates)")
     print(f"epoch mean losses: [{losses}]")
     print(f"checkpoint written to {args.out_checkpoint}")
     return EXIT_OK
@@ -192,12 +143,9 @@ def _cmd_tune_thresholds(args) -> int:
         )
     params, _ = restore_pipeline(record)
     world, extra = _rebuild_world(record)
-    acts = read_jsonl(args.val)
-    encoded = [
-        encode_act(act, world, extra.get("encoding", "dense"),
-                   normalize_blocks=extra.get("normalize_blocks", False))
-        for act in acts
-    ]
+    encoded = encode_split(world, read_jsonl(args.val),
+                           extra.get("encoding", "dense"),
+                           extra.get("normalize_blocks", False))
     thresholds = tune_thresholds(params, encoded)
     record["thresholds"] = thresholds.to_dict()
     out = args.out or args.checkpoint
@@ -211,13 +159,10 @@ def _cmd_tune_thresholds(args) -> int:
 def _cmd_eval(args) -> int:
     record = load_checkpoint(args.checkpoint)
     world, extra = _rebuild_world(record)
-    acts = read_jsonl(args.test)
-    encoded = [
-        encode_act(act, world, extra.get("encoding", "dense"),
-                   allow_unknown=args.allow_unknown,
-                   normalize_blocks=extra.get("normalize_blocks", False))
-        for act in acts
-    ]
+    encoded = encode_split(world, read_jsonl(args.test),
+                           extra.get("encoding", "dense"),
+                           extra.get("normalize_blocks", False),
+                           allow_unknown=args.allow_unknown)
     if record["kind"] == "pipeline":
         params, thresholds = restore_pipeline(record)
         if thresholds is None:
@@ -281,16 +226,9 @@ def _cmd_baseline(args) -> int:
             raise ConfigError("the image-shuffle run needs --train acts")
         kv = _load_config(args.config)
         world, _, _ = _world_from(kv)
-        train_acts = read_jsonl(args.train)
-        train_config = build_train_config(kv, DEFAULT_EPOCHS["pop"])
         result = baselines.run_imgshuffle(
-            world,
-            train_acts,
-            acts,
-            train_config,
+            world, read_jsonl(args.train), acts, kv,
             shuffle_seed=args.shuffle_seed,
-            d_ent=int(kv.get("model.d_ent", 300)),
-            n_sensors=int(kv.get("model.n_sensors", 100)),
         )
         print(f"shuffle_seed={result.shuffle_seed}")
         metrics = result.metrics
@@ -441,3 +379,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -449,7 +449,6 @@ class EncodedAct:
 
     query_vec: np.ndarray
     candidate_vecs: list[np.ndarray]
-    cardinality: int
     gold: object
     act_id: str = ""
 
@@ -460,11 +459,6 @@ class EncodedAct:
         if len(dims) != 1:
             raise ValidationError(
                 f"act {self.act_id!r}: candidate dims disagree: {sorted(dims)}"
-            )
-        if self.cardinality != len(self.candidate_vecs):
-            raise ValidationError(
-                f"act {self.act_id!r}: cardinality {self.cardinality} != "
-                f"{len(self.candidate_vecs)} candidates"
             )
 
 
@@ -549,7 +543,6 @@ def encode_act(
     encoded = EncodedAct(
         query_vec=query_vec,
         candidate_vecs=candidates,
-        cardinality=len(candidates),
         gold=act.gold,
         act_id=act.id,
     )

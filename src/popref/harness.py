@@ -12,6 +12,8 @@ value`` lines).  :func:`run_experiment` drives world construction, dataset
 generation, encoding, training, threshold tuning (pipeline only), and
 evaluation from the manifest alone; identical manifests reproduce reports
 byte-identically, with timestamps quarantined in a separate metadata file.
+:func:`build_model` and :func:`fit` are its path from settings to a trained
+model, shared with the CLI's ``train`` and the image-shuffle control.
 """
 
 import datetime
@@ -34,12 +36,14 @@ from .errors import ConfigError, ParseError
 from .numerics import Rng, derive_seed
 from .pipeline_model import (
     PipelineConfig,
+    PipelineParams,
+    Thresholds,
     pipeline_predict,
     train_pipeline,
     tune_thresholds,
 )
-from .pop_model import PopConfig, PopTrainable, init_params, predict
-from .training import TrainConfig, train
+from .pop_model import PopConfig, PopParams, PopTrainable, init_params, predict
+from .training import TrainConfig, TrainLog, train
 
 GOLD_CATEGORIES = (POINT, MISS, MULT)
 PREDICTED_BUCKETS = ("point_correct", "point_wrong", "protest")
@@ -229,15 +233,22 @@ _TRAIN_KEYS = {
     "train.shuffle_each_epoch": ("shuffle_each_epoch", _as_bool),
 }
 
-_MODEL_KEYS = {
-    "model.d_ent": _as_int,
-    "model.n_sensors": _as_int,
-    "model.contrast": None,
-    "model.score_squash": None,
-    "model.sensor_nonlinearity": _as_bool,
-    "model.use_bias": _as_bool,
-    "model.d_shared": _as_int,
-    "model.margin": _as_float,
+def _as_str(value: str, key: str) -> str:
+    return value
+
+
+_POP_KEYS = {
+    "model.d_ent": ("d_ent", _as_int),
+    "model.n_sensors": ("n_sensors", _as_int),
+    "model.contrast": ("contrast", _as_str),
+    "model.score_squash": ("score_squash", _as_str),
+    "model.sensor_nonlinearity": ("sensor_nonlinearity", _as_bool),
+    "model.use_bias": ("use_bias", _as_bool),
+}
+
+_PIPELINE_KEYS = {
+    "model.d_shared": ("d_shared", _as_int),
+    "model.margin": ("margin", _as_float),
 }
 
 _OTHER_KEYS = {
@@ -246,8 +257,8 @@ _OTHER_KEYS = {
 }
 
 KNOWN_MANIFEST_KEYS = (
-    set(_WORLD_KEYS) | set(_DATA_KEYS) | set(_TRAIN_KEYS) | set(_MODEL_KEYS)
-    | _OTHER_KEYS
+    set(_WORLD_KEYS) | set(_DATA_KEYS) | set(_TRAIN_KEYS) | set(_POP_KEYS)
+    | set(_PIPELINE_KEYS) | _OTHER_KEYS
 )
 
 
@@ -257,8 +268,8 @@ def validate_manifest_keys(manifest: dict[str, str]) -> None:
         raise ConfigError(f"unknown manifest keys: {', '.join(unknown)}")
 
 
-def _build_from(manifest: dict[str, str], table: dict, cls):
-    fields_ = {}
+def _build_from(manifest: dict[str, str], table: dict, cls, **fixed):
+    fields_ = dict(fixed)
     for key, (name, caster) in table.items():
         if key in manifest:
             fields_[name] = caster(manifest[key], key)
@@ -282,16 +293,38 @@ def build_train_config(manifest: dict[str, str], default_epochs: int) -> TrainCo
     return config
 
 
-def _model_option(manifest, key, default, caster):
-    if key not in manifest:
-        return default
-    value = manifest[key]
-    return value if caster is None else caster(value, key)
+def build_encoding(manifest: dict[str, str], model: str) -> tuple[str, bool]:
+    """(encoding mode, normalize_blocks): one-hot inputs for ``trpop`` only."""
+    normalize_blocks = _as_bool(
+        manifest.get("encoding.normalize_blocks", "false"),
+        "encoding.normalize_blocks",
+    )
+    return ("one-hot" if model == "trpop" else "dense"), normalize_blocks
 
 
-def encode_split(world, acts, mode: str, normalize_blocks: bool = False):
+def build_model(manifest: dict[str, str], model: str, d_query: int,
+                d_cand: int) -> PopConfig | PipelineConfig:
+    """The validated config of ``model`` over the given input dims, from the
+    manifest's ``model.*`` keys (absent keys take the config defaults)."""
+    if model == "pipeline":
+        config = _build_from(manifest, _PIPELINE_KEYS, PipelineConfig,
+                             d_query=d_query, d_cand=d_cand)
+    else:
+        config = _build_from(manifest, _POP_KEYS, PopConfig,
+                             d_query=d_query, d_cand=d_cand)
+    config.validate()
+    return config
+
+
+def infer_task(acts) -> str:
+    return "object-attr" if acts[0].query.attribute is not None else "object-only"
+
+
+def encode_split(world, acts, mode: str, normalize_blocks: bool = False,
+                 allow_unknown: bool = False):
     return [
-        encode_act(act, world, mode, normalize_blocks=normalize_blocks)
+        encode_act(act, world, mode, allow_unknown=allow_unknown,
+                   normalize_blocks=normalize_blocks)
         for act in acts
     ]
 
@@ -299,6 +332,62 @@ def encode_split(world, acts, mode: str, normalize_blocks: bool = False):
 def _protest_rate(params, acts) -> float:
     protests = sum(1 for act in acts if predict(params, act).is_protest)
     return protests / len(acts) if acts else 0.0
+
+
+@dataclass
+class Fitted:
+    """A trained model, its loss log, and the ``extra`` its checkpoint carries."""
+
+    model: str
+    params: PopParams | PipelineParams
+    log: TrainLog
+    extra: dict
+    protest_rates: list[float] = field(default_factory=list)
+
+    def record(self, thresholds: Thresholds | None = None) -> dict:
+        if self.model == "pipeline":
+            return pipeline_record(self.params, thresholds, extra=self.extra)
+        return pop_record(self.params, kind=self.model, extra=self.extra)
+
+
+def fit(manifest: dict[str, str], model: str, config, encoded_train, task: str,
+        probe=()) -> Fitted:
+    """Initialise ``model`` from its config (see :func:`build_model`) and
+    train it on the encoded acts under the manifest's ``train.*`` settings.
+
+    The pointing networks draw their initial weights from
+    ``derive_seed(train.seed, "init", model)``; the pipeline's come from
+    ``"pipeline-init"`` inside :func:`train_pipeline`.  With ``probe`` set, a
+    pointing network's protest rate on those acts is recorded after every
+    epoch: a cheap view of the bounded anomaly score competing against
+    unbounded similarities early in training.
+    """
+    train_config = build_train_config(manifest, DEFAULT_EPOCHS[model])
+    world_config, world_seed = build_world_config(manifest)
+    mode, normalize_blocks = build_encoding(manifest, model)
+    extra = {
+        "task": task,
+        "encoding": mode,
+        "normalize_blocks": normalize_blocks,
+        "world_config": world_config.to_dict(),
+        "world_seed": world_seed,
+    }
+    if model == "pipeline":
+        params, log = train_pipeline(encoded_train, config, train_config)
+        return Fitted(model, params, log, extra)
+
+    params = init_params(
+        config, Rng(derive_seed(train_config.seed, "init", model))
+    )
+    protest_rates: list[float] = []
+
+    def on_epoch(epoch: int, mean_loss: float, trainable) -> None:
+        if probe:
+            protest_rates.append(_protest_rate(trainable.params, probe))
+
+    log = train(PopTrainable(params), encoded_train, train_config,
+                epoch_callback=on_epoch)
+    return Fitted(model, params, log, extra, protest_rates)
 
 
 def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
@@ -326,10 +415,7 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
         world_config, world_seed = build_world_config(manifest)
         spec = build_dataset_spec(manifest)
         train_config = build_train_config(manifest, DEFAULT_EPOCHS[model])
-        normalize_blocks = _as_bool(
-            manifest.get("encoding.normalize_blocks", "false"),
-            "encoding.normalize_blocks",
-        )
+        mode, normalize_blocks = build_encoding(manifest, model)
         val_sample = _as_int(
             manifest.get("diagnostic.val_sample", "500"), "diagnostic.val_sample"
         )
@@ -350,37 +436,27 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
         ).to_dict()
 
         stage = "encode"
-        mode = "one-hot" if model == "trpop" else "dense"
         report["encoding"] = mode
         encoded = {
             name: encode_split(world, acts, mode, normalize_blocks)
             for name, acts in splits.items()
         }
         sample = encoded["train"][0] if encoded["train"] else encoded["test"][0]
-        d_query = sample.query_vec.size
-        d_cand = sample.candidate_vecs[0].size
 
-        extra = {
-            "task": task,
-            "encoding": mode,
-            "normalize_blocks": normalize_blocks,
-            "world_config": world_config.to_dict(),
-            "world_seed": world_seed,
-        }
+        stage = "init"
+        config = build_model(manifest, model, sample.query_vec.size,
+                             sample.candidate_vecs[0].size)
 
+        stage = "train"
+        probe = encoded["val"][:val_sample] if val_sample > 0 else []
+        fitted = fit(manifest, model, config, encoded["train"], task, probe)
+        params = fitted.params
+        report["train"].update(
+            {"epoch_losses": fitted.log.epoch_losses,
+             "updates": fitted.log.updates}
+        )
+        thresholds = None
         if model == "pipeline":
-            stage = "init"
-            model_config = PipelineConfig(
-                d_query=d_query,
-                d_cand=d_cand,
-                d_shared=_model_option(manifest, "model.d_shared", 300, _as_int),
-                margin=_model_option(manifest, "model.margin", 0.5, _as_float),
-            )
-            stage = "train"
-            params, log = train_pipeline(encoded["train"], model_config, train_config)
-            report["train"].update(
-                {"epoch_losses": log.epoch_losses, "updates": log.updates}
-            )
             stage = "tune"
             thresholds = tune_thresholds(params, encoded["val"])
             report["thresholds"] = thresholds.to_dict()
@@ -389,47 +465,12 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
                 lambda act: pipeline_predict(params, thresholds, act),
                 encoded["test"],
             )
-            checkpoint = pipeline_record(params, thresholds, extra=extra)
         else:
-            stage = "init"
-            model_config = PopConfig(
-                d_query=d_query,
-                d_cand=d_cand,
-                d_ent=_model_option(manifest, "model.d_ent", 300, _as_int),
-                n_sensors=_model_option(manifest, "model.n_sensors", 100, _as_int),
-                contrast=_model_option(manifest, "model.contrast", "relu", None),
-                score_squash=_model_option(
-                    manifest, "model.score_squash", "sigmoid", None
-                ),
-                sensor_nonlinearity=_model_option(
-                    manifest, "model.sensor_nonlinearity", True, _as_bool
-                ),
-                use_bias=_model_option(manifest, "model.use_bias", False, _as_bool),
-            )
-            params = init_params(
-                model_config, Rng(derive_seed(train_config.seed, "init", model))
-            )
-            stage = "train"
-            # Per-epoch protest rate on a validation sample: a cheap probe of
-            # the bounded anomaly score competing against unbounded
-            # similarities early in training.
-            probe = encoded["val"][:val_sample] if val_sample > 0 else []
-            protest_rates: list[float] = []
-
-            def on_epoch(epoch: int, mean_loss: float, trainable) -> None:
-                if probe:
-                    protest_rates.append(_protest_rate(trainable.params, probe))
-
-            log = train(PopTrainable(params), encoded["train"], train_config,
-                        epoch_callback=on_epoch)
-            report["train"].update(
-                {"epoch_losses": log.epoch_losses, "updates": log.updates}
-            )
             if probe:
-                report["diagnostics"] = {"val_protest_rate": protest_rates}
+                report["diagnostics"] = {"val_protest_rate": fitted.protest_rates}
             stage = "evaluate"
             metrics = evaluate(lambda act: predict(params, act), encoded["test"])
-            checkpoint = pop_record(params, kind=model, extra=extra)
+        checkpoint = fitted.record(thresholds)
 
         stage = "report"
         report["metrics"] = metrics.to_dict()

@@ -1,5 +1,5 @@
-"""Dense vector/matrix helpers, network nonlinearities, seeded randomness,
-and a finite-difference gradient oracle.
+"""Dense vector helpers, seeded randomness, and a finite-difference gradient
+oracle.
 
 Matrices are plain 2-D float64 numpy arrays in C (row-major) order; vectors
 are 1-D float64 arrays.  Everything here is a pure function except
@@ -169,37 +169,6 @@ def as_vector(v) -> np.ndarray:
     return out
 
 
-def matvec(m, v) -> np.ndarray:
-    """Standard matrix-vector product with an explicit shape contract."""
-    m = np.asarray(m, dtype=np.float64)
-    v = as_vector(v)
-    if m.ndim != 2:
-        raise ContractViolation(f"expected a 2-D matrix, got shape {m.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ContractViolation(
-            f"matvec shape mismatch: {m.shape[0]}x{m.shape[1]} @ {v.shape[0]}"
-        )
-    return m @ v
-
-
-def relu(v):
-    """Elementwise max(0, x); sharpens similarity profiles by zeroing low values."""
-    return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
-
-
-def sigmoid(x):
-    """Numerically stable logistic function; scalar in, scalar out (or elementwise)."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def softmax(v) -> np.ndarray:
     """Exp-normalized distribution, computed with max-subtraction for stability."""
     v = as_vector(v)
@@ -235,6 +204,20 @@ def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
         x[i] = orig
         grad[i] = (hi - lo) / (2.0 * h)
     return grad
+
+
+def flatten_arrays(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """Concatenate named arrays, in the dict's order, into one vector."""
+    return np.concatenate([arr.ravel() for arr in arrays.values()])
+
+
+def unflatten_into(arrays: dict[str, np.ndarray], vec: np.ndarray) -> None:
+    """Write ``vec`` back into the named arrays in place: the inverse of
+    :func:`flatten_arrays` over the same dict."""
+    offset = 0
+    for arr in arrays.values():
+        arr[...] = vec[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
 
 
 def rel_error(a, b) -> float:

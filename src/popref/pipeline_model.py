@@ -22,7 +22,15 @@ import numpy as np
 
 from .datagen import POINT
 from .errors import ConfigError, ContractViolation
-from .numerics import Rng, derive_seed, finite_diff_grad, glorot_uniform, rel_error
+from .numerics import (
+    Rng,
+    derive_seed,
+    finite_diff_grad,
+    flatten_arrays,
+    glorot_uniform,
+    rel_error,
+    unflatten_into,
+)
 from .pop_model import GradcheckReport, Prediction
 from .training import TrainConfig, TrainLog, train
 
@@ -375,26 +383,19 @@ def gradcheck_pipeline(
             continue
 
         _, analytic = hinge_grads(*triple, params)
-        analytic_vec = np.concatenate(
-            [analytic[name].ravel() for name in params.named_arrays()]
+        analytic_vec = flatten_arrays(
+            {name: analytic[name] for name in params.named_arrays()}
         )
 
         probe = params.copy()
-        shapes = [(name, arr.shape, arr.size)
-                  for name, arr in probe.named_arrays().items()]
 
         def objective(vec: np.ndarray) -> float:
-            offset = 0
-            arrays = probe.named_arrays()
-            for name, shape, size in shapes:
-                arrays[name][...] = vec[offset:offset + size].reshape(shape)
-                offset += size
+            unflatten_into(probe.named_arrays(), vec)
             return hinge_loss(*triple, probe)
 
-        flat = np.concatenate(
-            [arr.ravel() for arr in params.named_arrays().values()]
+        numeric_vec = finite_diff_grad(
+            objective, flatten_arrays(params.named_arrays()), h=h
         )
-        numeric_vec = finite_diff_grad(objective, flat, h=h)
         err = rel_error(analytic_vec, numeric_vec)
         max_err = max(max_err, err)
         if err >= tolerance:

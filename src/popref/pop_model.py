@@ -37,10 +37,12 @@ from .errors import ConfigError, ContractViolation
 from .numerics import (
     Rng,
     finite_diff_grad,
+    flatten_arrays,
     glorot_uniform,
     logsumexp,
     rel_error,
     softmax,
+    unflatten_into,
 )
 
 
@@ -445,18 +447,6 @@ class PopTrainable:
         return getattr(act, "act_id", "") or "<unnamed>"
 
 
-def _params_to_vector(params: PopParams) -> np.ndarray:
-    return np.concatenate([arr.ravel() for arr in params.named_arrays().values()])
-
-
-def _set_params_from_vector(params: PopParams, vec: np.ndarray) -> None:
-    offset = 0
-    for arr in params.named_arrays().values():
-        size = arr.size
-        arr[...] = vec[offset:offset + size].reshape(arr.shape)
-        offset += size
-
-
 @dataclass
 class GradcheckReport:
     passed: bool
@@ -470,7 +460,6 @@ def _random_act(rng: Rng, d_query: int, d_cand: int, n: int, gold: Gold) -> Enco
     return EncodedAct(
         query_vec=rng.normals(d_query),
         candidate_vecs=[rng.normals(d_cand) for _ in range(n)],
-        cardinality=n,
         gold=gold,
         act_id="gradcheck",
     )
@@ -524,17 +513,19 @@ def gradcheck_pop(
 
         trace = forward(params, act)
         analytic = backward(params, trace, gold)
-        analytic_vec = np.concatenate(
-            [analytic[name].ravel() for name in params.named_arrays()]
+        analytic_vec = flatten_arrays(
+            {name: analytic[name] for name in params.named_arrays()}
         )
 
         probe = params.copy()
 
         def objective(vec: np.ndarray) -> float:
-            _set_params_from_vector(probe, vec)
+            unflatten_into(probe.named_arrays(), vec)
             return loss(forward(probe, act), gold)
 
-        numeric_vec = finite_diff_grad(objective, _params_to_vector(params), h=h)
+        numeric_vec = finite_diff_grad(
+            objective, flatten_arrays(params.named_arrays()), h=h
+        )
         err = rel_error(analytic_vec, numeric_vec)
         max_err = max(max_err, err)
         if err >= tolerance:

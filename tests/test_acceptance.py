@@ -206,7 +206,6 @@ def _encoded(query, candidates):
     return EncodedAct(
         query_vec=np.asarray(query, dtype=np.float64),
         candidate_vecs=vecs,
-        cardinality=len(vecs),
         gold=Gold.point(0),
         act_id="perm",
     )
@@ -358,7 +357,6 @@ def _exact_cos_act(sims):
     return EncodedAct(
         query_vec=np.array([1.0, 0.0]),
         candidate_vecs=vecs,
-        cardinality=len(vecs),
         gold=Gold.point(0),
         act_id="micro",
     )

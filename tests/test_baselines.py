@@ -27,7 +27,6 @@ from popref.datagen import (
 )
 from popref.errors import ConfigError, UnsupportedInputError
 from popref.numerics import Rng
-from popref.training import TrainConfig
 
 
 def _act(items, gold, query=Query(noun="cup"), act_id="b-0"):
@@ -241,10 +240,9 @@ def test_run_imgshuffle_smoke(small_world):
         small_world,
         train_acts,
         test_acts,
-        TrainConfig(epochs=2, seed=3),
+        {"train.epochs": "2", "train.seed": "3",
+         "model.d_ent": "16", "model.n_sensors": "4"},
         shuffle_seed=7,
-        d_ent=16,
-        n_sensors=4,
     )
     assert result.shuffle_seed == 7
     assert result.train_log.updates == 30 * 2
@@ -260,10 +258,11 @@ def test_run_imgshuffle_deterministic(small_world):
     spec = DatasetSpec(n_train=12, n_val=1, n_test=8, seed=46)
     train_acts = list(gen_object_attribute(small_world, spec, Rng(46), 12))
     test_acts = list(gen_object_attribute(small_world, spec, Rng(46), 8, start=500))
-    kwargs = dict(shuffle_seed=2, d_ent=8, n_sensors=3)
-    a = run_imgshuffle(small_world, train_acts, test_acts,
-                       TrainConfig(epochs=1, seed=1), **kwargs)
-    b = run_imgshuffle(small_world, train_acts, test_acts,
-                       TrainConfig(epochs=1, seed=1), **kwargs)
+    manifest = {"train.epochs": "1", "train.seed": "1",
+                "model.d_ent": "8", "model.n_sensors": "3"}
+    a = run_imgshuffle(small_world, train_acts, test_acts, manifest,
+                       shuffle_seed=2)
+    b = run_imgshuffle(small_world, train_acts, test_acts, manifest,
+                       shuffle_seed=2)
     assert a.metrics.to_dict() == b.metrics.to_dict()
     np.testing.assert_array_equal(a.params.entity_map, b.params.entity_map)

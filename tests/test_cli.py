@@ -1,10 +1,17 @@
 """End-to-end command-line tests driven through ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import popref
+from popref.checkpoint import load_checkpoint
 from popref.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from popref.harness import parse_kv_file, run_experiment
 
 _SPEC_TEXT = """
 # shared settings for a small world and quick runs
@@ -198,3 +205,78 @@ def test_gradcheck_passes_and_fails_by_tolerance(capsys):
                  "--tolerance", "1e-30"])
     assert code == EXIT_NUMERIC
     assert "pipeline: FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# One path from a config file to a trained model
+
+
+_PARITY_SETTINGS = """
+model.use_bias = true
+model.sensor_nonlinearity = false
+encoding.normalize_blocks = true
+"""
+
+
+def test_train_builds_the_same_model_as_run_experiment(tmp_path, capsys):
+    spec = tmp_path / "parity.cfg"
+    spec.write_text(_SPEC_TEXT + _PARITY_SETTINGS)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    ckpt = tmp_path / "cli.json"
+    assert main(["train", "--model", "pop", "--data", str(data / "train.jsonl"),
+                 "--config", str(spec), "--out-checkpoint", str(ckpt)]) == EXIT_OK
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    assert run_experiment(parse_kv_file(spec), run_dir)["status"] == "ok"
+
+    cli = load_checkpoint(ckpt)
+    harness = load_checkpoint(run_dir / "checkpoint.json")
+    assert cli["config"]["use_bias"] is True
+    assert cli["config"]["sensor_nonlinearity"] is False
+    assert cli["extra"]["normalize_blocks"] is True
+    assert cli["config"] == harness["config"]
+    assert cli["extra"] == harness["extra"]
+    assert sorted(cli["arrays"]) == sorted(harness["arrays"])
+    # Same acts, settings and seeds: training reproduces the same weights.
+    assert cli["arrays"] == harness["arrays"]
+
+
+def test_malformed_model_value_exits_2_naming_the_key(tmp_path, data_dir, capsys):
+    spec = tmp_path / "bad.cfg"
+    spec.write_text(_SPEC_TEXT.replace("model.d_ent = 12", "model.d_ent = eight"))
+    commands = [
+        ["train", "--model", "pop", "--data", str(data_dir / "train.jsonl"),
+         "--config", str(spec), "--out-checkpoint", str(tmp_path / "c.json")],
+        ["baseline", "--kind", "imgshuffle", "--config", str(spec),
+         "--train", str(data_dir / "train.jsonl"),
+         "--test", str(data_dir / "test.jsonl")],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "model.d_ent" in err
+        assert "Traceback" not in err
+
+
+def _python_m(*args, cwd):
+    src = str(Path(popref.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-m", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=False)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, spec_file):
+    proc = _python_m("popref", "gradcheck", "--model", "pop", "--trials", "1",
+                     cwd=tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "pop: PASS" in proc.stdout
+    assert _python_m("popref", cwd=tmp_path).returncode == EXIT_USAGE
+
+    out = tmp_path / "data"
+    proc = _python_m("popref.cli", "gen-data", "--spec", str(spec_file),
+                     "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (out / "train.jsonl").exists()

@@ -1,4 +1,4 @@
-"""Tests for the deterministic RNG, vector helpers, and nonlinearities."""
+"""Tests for the deterministic RNG and the vector helpers."""
 
 import math
 
@@ -11,15 +11,14 @@ from popref.numerics import (
     as_vector,
     derive_seed,
     finite_diff_grad,
+    flatten_arrays,
     fnv1a64,
     glorot_uniform,
     logsumexp,
-    matvec,
     rel_error,
-    relu,
-    sigmoid,
     softmax,
     splitmix64,
+    unflatten_into,
 )
 
 
@@ -229,43 +228,6 @@ def test_as_vector_rejects_matrices():
         as_vector(np.zeros((2, 2)))
 
 
-def test_matvec_small_example():
-    m = [[1.0, 2.0], [3.0, 4.0]]
-    np.testing.assert_allclose(matvec(m, [1.0, 1.0]), [3.0, 7.0])
-
-
-def test_matvec_matches_numpy_dot():
-    rng = Rng(4)
-    for _ in range(20):
-        m = rng.normals(12).reshape(3, 4)
-        v = rng.normals(4)
-        np.testing.assert_allclose(matvec(m, v), m @ v, rtol=1e-12)
-
-
-def test_matvec_shape_contract():
-    with pytest.raises(ContractViolation):
-        matvec(np.zeros((2, 3)), np.zeros(4))
-    with pytest.raises(ContractViolation):
-        matvec(np.zeros(3), np.zeros(3))
-
-
-def test_relu_elementwise():
-    np.testing.assert_allclose(relu([-1.0, 0.0, 2.5]), [0.0, 0.0, 2.5])
-
-
-def test_sigmoid_reference_values():
-    assert sigmoid(0.0) == pytest.approx(0.5)
-    assert sigmoid(4.0) == pytest.approx(1.0 / (1.0 + math.exp(-4.0)), rel=1e-12)
-
-
-def test_sigmoid_symmetry_and_saturation():
-    xs = np.linspace(-6, 6, 25)
-    np.testing.assert_allclose(sigmoid(xs) + sigmoid(-xs), np.ones(25), atol=1e-12)
-    assert sigmoid(1000.0) == pytest.approx(1.0)
-    assert sigmoid(-1000.0) == pytest.approx(0.0, abs=1e-12)
-    assert math.isfinite(sigmoid(-1000.0))
-
-
 def test_softmax_against_direct_computation():
     v = [2.0, 6.0, 0.0, 0.5]
     exps = [math.exp(x) for x in v]
@@ -303,6 +265,16 @@ def test_finite_diff_on_linear():
     x = np.array([0.1, 0.2, 0.3])
     grad = finite_diff_grad(lambda v: float(a @ v), x)
     np.testing.assert_allclose(grad, a, atol=1e-9)
+
+
+def test_flatten_arrays_round_trip():
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}
+    vec = flatten_arrays(arrays)
+    np.testing.assert_array_equal(vec, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+    target = {"w": np.zeros((2, 3)), "b": np.zeros(2)}
+    unflatten_into(target, vec * 2.0)
+    np.testing.assert_array_equal(target["w"], 2.0 * arrays["w"])
+    np.testing.assert_array_equal(target["b"], 2.0 * arrays["b"])
 
 
 def test_rel_error_metric():

@@ -47,7 +47,6 @@ def _act(sims, gold, act_id="p-0") -> EncodedAct:
     return EncodedAct(
         query_vec=np.array([1.0, 0.0]),
         candidate_vecs=vecs,
-        cardinality=len(vecs),
         gold=gold,
         act_id=act_id,
     )
@@ -197,7 +196,6 @@ def test_cosine_is_scale_invariant():
     scaled = EncodedAct(
         query_vec=act.query_vec * 7.0,
         candidate_vecs=[v * 0.01 for v in act.candidate_vecs],
-        cardinality=act.cardinality,
         gold=act.gold,
         act_id=act.act_id,
     )
@@ -431,7 +429,6 @@ def _separable_acts(rng, count=40):
             EncodedAct(
                 query_vec=query,
                 candidate_vecs=[pos, neg],
-                cardinality=2,
                 gold=Gold.point(0),
                 act_id=f"sep-{i}",
             )

@@ -57,7 +57,6 @@ def _act(query, candidates, gold=None, act_id="t-0") -> EncodedAct:
     return EncodedAct(
         query_vec=np.asarray(query, dtype=np.float64),
         candidate_vecs=vecs,
-        cardinality=len(vecs),
         gold=gold or Gold.point(0),
         act_id=act_id,
     )
