@@ -107,13 +107,21 @@ def _cmd_train(args) -> int:
     acts = read_jsonl(args.data)
     if not acts:
         raise ConfigError(f"no training acts in {args.data}")
+    task = infer_task(acts)
+    for key, value, source in (("model", args.model, "--model"),
+                               ("task", task, f"the acts in {args.data}")):
+        if key in kv and kv[key] != value:
+            raise ConfigError(
+                f"config key {key} = {kv[key]!r} conflicts with {source} "
+                f"({value!r})"
+            )
     world, _, _ = _world_from(kv)
     mode, normalize_blocks = build_encoding(kv, args.model)
     encoded = encode_split(world, acts, mode, normalize_blocks,
                            allow_unknown=args.allow_unknown)
     config = build_model(kv, args.model, encoded[0].query_vec.size,
                          encoded[0].candidate_vecs[0].size)
-    fitted = fit(kv, args.model, config, encoded, infer_task(acts))
+    fitted = fit(kv, args.model, config, encoded, task)
 
     save_checkpoint(fitted.record(), args.out_checkpoint)
     losses = ", ".join(f"{v:.4f}" for v in fitted.log.epoch_losses)

@@ -460,6 +460,9 @@ class EncodedAct:
             raise ValidationError(
                 f"act {self.act_id!r}: candidate dims disagree: {sorted(dims)}"
             )
+        vecs = [self.query_vec, *self.candidate_vecs]
+        if not np.isfinite(np.concatenate(vecs, axis=None)).all():
+            raise ValidationError(f"act {self.act_id!r}: non-finite vector entries")
 
 
 def _dense_lookup(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .datagen import ANOMALY, Gold
 from .embeddings import EncodedAct
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, NumericError
 from .numerics import (
     Rng,
     finite_diff_grad,
@@ -44,6 +44,7 @@ from .numerics import (
     softmax,
     unflatten_into,
 )
+from .training import ColumnSparse
 
 
 def _relu(x):
@@ -56,6 +57,12 @@ def _drelu(x):
 
 
 def _sigmoid(x):
+    if isinstance(x, float):
+        # The anomaly score: the same ufunc as below, without the masks.
+        if x >= 0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     arr = np.asarray(x, dtype=np.float64)
     out = np.empty_like(arr)
     pos = arr >= 0
@@ -66,7 +73,7 @@ def _sigmoid(x):
 
 
 def _dsigmoid(x):
-    s = _sigmoid(np.asarray(x, dtype=np.float64))
+    s = _sigmoid(x)
     return s * (1.0 - s)
 
 
@@ -265,16 +272,26 @@ class ForwardTrace:
     probs: np.ndarray
 
 
+def _act_id(act) -> str:
+    return getattr(act, "act_id", "") or "<unnamed>"
+
+
 def forward(params: PopParams, act) -> ForwardTrace:
     """Run the network over one encoded act; returns the full trace."""
     cfg = params.config
     query_in = np.asarray(act.query_vec, dtype=np.float64)
-    candidates = np.stack(
-        [np.asarray(v, dtype=np.float64) for v in act.candidate_vecs]
-    )
+    try:
+        candidates = np.array(act.candidate_vecs, dtype=np.float64)
+    except ValueError:
+        candidates = None  # ragged: vectors of different lengths
     if query_in.shape != (cfg.d_query,):
         raise ContractViolation(
             f"query vector has shape {query_in.shape}, expected ({cfg.d_query},)"
+        )
+    if candidates is None or candidates.ndim != 2 or candidates.shape[0] == 0:
+        raise ContractViolation(
+            f"act {_act_id(act)!r}: the lineup must be one or more candidate "
+            f"vectors of one length"
         )
     if candidates.shape[1] != cfg.d_cand:
         raise ContractViolation(
@@ -309,6 +326,8 @@ def forward(params: PopParams, act) -> ForwardTrace:
     anomaly_score = float(squash(anomaly_raw))
 
     logits = np.concatenate([sims, [anomaly_score]])
+    if not np.isfinite(logits).all():
+        raise NumericError(f"act {_act_id(act)!r}: non-finite logits {logits}")
     probs = softmax(logits)
     return ForwardTrace(
         query_in=query_in,
@@ -349,6 +368,10 @@ def loss(trace: ForwardTrace, gold: Gold) -> float:
 def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np.ndarray]:
     """Exact gradient of :func:`loss` for every learned array.
 
+    The query-map gradient is ``outer(dquery_vec, query_in)``.  When the
+    query has zero entries it comes as a :class:`ColumnSparse` over the
+    query's nonzero columns; every other gradient is a dense array.
+
     The chain runs softmax -> logits, then splits: the protest logit descends
     through the score squash, the sensor combiner, the sensor bank, and the
     pooled pair into the sharpened profile, while the pointing logits reach
@@ -385,9 +408,19 @@ def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np
     dquery_vec = trace.entity_vecs.T @ dsims
     dentity_vecs = np.outer(dsims, trace.query_vec)
 
+    # A one-hot (or few-hot) query touches only its nonzero columns of the
+    # query map; hand the trainer just those.
+    query_in = trace.query_in
+    cols = np.flatnonzero(query_in)
+    if cols.size < query_in.size:
+        dquery_map = ColumnSparse(cols, np.outer(dquery_vec, query_in[cols]),
+                                  query_in.size)
+    else:
+        dquery_map = np.outer(dquery_vec, query_in)
+
     grads = {
         "entity_map": dentity_vecs.T @ trace.candidates_in,
-        "query_map": np.outer(dquery_vec, trace.query_in),
+        "query_map": dquery_map,
         "sensor_in": d_sensor_in,
         "sensor_out": d_sensor_out,
     }
@@ -444,7 +477,7 @@ class PopTrainable:
         return loss(trace, act.gold), backward(self.params, trace, act.gold)
 
     def example_id(self, act) -> str:
-        return getattr(act, "act_id", "") or "<unnamed>"
+        return _act_id(act)
 
 
 @dataclass
@@ -456,9 +489,20 @@ class GradcheckReport:
     failures: list[str] = field(default_factory=list)
 
 
-def _random_act(rng: Rng, d_query: int, d_cand: int, n: int, gold: Gold) -> EncodedAct:
+# Every (contrast, score_squash) pair, and the query encodings trials cycle.
+_NONLINEARITY_PAIRS = [(c, q) for c in NONLINEARITIES for q in NONLINEARITIES]
+_QUERY_KINDS = ("dense", "one-hot", "two-hot")
+
+
+def _random_act(rng: Rng, d_query: int, d_cand: int, n: int, gold: Gold,
+                query_kind: str) -> EncodedAct:
+    if query_kind == "dense":
+        query = rng.normals(d_query)
+    else:
+        query = np.zeros(d_query)
+        query[rng.sample(range(d_query), 1 if query_kind == "one-hot" else 2)] = 1.0
     return EncodedAct(
-        query_vec=rng.normals(d_query),
+        query_vec=query,
         candidate_vecs=[rng.normals(d_cand) for _ in range(n)],
         gold=gold,
         act_id="gradcheck",
@@ -475,21 +519,28 @@ def gradcheck_pop(
 
     Each trial draws a small random configuration (lengths 2-5, cycling gold
     through point / missing-referent / multiple-referent, toggling biases and
-    the sensor nonlinearity) and checks every parameter coordinate.  Inputs
-    are resampled while any pre-kink activation sits within 1e-3 of zero,
-    since finite differences straddle the relu kink there.
+    the sensor nonlinearity) and checks every parameter coordinate.  Trials
+    cycle through all 16 (contrast, score_squash) pairs and through dense,
+    one-hot and two-hot queries, so 48 trials cover every combination and
+    the one-hot trials check the column-sparse query-map gradient.  Inputs
+    are resampled while any relu input sits within 1e-3 of zero, since
+    finite differences straddle the kink there.
     """
     rng = Rng(seed)
     golds = [Gold.point(0), Gold.miss(), Gold.mult(), Gold.point(1)]
     max_err = 0.0
     failures: list[str] = []
     for trial in range(trials):
+        contrast, squash = _NONLINEARITY_PAIRS[trial % len(_NONLINEARITY_PAIRS)]
+        query_kind = _QUERY_KINDS[trial % len(_QUERY_KINDS)]
         n = 2 + rng.randrange(4)
         config = PopConfig(
-            d_query=2 + rng.randrange(3),
+            d_query=3 + rng.randrange(3),
             d_cand=2 + rng.randrange(3),
             d_ent=3 + rng.randrange(3),
             n_sensors=2 + rng.randrange(3),
+            contrast=contrast,
+            score_squash=squash,
             sensor_nonlinearity=bool(rng.randrange(2)),
             use_bias=bool(rng.randrange(2)),
         )
@@ -500,11 +551,16 @@ def gradcheck_pop(
         params = None
         for _ in range(100):
             params = init_params(config, rng.fork())
-            act = _random_act(rng, config.d_query, config.d_cand, n, gold)
+            act = _random_act(rng, config.d_query, config.d_cand, n, gold,
+                              query_kind)
             trace = forward(params, act)
-            margin = float(np.min(np.abs(trace.sims)))
-            if config.sensor_nonlinearity:
-                margin = min(margin, float(np.min(np.abs(trace.sensor_pre))))
+            margin = np.inf
+            if contrast == "relu":
+                margin = float(np.min(np.abs(trace.sims)))
+                if config.sensor_nonlinearity:
+                    margin = min(margin, float(np.min(np.abs(trace.sensor_pre))))
+            if squash == "relu":
+                margin = min(margin, abs(trace.anomaly_raw))
             if margin > 1e-3:
                 break
         else:
@@ -514,7 +570,7 @@ def gradcheck_pop(
         trace = forward(params, act)
         analytic = backward(params, trace, gold)
         analytic_vec = flatten_arrays(
-            {name: analytic[name] for name in params.named_arrays()}
+            {name: np.asarray(analytic[name]) for name in params.named_arrays()}
         )
 
         probe = params.copy()
@@ -531,7 +587,8 @@ def gradcheck_pop(
         if err >= tolerance:
             failures.append(
                 f"trial {trial}: rel error {err:.3e} (n={n}, gold={gold.kind}"
-                f"/{gold.anomaly_kind or gold.index}, bias={config.use_bias})"
+                f"/{gold.anomaly_kind or gold.index}, bias={config.use_bias}, "
+                f"{contrast}/{squash}, {query_kind} query)"
             )
     return GradcheckReport(
         passed=not failures,

@@ -9,6 +9,12 @@ Schedule: at cumulative update count u (starting from 0, so the very first
 step uses ``lr0`` exactly), the step size is ``lr0 / (1 + decay * u)``.
 Heavy-ball momentum with zero-initialized velocity:
 ``velocity = momentum * velocity - lr_u * grad; param += velocity``.
+
+A gradient may come as a :class:`ColumnSparse` matrix, zero outside a few
+columns (the query-map gradient of a one-hot query).  The trainer then
+subtracts ``lr_u * grad`` from those columns of the velocity only; the
+momentum decay and ``param += velocity`` stay dense, so the weights are
+bit-identical to a dense update.
 """
 
 import math
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, ContractViolation, NumericError
 from .numerics import Rng, derive_seed
 
 
@@ -46,6 +52,44 @@ class TrainConfig:
             "seed": self.seed,
             "shuffle_each_epoch": self.shuffle_each_epoch,
         }
+
+
+class ColumnSparse:
+    """A ``rows x n_cols`` matrix that is zero outside the columns ``cols``.
+
+    ``block[:, j]`` is column ``cols[j]``; ``cols`` is sorted and unique.
+    It offers what a reader of the dense matrix's sparsity needs (``shape``,
+    ``ndim``, ``size``, ``any(axis=0)``), and :meth:`toarray` (or
+    ``np.asarray``) densifies it.
+    """
+
+    ndim = 2
+
+    def __init__(self, cols: np.ndarray, block: np.ndarray, n_cols: int):
+        self.cols = cols
+        self.block = block
+        self.shape = (block.shape[0], n_cols)
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def any(self, axis=0) -> np.ndarray:
+        """Which columns hold a nonzero entry."""
+        if axis != 0:
+            raise ContractViolation(f"ColumnSparse.any takes axis 0, got {axis}")
+        out = np.zeros(self.shape[1], dtype=bool)
+        out[self.cols] = self.block.any(axis=0)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.block.dtype)
+        out[:, self.cols] = self.block
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.toarray()
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def learning_rate(config: TrainConfig, update_count: int) -> float:
@@ -96,7 +140,11 @@ def train(trainable, examples, config: TrainConfig, epoch_callback=None) -> Trai
             for name, arr in arrays.items():
                 v = velocities[name]
                 v *= config.momentum
-                v -= lr * grads[name]
+                grad = grads[name]
+                if isinstance(grad, ColumnSparse):
+                    v[:, grad.cols] -= lr * grad.block
+                else:
+                    v -= lr * grad
                 arr += v
             log.updates += 1
         log.epoch_losses.append(epoch_loss / len(examples) if examples else 0.0)

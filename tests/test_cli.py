@@ -259,6 +259,21 @@ def test_malformed_model_value_exits_2_naming_the_key(tmp_path, data_dir, capsys
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line, key", [("model = pipeline", "model"),
+                                       ("task = object-attr", "task")])
+def test_train_rejects_a_config_key_that_conflicts(tmp_path, data_dir, capsys,
+                                                   line, key):
+    # data_dir holds object-only acts; the flag says pop.
+    spec = tmp_path / "conflict.cfg"
+    spec.write_text(_SPEC_TEXT.replace("task = object-only", "") + line + "\n")
+    ckpt = tmp_path / "c.json"
+    assert main(["train", "--model", "pop", "--data", str(data_dir / "train.jsonl"),
+                 "--config", str(spec), "--out-checkpoint", str(ckpt)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"config key {key} = " in err
+    assert not ckpt.exists()
+
+
 def _python_m(*args, cwd):
     src = str(Path(popref.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

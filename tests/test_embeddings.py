@@ -1,11 +1,14 @@
 """Tests for synthetic worlds, vector-table IO, and act encoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from popref.datagen import DatasetSpec, gen_object_only, generate_splits
 from popref.embeddings import (
     EmbeddingTable,
+    EncodedAct,
     WorldConfig,
     assemble_world,
     build_synthetic_world,
@@ -310,6 +313,33 @@ def test_encode_object_attribute_dense_concatenates(small_world):
         assert vec.shape == (d_img + d_word,)
         np.testing.assert_array_equal(vec[:d_img], small_world.image_vecs[item.image_id])
         np.testing.assert_array_equal(vec[d_img:], small_world.attr_vecs[item.attribute])
+
+
+@pytest.mark.parametrize("where", ["query", "candidate"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encoded_act_validate_rejects_nonfinite_vectors(where, bad):
+    query, cand = np.ones(3), np.ones(4)
+    if where == "query":
+        query[1] = bad
+    else:
+        cand[2] = bad
+    act = EncodedAct(query_vec=query, candidate_vecs=[np.ones(4), cand],
+                     gold=None, act_id="t-bad")
+    with pytest.raises(ValidationError, match="non-finite"):
+        act.validate()
+
+
+def test_encode_act_rejects_a_nonfinite_table_vector(small_world):
+    act = _some_acts(small_world, "object-only", 1)[0]
+    table = EmbeddingTable(small_world.image_vecs.dim)
+    for image_id in small_world.all_image_ids():
+        vec = small_world.image_vecs[image_id].copy()
+        if image_id == act.items[0].image_id:
+            vec[0] = np.nan
+        table.add(image_id, vec)
+    world = dataclasses.replace(small_world, image_vecs=table)
+    with pytest.raises(ValidationError, match="non-finite"):
+        encode_act(act, world, "dense")
 
 
 def test_encode_one_hot_dimensions(small_world):

@@ -7,7 +7,7 @@ import pytest
 
 from popref.datagen import Gold
 from popref.embeddings import EncodedAct
-from popref.errors import ConfigError, ContractViolation
+from popref.errors import ConfigError, ContractViolation, NumericError
 from popref.numerics import Rng
 from popref.pop_model import (
     NONLINEARITIES,
@@ -22,6 +22,7 @@ from popref.pop_model import (
     loss,
     predict,
 )
+from popref.training import ColumnSparse
 
 
 def _zero_params(config: PopConfig) -> PopParams:
@@ -278,6 +279,23 @@ def test_forward_rejects_wrong_dimensions():
         forward(params, _act([1.0, 2.0], [[1.0, 2.0]]))
 
 
+def test_forward_rejects_empty_and_ragged_lineups():
+    params = _zero_params(PopConfig(d_query=2, d_cand=3, d_ent=2, n_sensors=2))
+    empty = EncodedAct(query_vec=np.ones(2), candidate_vecs=[], gold=Gold.miss())
+    with pytest.raises(ContractViolation, match="lineup"):
+        forward(params, empty)
+    with pytest.raises(ContractViolation, match="lineup"):
+        forward(params, _act([1.0, 2.0], [[1.0, 2.0, 3.0], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_logits_raise_instead_of_pointing(bad):
+    params = init_params(PopConfig(d_query=2, d_cand=3, d_ent=4, n_sensors=2), Rng(1))
+    act = _act([1.0, -1.0], [[1.0, 0.0, 0.5], [bad, 0.0, 1.0]], act_id="t-nan")
+    with pytest.raises(NumericError, match="t-nan"), np.errstate(invalid="ignore"):
+        predict(params, act)
+
+
 def test_variable_length_with_one_parameter_set():
     config = PopConfig(d_query=3, d_cand=4, d_ent=6, n_sensors=4)
     params = init_params(config, Rng(5))
@@ -381,6 +399,42 @@ def test_gradcheck_random_configurations():
     assert report.trials == 20
     assert report.max_rel_error < report.tolerance
     assert report.failures == []
+
+
+def test_gradcheck_covers_every_nonlinearity_pair_and_query_kind():
+    # 48 trials cycle 16 (contrast, squash) pairs x dense/one-hot/two-hot.
+    report = gradcheck_pop(trials=48, seed=4242)
+    assert report.passed, report.failures
+    assert report.max_rel_error < 1e-6
+
+
+@pytest.mark.parametrize("hot", [[3], [1, 4]])
+def test_hot_query_gradient_is_column_sparse_and_exact(hot):
+    config = PopConfig(d_query=6, d_cand=3, d_ent=4, n_sensors=2, use_bias=True)
+    params = init_params(config, Rng(8))
+    query = np.zeros(6)
+    query[hot] = 1.0
+    rng = Rng(9)
+    act = _act(query, [rng.normals(3) for _ in range(3)], gold=Gold.point(2))
+    trace = forward(params, act)
+    grads = backward(params, trace, act.gold)
+    sparse = grads["query_map"]
+    assert isinstance(sparse, ColumnSparse)
+    np.testing.assert_array_equal(sparse.cols, hot)
+    # query_bias's gradient is dquery_vec itself.
+    dense = np.outer(grads["query_bias"], trace.query_in)
+    assert np.array_equal(sparse.toarray(), dense)
+    assert np.array_equal(np.asarray(sparse), dense)
+    assert (sparse.shape, sparse.ndim, sparse.size) == \
+        (dense.shape, dense.ndim, dense.size)
+    np.testing.assert_array_equal(sparse.any(axis=0), dense.any(axis=0))
+
+
+def test_dense_query_gradient_stays_dense():
+    params = init_params(PopConfig(d_query=2, d_cand=3, d_ent=4, n_sensors=2), Rng(2))
+    act = _act([0.5, -1.5], [[1.0, 0.0, 0.5], [0.2, 0.3, 1.0]])
+    grads = backward(params, forward(params, act), act.gold)
+    assert type(grads["query_map"]) is np.ndarray
 
 
 def test_gradcheck_is_deterministic():

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from popref.errors import ConfigError, NumericError
-from popref.training import TrainConfig, TrainLog, learning_rate, train
+from popref.datagen import Gold
+from popref.embeddings import EncodedAct
+from popref.errors import ConfigError, ContractViolation, NumericError
+from popref.numerics import Rng
+from popref.pop_model import PopConfig, PopTrainable, init_params
+from popref.training import (
+    ColumnSparse,
+    TrainConfig,
+    TrainLog,
+    learning_rate,
+    train,
+)
 
 
 class QuadraticTrainable:
@@ -197,3 +207,55 @@ def test_epoch_callback_sees_every_epoch():
     )
     assert [c[0] for c in calls] == [0, 1, 2]
     assert all(np.isfinite(c[1]) for c in calls)
+
+
+# ---------------------------------------------------------------------------
+# Column-sparse gradients
+# ---------------------------------------------------------------------------
+
+
+class DensifiedTrainable(PopTrainable):
+    """The same network, with every gradient handed over as a dense array."""
+
+    def loss_and_grads(self, act):
+        value, grads = super().loss_and_grads(act)
+        return value, {name: np.asarray(g) for name, g in grads.items()}
+
+
+def _one_hot_acts(n_acts, d_query, d_cand, seed):
+    rng = Rng(seed)
+    golds = [Gold.point(0), Gold.miss(), Gold.mult(), Gold.point(1)]
+    acts = []
+    for i in range(n_acts):
+        query = np.zeros(d_query)
+        query[rng.randrange(d_query)] = 1.0
+        acts.append(EncodedAct(
+            query_vec=query,
+            candidate_vecs=[rng.normals(d_cand) for _ in range(2 + rng.randrange(3))],
+            gold=golds[i % len(golds)],
+            act_id=f"oh-{i}",
+        ))
+    return acts
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_column_sparse_update_is_bit_identical_to_dense(use_bias):
+    config = PopConfig(d_query=20, d_cand=6, d_ent=8, n_sensors=4, use_bias=use_bias)
+    acts = _one_hot_acts(60, config.d_query, config.d_cand, seed=17)
+    train_config = TrainConfig(lr0=0.1, momentum=0.9, epochs=1, seed=3)
+    sparse = PopTrainable(init_params(config, Rng(5)))
+    dense = DensifiedTrainable(init_params(config, Rng(5)))
+    assert isinstance(sparse.loss_and_grads(acts[0])[1]["query_map"], ColumnSparse)
+
+    log_sparse = train(sparse, acts, train_config)
+    log_dense = train(dense, acts, train_config)
+    assert log_sparse.epoch_losses == log_dense.epoch_losses
+    for name, arr in sparse.parameter_arrays().items():
+        assert np.array_equal(arr, dense.parameter_arrays()[name]), name
+
+
+def test_column_sparse_any_reads_columns_only():
+    grad = ColumnSparse(np.array([1]), np.ones((3, 1)), 4)
+    np.testing.assert_array_equal(grad.any(axis=0), [False, True, False, False])
+    with pytest.raises(ContractViolation):
+        grad.any(axis=1)
