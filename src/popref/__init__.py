@@ -49,7 +49,6 @@ from .embeddings import (
     WorldConfig,
     build_synthetic_world,
     encode_act,
-    load_compat_table,
     load_table,
     one_hot,
     save_table,

@@ -140,13 +140,6 @@ class SyntheticLabeler:
         others = [name for name in self.vocabulary if name != true_object]
         return rng.choice(others) if others else true_object
 
-    @staticmethod
-    def for_world(world: SyntheticWorld, p_true: float = 1.0,
-                  seed: int = 0) -> "SyntheticLabeler":
-        return SyntheticLabeler(
-            vocabulary=tuple(world.objects), p_true=p_true, seed=seed
-        )
-
 
 def cnn_predict(act: ReferenceAct, labeler: SyntheticLabeler) -> Prediction:
     """Label every candidate image, then resolve by lax label matching.

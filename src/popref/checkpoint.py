@@ -6,6 +6,10 @@ each float via its shortest round-tripping decimal representation, so a
 save/load cycle reproduces every entry bit for bit.  The container also
 carries whatever context is needed to re-run evaluation from the file alone
 (world configuration, encoding mode, tuned thresholds).
+
+:data:`MODELS` maps each kind to its config and params classes; one record
+body and one restore body serve them all, and the arrays are whatever the
+params class's ``shapes`` table names.
 """
 
 import json
@@ -16,23 +20,37 @@ from .errors import ParseError
 from .pipeline_model import PipelineConfig, PipelineParams, Thresholds
 from .pop_model import PopConfig, PopParams
 
-POP_KINDS = ("pop", "trpop")
-ALL_KINDS = POP_KINDS + ("pipeline",)
+# kind -> (config class, params class)
+MODELS = {
+    "pop": (PopConfig, PopParams),
+    "trpop": (PopConfig, PopParams),
+    "pipeline": (PipelineConfig, PipelineParams),
+}
+ALL_KINDS = tuple(MODELS)
 
 
-def _arrays_to_lists(arrays: dict[str, np.ndarray]) -> dict[str, list]:
-    return {name: arr.tolist() for name, arr in arrays.items()}
+def _check_kind(kind, params_cls) -> None:
+    kinds = [k for k, (_, cls) in MODELS.items() if cls is params_cls]
+    if kind not in kinds:
+        raise ParseError(f"expected a {' or '.join(kinds)} checkpoint, got {kind!r}")
+
+
+def _record(kind: str, params, extra: dict | None,
+            thresholds: Thresholds | None = None) -> dict:
+    _check_kind(kind, type(params))
+    record = {
+        "kind": kind,
+        "config": params.config.to_dict(),
+        "arrays": {name: arr.tolist() for name, arr in params.named_arrays().items()},
+        "extra": extra or {},
+    }
+    if thresholds is not None:
+        record["thresholds"] = thresholds.to_dict()
+    return record
 
 
 def pop_record(params: PopParams, kind: str = "pop", extra: dict | None = None) -> dict:
-    if kind not in POP_KINDS:
-        raise ParseError(f"kind {kind!r} is not a pointing-network kind")
-    return {
-        "kind": kind,
-        "config": params.config.to_dict(),
-        "arrays": _arrays_to_lists(params.named_arrays()),
-        "extra": extra or {},
-    }
+    return _record(kind, params, extra)
 
 
 def pipeline_record(
@@ -40,15 +58,7 @@ def pipeline_record(
     thresholds: Thresholds | None = None,
     extra: dict | None = None,
 ) -> dict:
-    record = {
-        "kind": "pipeline",
-        "config": params.config.to_dict(),
-        "arrays": _arrays_to_lists(params.named_arrays()),
-        "extra": extra or {},
-    }
-    if thresholds is not None:
-        record["thresholds"] = thresholds.to_dict()
-    return record
+    return _record("pipeline", params, extra, thresholds)
 
 
 def save_checkpoint(record: dict, path) -> None:
@@ -75,43 +85,42 @@ def load_checkpoint(path) -> dict:
     return record
 
 
-def _array_from(record: dict, name: str) -> np.ndarray:
-    if name not in record["arrays"]:
-        raise ParseError(f"checkpoint missing array {name!r}")
-    return np.array(record["arrays"][name], dtype=np.float64)
+def _validated(cls, record: dict, key: str):
+    """``cls`` built from ``record[key]`` and validated; a field that is
+    unknown, missing or of the wrong type is a :class:`ParseError`."""
+    try:
+        value = cls.from_dict(record[key])
+        value.validate()
+    except TypeError as exc:
+        raise ParseError(f"checkpoint {key} does not fit {cls.__name__}: {exc}") from None
+    return value
 
 
-def restore_pop(record: dict) -> PopParams:
-    if record["kind"] not in POP_KINDS:
-        raise ParseError(f"expected a pointing-network checkpoint, got {record['kind']!r}")
-    config = PopConfig.from_dict(record["config"])
-    params = PopParams(
-        config=config,
-        entity_map=_array_from(record, "entity_map"),
-        query_map=_array_from(record, "query_map"),
-        sensor_in=_array_from(record, "sensor_in"),
-        sensor_out=_array_from(record, "sensor_out"),
-    )
-    if config.use_bias:
-        params.entity_bias = _array_from(record, "entity_bias")
-        params.query_bias = _array_from(record, "query_bias")
-        params.sensor_in_bias = _array_from(record, "sensor_in_bias")
-        params.sensor_out_bias = _array_from(record, "sensor_out_bias")
-    params.validate()
-    return params
-
-
-def restore_pipeline(record: dict) -> tuple[PipelineParams, Thresholds | None]:
-    if record["kind"] != "pipeline":
-        raise ParseError(f"expected a pipeline checkpoint, got {record['kind']!r}")
-    params = PipelineParams(
-        config=PipelineConfig.from_dict(record["config"]),
-        query_map=_array_from(record, "query_map"),
-        object_map=_array_from(record, "object_map"),
-    )
+def _restore(record: dict):
+    """(params, thresholds or None) of a loaded record of a checked kind."""
+    config_cls, params_cls = MODELS[record["kind"]]
+    config = _validated(config_cls, record, "config")
+    arrays = {}
+    for name in params_cls.shapes(config):
+        if name not in record["arrays"]:
+            raise ParseError(f"checkpoint missing array {name!r}")
+        try:
+            arrays[name] = np.array(record["arrays"][name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError(f"checkpoint array {name!r} is not numeric") from None
+    params = params_cls(config=config, **arrays)
     params.validate()
     thresholds = None
     if "thresholds" in record:
-        thresholds = Thresholds.from_dict(record["thresholds"])
-        thresholds.validate()
+        thresholds = _validated(Thresholds, record, "thresholds")
     return params, thresholds
+
+
+def restore_pop(record: dict) -> PopParams:
+    _check_kind(record["kind"], PopParams)
+    return _restore(record)[0]
+
+
+def restore_pipeline(record: dict) -> tuple[PipelineParams, Thresholds | None]:
+    _check_kind(record["kind"], PipelineParams)
+    return _restore(record)

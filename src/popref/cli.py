@@ -144,11 +144,6 @@ def _rebuild_world(record: dict):
 
 def _cmd_tune_thresholds(args) -> int:
     record = load_checkpoint(args.checkpoint)
-    if record["kind"] != "pipeline":
-        raise ConfigError(
-            f"threshold tuning applies to pipeline checkpoints, got "
-            f"{record['kind']!r}"
-        )
     params, _ = restore_pipeline(record)
     world, extra = _rebuild_world(record)
     encoded = encode_split(world, read_jsonl(args.val),

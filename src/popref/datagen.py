@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConfigError, GenerationError, ParseError, ValidationError
-from .numerics import Rng, derive_seed
+from .numerics import Rng, derive_seed, require_finite
 
 POINT = "point"
 ANOMALY = "anomaly"
@@ -109,6 +109,7 @@ class DatasetSpec:
             raise ConfigError(
                 f"need 2 <= min_len <= max_len, got [{self.min_len}, {self.max_len}]"
             )
+        require_finite(p_miss=self.p_miss, p_mult=self.p_mult)
         if self.p_miss < 0 or self.p_mult < 0:
             raise ConfigError("anomaly probabilities must be >= 0")
         if self.p_miss + self.p_mult >= 1:

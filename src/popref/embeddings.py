@@ -2,9 +2,10 @@
 
 Provides a seeded synthetic "embedding world" (class centroids with Gaussian
 image noise, a fixed cross-modal linear map into word space, random attribute
-vectors, and a sampled object-attribute compatibility relation), loaders for
-externally produced vector and compatibility files, one-hot encoding for the
-tabula-rasa model variant, and the image-shuffling control transform.
+vectors, and a sampled object-attribute compatibility relation), a text
+format for embedding tables (:func:`load_table`, :func:`save_table`),
+one-hot encoding for the tabula-rasa model variant, and the image-shuffling
+control transform.
 
 Worlds and tables are immutable after construction and safe for shared
 concurrent reads.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EncodingError, ParseError, ValidationError
-from .numerics import Rng, derive_seed
+from .numerics import Rng, derive_seed, require_finite
 
 
 class EmbeddingTable:
@@ -88,6 +89,7 @@ class WorldConfig:
             raise ConfigError(f"need >= 3 attributes, got {self.n_attributes}")
         if self.d_img < 1 or self.d_word < 1:
             raise ConfigError("vector dimensions must be >= 1")
+        require_finite(sigma=self.sigma, sigma_word=self.sigma_word)
         if self.sigma < 0 or self.sigma_word < 0:
             raise ConfigError("noise scales must be >= 0")
         if self.attrs_per_object < 3:
@@ -352,6 +354,8 @@ def load_table(path) -> EmbeddingTable:
             raise ParseError(
                 f"non-numeric value in row for {token!r}", line=lineno
             ) from None
+        if not all(math.isfinite(v) for v in vec):
+            raise ParseError(f"non-finite value in row for {token!r}", line=lineno)
         table.add(token, vec)
     if len(table) != count:
         raise ParseError(
@@ -367,67 +371,6 @@ def save_table(table: EmbeddingTable, path) -> None:
         for token in table.tokens:
             values = " ".join(repr(float(v)) for v in table.entries[token])
             fh.write(f"{token} {values}\n")
-
-
-def load_compat_table(path) -> dict[str, tuple[str, ...]]:
-    """Read a compatibility relation: one ``<object>: <a1>,<a2>,...`` per line."""
-    compat: dict[str, tuple[str, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ParseError("expected '<object>: <attributes>'", line=lineno)
-            obj, _, rest = line.partition(":")
-            obj = obj.strip()
-            if not obj:
-                raise ParseError("empty object name", line=lineno)
-            if obj in compat:
-                raise ParseError(f"duplicate object {obj!r}", line=lineno)
-            attrs = [a.strip() for a in rest.split(",") if a.strip()]
-            if not attrs:
-                raise ParseError(f"object {obj!r} lists no attributes", line=lineno)
-            compat[obj] = tuple(sorted(set(attrs)))
-    return compat
-
-
-def assemble_world(
-    images: dict[str, list[str]],
-    image_vecs: EmbeddingTable,
-    word_vecs: EmbeddingTable,
-    attr_vecs: EmbeddingTable,
-    compat: dict[str, tuple[str, ...]],
-    config: WorldConfig | None = None,
-    seed: int = 0,
-) -> SyntheticWorld:
-    """Build a world from externally loaded tables, validating all invariants.
-
-    This is the entry point for real vector files: load the three tables and
-    the compatibility relation, then assemble.  Object order follows the
-    ``images`` mapping.
-    """
-    objects = list(images.keys())
-    world = SyntheticWorld(
-        objects=objects,
-        images={obj: list(ids) for obj, ids in images.items()},
-        image_vecs=image_vecs,
-        word_vecs=word_vecs,
-        attr_vecs=attr_vecs,
-        compat={obj: tuple(attrs) for obj, attrs in compat.items()},
-        config=config
-        or WorldConfig(
-            n_classes=max(2, len(objects)),
-            images_per_class=max(1, min(len(ids) for ids in images.values())),
-            n_attributes=max(3, len(attr_vecs)),
-            d_img=image_vecs.dim,
-            d_word=word_vecs.dim,
-        ),
-        seed=int(seed),
-        inverse_compat=_invert_compat(compat),
-    )
-    world.validate()
-    return world
 
 
 def one_hot(token: str, vocab: list[str]) -> np.ndarray:

@@ -18,10 +18,11 @@ model, shared with the CLI's ``train`` and the image-shuffle control.
 
 import datetime
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
-from .checkpoint import pipeline_record, pop_record, save_checkpoint
+from .checkpoint import MODELS, pipeline_record, pop_record, save_checkpoint
 from .datagen import (
     ANOMALY,
     MISS,
@@ -52,7 +53,7 @@ PREDICTED_BUCKETS = ("point_correct", "point_wrong", "protest")
 # more than twice as many passes to learn word forms from scratch.
 DEFAULT_EPOCHS = {"pop": 14, "trpop": 36, "pipeline": 10}
 
-MODEL_KINDS = ("pop", "trpop", "pipeline")
+MODEL_KINDS = tuple(MODELS)
 TASKS = ("object-only", "object-attr")
 
 
@@ -197,9 +198,12 @@ def _as_int(value: str, key: str) -> int:
 
 def _as_float(value: str, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
+    return number
 
 
 _WORLD_KEYS = {

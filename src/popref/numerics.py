@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 
 _MASK64 = (1 << 64) - 1
 
@@ -160,6 +160,13 @@ def glorot_uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (rows + cols))
     flat = np.array([rng.uniform(-bound, bound) for _ in range(rows * cols)])
     return flat.reshape(rows, cols)
+
+
+def require_finite(**values: float) -> None:
+    """Raise :class:`ConfigError` naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def as_vector(v) -> np.ndarray:

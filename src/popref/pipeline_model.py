@@ -15,24 +15,26 @@ triples: a missing-referent act has no positive and a multiple-referent act
 an ambiguous one.
 """
 
+import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import POINT
-from .errors import ConfigError, ContractViolation
-from .numerics import (
-    Rng,
-    derive_seed,
-    finite_diff_grad,
-    flatten_arrays,
-    glorot_uniform,
-    rel_error,
-    unflatten_into,
+from .errors import ConfigError
+from .numerics import Rng, derive_seed, require_finite
+from .pop_model import Prediction
+from .training import (
+    GradcheckReport,
+    Params,
+    Trainable,
+    TrainConfig,
+    TrainLog,
+    gradcheck,
+    train,
 )
-from .pop_model import GradcheckReport, Prediction
-from .training import TrainConfig, TrainLog, train
 
 logger = logging.getLogger(__name__)
 
@@ -52,16 +54,12 @@ class PipelineConfig:
                           ("d_shared", self.d_shared)):
             if dim < 1:
                 raise ConfigError(f"{name} must be >= 1, got {dim}")
+        require_finite(margin=self.margin)
         if self.margin <= 0:
             raise ConfigError(f"margin must be > 0, got {self.margin}")
 
     def to_dict(self) -> dict:
-        return {
-            "d_query": self.d_query,
-            "d_cand": self.d_cand,
-            "d_shared": self.d_shared,
-            "margin": self.margin,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(record: dict) -> "PipelineConfig":
@@ -69,37 +67,17 @@ class PipelineConfig:
 
 
 @dataclass
-class PipelineParams:
-    """query_map: d_shared x d_query; object_map: d_shared x d_cand."""
-
+class PipelineParams(Params):
     config: PipelineConfig
     query_map: np.ndarray
     object_map: np.ndarray
 
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {"query_map": self.query_map, "object_map": self.object_map}
-
-    def copy(self) -> "PipelineParams":
-        return PipelineParams(
-            config=self.config,
-            query_map=self.query_map.copy(),
-            object_map=self.object_map.copy(),
-        )
-
-    def validate(self) -> None:
-        cfg = self.config
-        expected = {
-            "query_map": (cfg.d_shared, cfg.d_query),
-            "object_map": (cfg.d_shared, cfg.d_cand),
+    @staticmethod
+    def shapes(config: PipelineConfig) -> dict[str, tuple[int, ...]]:
+        return {
+            "query_map": (config.d_shared, config.d_query),
+            "object_map": (config.d_shared, config.d_cand),
         }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ContractViolation(
-                    f"parameter {name} has shape {arr.shape}, expected {shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ContractViolation(f"parameter {name} holds non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -118,7 +96,7 @@ class Thresholds:
                 )
 
     def to_dict(self) -> dict:
-        return {"min_similarity": self.min_similarity, "min_gap": self.min_gap}
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(record: dict) -> "Thresholds":
@@ -126,12 +104,8 @@ class Thresholds:
 
 
 def init_pipeline_params(config: PipelineConfig, rng: Rng) -> PipelineParams:
-    config.validate()
-    return PipelineParams(
-        config=config,
-        query_map=glorot_uniform(rng, config.d_shared, config.d_query),
-        object_map=glorot_uniform(rng, config.d_shared, config.d_cand),
-    )
+    """Glorot-uniform maps (see :meth:`Params.init`)."""
+    return PipelineParams.init(config, rng)
 
 
 def extract_pairs(encoded_acts, corpus_negatives: int = 0, rng: Rng | None = None):
@@ -214,12 +188,9 @@ def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[floa
     cos_pos = _cosine(qv, pv, "positive")
     cos_neg = _cosine(qv, nv, "negative")
     value = params.config.margin - cos_pos + cos_neg
-    zeros = {
-        "query_map": np.zeros_like(params.query_map),
-        "object_map": np.zeros_like(params.object_map),
-    }
     if value <= 0.0:
-        return 0.0, zeros
+        return 0.0, {name: np.zeros_like(arr)
+                     for name, arr in params.named_arrays().items()}
 
     dq_pos, dp = _dcos(qv, pv)
     dq_neg, dn = _dcos(qv, nv)
@@ -231,14 +202,8 @@ def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[floa
     return value, grads
 
 
-class PipelineTrainable:
+class PipelineTrainable(Trainable):
     """Adapter over (query, positive, negative) triples for the generic trainer."""
-
-    def __init__(self, params: PipelineParams):
-        self.params = params
-
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return self.params.named_arrays()
 
     def loss_and_grads(self, triple) -> tuple[float, dict[str, np.ndarray]]:
         query, positive, negative = triple
@@ -276,46 +241,38 @@ def similarity_profile(params: PipelineParams, act) -> np.ndarray:
     ])
 
 
+def protest_profile(params: PipelineParams, act) -> tuple[float, float, int]:
+    """(best similarity, gap between the top two, argmax) of one act.
+
+    The gap is inf for a single candidate, so the gap rule never fires
+    there.  Ties in the argmax break toward the lowest index.
+    """
+    sims = similarity_profile(params, act)
+    best = int(np.argmax(sims))
+    gap = math.inf
+    if sims.size >= 2:
+        top_two = np.sort(sims)[-2:]
+        gap = float(top_two[1] - top_two[0])
+    return float(sims[best]), gap, best
+
+
+def _protests(max_sim, gap, min_similarity, min_gap):
+    """The two protest rules, on one profile or elementwise on arrays of them."""
+    return (max_sim < min_similarity) | (gap < min_gap)
+
+
 def pipeline_predict(params: PipelineParams, thresholds: Thresholds, act) -> Prediction:
     """Apply the two protest heuristics, else point at the best candidate.
 
     Protest when the best similarity falls below ``min_similarity`` (nothing
     matches well enough), or — for two or more candidates — when the top two
     similarities differ by less than ``min_gap`` (two things match equally
-    well).  Single-candidate acts skip the gap rule.  Ties in the argmax
-    break toward the lowest index.
+    well).  See :func:`protest_profile`.
     """
-    sims = similarity_profile(params, act)
-    best = int(np.argmax(sims))
-    if sims[best] < thresholds.min_similarity:
+    max_sim, gap, best = protest_profile(params, act)
+    if _protests(max_sim, gap, thresholds.min_similarity, thresholds.min_gap):
         return Prediction.protest()
-    if sims.size >= 2:
-        top_two = np.sort(sims)[-2:]
-        if float(top_two[1] - top_two[0]) < thresholds.min_gap:
-            return Prediction.protest()
     return Prediction.point(best)
-
-
-def _act_profiles(params: PipelineParams, encoded_acts):
-    """Per-act (max_sim, top-two gap, argmax, gold) arrays for fast tuning."""
-    max_sims, gaps, argmaxes, gold_indices, is_anomaly = [], [], [], [], []
-    for act in encoded_acts:
-        sims = similarity_profile(params, act)
-        max_sims.append(float(np.max(sims)))
-        if sims.size >= 2:
-            top_two = np.sort(sims)[-2:]
-            gaps.append(float(top_two[1] - top_two[0]))
-        else:
-            gaps.append(np.inf)  # the gap rule is skipped for n = 1
-        argmaxes.append(int(np.argmax(sims)))
-        if act.gold.kind == POINT:
-            gold_indices.append(act.gold.index)
-            is_anomaly.append(False)
-        else:
-            gold_indices.append(-1)
-            is_anomaly.append(True)
-    return (np.array(max_sims), np.array(gaps), np.array(argmaxes),
-            np.array(gold_indices), np.array(is_anomaly))
 
 
 def tune_thresholds(
@@ -333,14 +290,17 @@ def tune_thresholds(
     acts = list(encoded_val_acts)
     if not acts:
         raise ConfigError("threshold tuning needs a nonempty validation set")
-    max_sims, gaps, argmaxes, gold_indices, is_anomaly = _act_profiles(params, acts)
-    point_correct = (~is_anomaly) & (argmaxes == gold_indices)
+    profiles = [protest_profile(params, act) for act in acts]
+    max_sims, gaps, argmaxes = (np.array(column) for column in zip(*profiles))
+    gold_index = np.array([act.gold.index if act.gold.kind == POINT else -1
+                           for act in acts])
+    is_anomaly = gold_index < 0
+    point_correct = argmaxes == gold_index
 
     best = (-1, Thresholds(min_similarity=miss_grid[0], min_gap=gap_grid[0]))
     for theta_miss in miss_grid:
-        below_floor = max_sims < theta_miss
         for theta_gap in gap_grid:
-            protest = below_floor | (gaps < theta_gap)
+            protest = _protests(max_sims, gaps, theta_miss, theta_gap)
             correct = int(np.sum(np.where(protest, is_anomaly, point_correct)))
             if correct > best[0]:
                 best = (correct, Thresholds(min_similarity=theta_miss,
@@ -360,50 +320,20 @@ def gradcheck_pipeline(
     slack, so the finite-difference probe never straddles the max(0, .) kink.
     """
     rng = Rng(seed)
-    max_err = 0.0
-    failures: list[str] = []
-    for trial in range(trials):
+
+    def sample(trial: int):
         config = PipelineConfig(
             d_query=2 + rng.randrange(3),
             d_cand=2 + rng.randrange(3),
             d_shared=3 + rng.randrange(3),
             margin=0.5,
         )
-        params = None
-        triple = None
         for _ in range(200):
             params = init_pipeline_params(config, rng.fork())
             triple = (rng.normals(config.d_query), rng.normals(config.d_cand),
                       rng.normals(config.d_cand))
-            value = hinge_loss(*triple, params)
-            if value > 1e-3:
-                break
-        else:
-            failures.append(f"trial {trial}: could not activate the hinge")
-            continue
+            if hinge_loss(*triple, params) > 1e-3:
+                return PipelineTrainable(params), triple, ""
+        return "could not activate the hinge"
 
-        _, analytic = hinge_grads(*triple, params)
-        analytic_vec = flatten_arrays(
-            {name: analytic[name] for name in params.named_arrays()}
-        )
-
-        probe = params.copy()
-
-        def objective(vec: np.ndarray) -> float:
-            unflatten_into(probe.named_arrays(), vec)
-            return hinge_loss(*triple, probe)
-
-        numeric_vec = finite_diff_grad(
-            objective, flatten_arrays(params.named_arrays()), h=h
-        )
-        err = rel_error(analytic_vec, numeric_vec)
-        max_err = max(max_err, err)
-        if err >= tolerance:
-            failures.append(f"trial {trial}: rel error {err:.3e}")
-    return GradcheckReport(
-        passed=not failures,
-        trials=trials,
-        max_rel_error=max_err,
-        tolerance=tolerance,
-        failures=failures,
-    )
+    return gradcheck(sample, trials, tolerance, h)

@@ -27,24 +27,16 @@ The same graph serves the dense-input and one-hot-input (tabula rasa) model
 variants; they differ only in how acts are encoded upstream.
 """
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import ANOMALY, Gold
 from .embeddings import EncodedAct
 from .errors import ConfigError, ContractViolation, NumericError
-from .numerics import (
-    Rng,
-    finite_diff_grad,
-    flatten_arrays,
-    glorot_uniform,
-    logsumexp,
-    rel_error,
-    softmax,
-    unflatten_into,
-)
-from .training import ColumnSparse
+from .numerics import Rng, logsumexp, softmax
+from .training import ColumnSparse, GradcheckReport, Params, Trainable, gradcheck
 
 
 def _relu(x):
@@ -139,16 +131,7 @@ class PopConfig:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "d_query": self.d_query,
-            "d_cand": self.d_cand,
-            "d_ent": self.d_ent,
-            "n_sensors": self.n_sensors,
-            "contrast": self.contrast,
-            "score_squash": self.score_squash,
-            "sensor_nonlinearity": self.sensor_nonlinearity,
-            "use_bias": self.use_bias,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(record: dict) -> "PopConfig":
@@ -156,15 +139,9 @@ class PopConfig:
 
 
 @dataclass
-class PopParams:
-    """The learned arrays.  Shapes:
-
-    * entity_map: d_ent x d_cand (shared across candidates)
-    * query_map: d_ent x d_query
-    * sensor_in: n_sensors x 2 (acts on [cumulative similarity, cardinality])
-    * sensor_out: 1 x n_sensors
-    * optional biases matching each map's output dimension
-    """
+class PopParams(Params):
+    """The learned arrays; :meth:`shapes` declares them.  Biases are None
+    unless ``config.use_bias``."""
 
     config: PopConfig
     entity_map: np.ndarray
@@ -176,80 +153,28 @@ class PopParams:
     sensor_in_bias: np.ndarray | None = None
     sensor_out_bias: np.ndarray | None = None
 
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        """Live references to every learned array, in a fixed order."""
-        out = {
-            "entity_map": self.entity_map,
-            "query_map": self.query_map,
-            "sensor_in": self.sensor_in,
-            "sensor_out": self.sensor_out,
+    @staticmethod
+    def shapes(config: PopConfig) -> dict[str, tuple[int, ...]]:
+        """entity_map is shared across candidates; sensor_in acts on
+        [cumulative similarity, cardinality]; each bias matches its map's
+        output dimension."""
+        shapes = {
+            "entity_map": (config.d_ent, config.d_cand),
+            "query_map": (config.d_ent, config.d_query),
+            "sensor_in": (config.n_sensors, 2),
+            "sensor_out": (1, config.n_sensors),
         }
-        if self.config.use_bias:
-            out["entity_bias"] = self.entity_bias
-            out["query_bias"] = self.query_bias
-            out["sensor_in_bias"] = self.sensor_in_bias
-            out["sensor_out_bias"] = self.sensor_out_bias
-        return out
-
-    def copy(self) -> "PopParams":
-        return PopParams(
-            config=self.config,
-            entity_map=self.entity_map.copy(),
-            query_map=self.query_map.copy(),
-            sensor_in=self.sensor_in.copy(),
-            sensor_out=self.sensor_out.copy(),
-            entity_bias=None if self.entity_bias is None else self.entity_bias.copy(),
-            query_bias=None if self.query_bias is None else self.query_bias.copy(),
-            sensor_in_bias=(
-                None if self.sensor_in_bias is None else self.sensor_in_bias.copy()
-            ),
-            sensor_out_bias=(
-                None if self.sensor_out_bias is None else self.sensor_out_bias.copy()
-            ),
-        )
-
-    def validate(self) -> None:
-        cfg = self.config
-        expected = {
-            "entity_map": (cfg.d_ent, cfg.d_cand),
-            "query_map": (cfg.d_ent, cfg.d_query),
-            "sensor_in": (cfg.n_sensors, 2),
-            "sensor_out": (1, cfg.n_sensors),
-        }
-        if cfg.use_bias:
-            expected.update({
-                "entity_bias": (cfg.d_ent,),
-                "query_bias": (cfg.d_ent,),
-                "sensor_in_bias": (cfg.n_sensors,),
-                "sensor_out_bias": (1,),
-            })
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr is None or arr.shape != shape:
-                raise ContractViolation(
-                    f"parameter {name} has shape "
-                    f"{None if arr is None else arr.shape}, expected {shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ContractViolation(f"parameter {name} holds non-finite entries")
+        if config.use_bias:
+            shapes["entity_bias"] = (config.d_ent,)
+            shapes["query_bias"] = (config.d_ent,)
+            shapes["sensor_in_bias"] = (config.n_sensors,)
+            shapes["sensor_out_bias"] = (1,)
+        return shapes
 
 
 def init_params(config: PopConfig, rng: Rng) -> PopParams:
-    """Glorot-uniform matrices (bound sqrt(6 / (fan_in + fan_out))), zero biases."""
-    config.validate()
-    params = PopParams(
-        config=config,
-        entity_map=glorot_uniform(rng, config.d_ent, config.d_cand),
-        query_map=glorot_uniform(rng, config.d_ent, config.d_query),
-        sensor_in=glorot_uniform(rng, config.n_sensors, 2),
-        sensor_out=glorot_uniform(rng, 1, config.n_sensors),
-    )
-    if config.use_bias:
-        params.entity_bias = np.zeros(config.d_ent)
-        params.query_bias = np.zeros(config.d_ent)
-        params.sensor_in_bias = np.zeros(config.n_sensors)
-        params.sensor_out_bias = np.zeros(1)
-    return params
+    """Glorot-uniform matrices, zero biases (see :meth:`Params.init`)."""
+    return PopParams.init(config, rng)
 
 
 @dataclass
@@ -463,14 +388,8 @@ def predict(params: PopParams, act) -> Prediction:
     return Prediction.protest() if best == n else Prediction.point(best)
 
 
-class PopTrainable:
+class PopTrainable(Trainable):
     """Adapter giving the generic trainer a uniform handle on the network."""
-
-    def __init__(self, params: PopParams):
-        self.params = params
-
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return self.params.named_arrays()
 
     def loss_and_grads(self, act) -> tuple[float, dict[str, np.ndarray]]:
         trace = forward(self.params, act)
@@ -478,15 +397,6 @@ class PopTrainable:
 
     def example_id(self, act) -> str:
         return _act_id(act)
-
-
-@dataclass
-class GradcheckReport:
-    passed: bool
-    trials: int
-    max_rel_error: float
-    tolerance: float
-    failures: list[str] = field(default_factory=list)
 
 
 # Every (contrast, score_squash) pair, and the query encodings trials cycle.
@@ -528,9 +438,8 @@ def gradcheck_pop(
     """
     rng = Rng(seed)
     golds = [Gold.point(0), Gold.miss(), Gold.mult(), Gold.point(1)]
-    max_err = 0.0
-    failures: list[str] = []
-    for trial in range(trials):
+
+    def sample(trial: int):
         contrast, squash = _NONLINEARITY_PAIRS[trial % len(_NONLINEARITY_PAIRS)]
         query_kind = _QUERY_KINDS[trial % len(_QUERY_KINDS)]
         n = 2 + rng.randrange(4)
@@ -548,7 +457,6 @@ def gradcheck_pop(
         if gold.kind == "point" and gold.index >= n:
             gold = Gold.point(n - 1)
 
-        params = None
         for _ in range(100):
             params = init_params(config, rng.fork())
             act = _random_act(rng, config.d_query, config.d_cand, n, gold,
@@ -562,38 +470,11 @@ def gradcheck_pop(
             if squash == "relu":
                 margin = min(margin, abs(trace.anomaly_raw))
             if margin > 1e-3:
-                break
-        else:
-            failures.append(f"trial {trial}: could not avoid a relu kink")
-            continue
+                return PopTrainable(params), act, (
+                    f" (n={n}, gold={gold.kind}/{gold.anomaly_kind or gold.index}, "
+                    f"bias={config.use_bias}, {contrast}/{squash}, "
+                    f"{query_kind} query)"
+                )
+        return "could not avoid a relu kink"
 
-        trace = forward(params, act)
-        analytic = backward(params, trace, gold)
-        analytic_vec = flatten_arrays(
-            {name: np.asarray(analytic[name]) for name in params.named_arrays()}
-        )
-
-        probe = params.copy()
-
-        def objective(vec: np.ndarray) -> float:
-            unflatten_into(probe.named_arrays(), vec)
-            return loss(forward(probe, act), gold)
-
-        numeric_vec = finite_diff_grad(
-            objective, flatten_arrays(params.named_arrays()), h=h
-        )
-        err = rel_error(analytic_vec, numeric_vec)
-        max_err = max(max_err, err)
-        if err >= tolerance:
-            failures.append(
-                f"trial {trial}: rel error {err:.3e} (n={n}, gold={gold.kind}"
-                f"/{gold.anomaly_kind or gold.index}, bias={config.use_bias}, "
-                f"{contrast}/{squash}, {query_kind} query)"
-            )
-    return GradcheckReport(
-        passed=not failures,
-        trials=trials,
-        max_rel_error=max_err,
-        tolerance=tolerance,
-        failures=failures,
-    )
+    return gradcheck(sample, trials, tolerance, h)

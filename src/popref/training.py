@@ -17,13 +17,23 @@ momentum decay and ``param += velocity`` stay dense, so the weights are
 bit-identical to a dense update.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericError
-from .numerics import Rng, derive_seed
+from .numerics import (
+    Rng,
+    derive_seed,
+    finite_diff_grad,
+    flatten_arrays,
+    glorot_uniform,
+    rel_error,
+    require_finite,
+    unflatten_into,
+)
 
 
 @dataclass(frozen=True)
@@ -36,6 +46,7 @@ class TrainConfig:
     shuffle_each_epoch: bool = True
 
     def validate(self) -> None:
+        require_finite(lr0=self.lr0, momentum=self.momentum, decay=self.decay)
         if self.lr0 <= 0:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
         if self.epochs < 0:
@@ -52,6 +63,61 @@ class TrainConfig:
             "seed": self.seed,
             "shuffle_each_epoch": self.shuffle_each_epoch,
         }
+
+
+class Params:
+    """A model's learned arrays, declared once in :meth:`shapes`.
+
+    A subclass is a dataclass with a ``config`` field and one field per
+    array; :meth:`shapes` maps each array present under ``config`` to its
+    shape, in a fixed order.  Naming, copying, validating and initialising
+    the arrays, the checkpoint codec and :func:`gradcheck` all read it.
+    """
+
+    @staticmethod
+    def shapes(config) -> dict[str, tuple[int, ...]]:
+        raise NotImplementedError
+
+    @classmethod
+    def init(cls, config, rng: Rng) -> "Params":
+        """Glorot-uniform matrices (bound sqrt(6 / (fan_in + fan_out))) and
+        zero vectors, drawn in table order."""
+        config.validate()
+        return cls(config=config, **{
+            name: glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+            for name, shape in cls.shapes(config).items()
+        })
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        """Live references to every learned array, in table order."""
+        return {name: getattr(self, name) for name in self.shapes(self.config)}
+
+    def copy(self) -> "Params":
+        return dataclasses.replace(
+            self, **{name: arr.copy() for name, arr in self.named_arrays().items()}
+        )
+
+    def validate(self) -> None:
+        for name, shape in self.shapes(self.config).items():
+            arr = getattr(self, name)
+            if arr is None or arr.shape != shape:
+                raise ContractViolation(
+                    f"parameter {name} has shape "
+                    f"{None if arr is None else arr.shape}, expected {shape}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise ContractViolation(f"parameter {name} holds non-finite entries")
+
+
+class Trainable:
+    """The trainer's handle on a model: its :class:`Params` and, in a
+    subclass, ``loss_and_grads(example) -> (loss, {array name: gradient})``."""
+
+    def __init__(self, params: Params):
+        self.params = params
+
+    def parameter_arrays(self) -> dict[str, np.ndarray]:
+        return self.params.named_arrays()
 
 
 class ColumnSparse:
@@ -151,3 +217,53 @@ def train(trainable, examples, config: TrainConfig, epoch_callback=None) -> Trai
         if epoch_callback is not None:
             epoch_callback(epoch, log.epoch_losses[-1], trainable)
     return log
+
+
+@dataclass
+class GradcheckReport:
+    passed: bool
+    trials: int
+    max_rel_error: float
+    tolerance: float
+    failures: list[str] = field(default_factory=list)
+
+
+def gradcheck(sample, trials: int, tolerance: float = 1e-4,
+              h: float = 1e-5) -> GradcheckReport:
+    """Compare a model's analytic gradients to central finite differences.
+
+    ``sample(trial)`` returns ``(trainable, example, context)``: a
+    :class:`Trainable` over freshly drawn params, an example that keeps the
+    loss away from its kinks, and text appended to a failure line.  It
+    returns a string instead when it could not draw one.  The finite
+    differences run the trainable's own ``loss_and_grads`` on a copy of the
+    params, over every coordinate of every array.
+    """
+    max_err = 0.0
+    failures: list[str] = []
+    for trial in range(trials):
+        drawn = sample(trial)
+        if isinstance(drawn, str):
+            failures.append(f"trial {trial}: {drawn}")
+            continue
+        trainable, example, context = drawn
+        arrays = trainable.parameter_arrays()
+        _, grads = trainable.loss_and_grads(example)
+        analytic = flatten_arrays({name: np.asarray(grads[name]) for name in arrays})
+        probe = type(trainable)(trainable.params.copy())
+
+        def objective(vec: np.ndarray) -> float:
+            unflatten_into(probe.parameter_arrays(), vec)
+            return probe.loss_and_grads(example)[0]
+
+        err = rel_error(analytic, finite_diff_grad(objective, flatten_arrays(arrays), h=h))
+        max_err = max(max_err, err)
+        if err >= tolerance:
+            failures.append(f"trial {trial}: rel error {err:.3e}{context}")
+    return GradcheckReport(
+        passed=not failures,
+        trials=trials,
+        max_rel_error=max_err,
+        tolerance=tolerance,
+        failures=failures,
+    )

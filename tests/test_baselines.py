@@ -161,7 +161,7 @@ def test_synthetic_labeler_rejects_bad_p_true():
 
 
 def test_cnn_predict_with_perfect_labeler_is_exact(small_world):
-    labeler = SyntheticLabeler.for_world(small_world, p_true=1.0, seed=0)
+    labeler = SyntheticLabeler(tuple(small_world.objects), p_true=1.0, seed=0)
     spec = DatasetSpec(p_miss=0.2, p_mult=0.2, seed=41)
     for act in gen_object_only(small_world, spec, Rng(41), 80):
         pred = cnn_predict(act, labeler)
@@ -174,7 +174,7 @@ def test_cnn_predict_with_perfect_labeler_is_exact(small_world):
 def test_cnn_predict_rejects_attribute_acts(small_world):
     spec = DatasetSpec(seed=42)
     act = next(gen_object_attribute(small_world, spec, Rng(42), 1))
-    labeler = SyntheticLabeler.for_world(small_world)
+    labeler = SyntheticLabeler(tuple(small_world.objects))
     with pytest.raises(UnsupportedInputError):
         cnn_predict(act, labeler)
 

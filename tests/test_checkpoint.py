@@ -13,7 +13,7 @@ from popref.checkpoint import (
     restore_pop,
     save_checkpoint,
 )
-from popref.errors import ParseError
+from popref.errors import ConfigError, ParseError
 from popref.numerics import Rng
 from popref.pipeline_model import PipelineConfig, Thresholds, init_pipeline_params
 from popref.pop_model import PopConfig, init_params
@@ -121,6 +121,80 @@ def test_restore_pop_missing_array(tmp_path):
     del record["arrays"]["sensor_out"]
     with pytest.raises(ParseError):
         restore_pop(record)
+
+
+@pytest.mark.parametrize("key, fields", [
+    ("config", {"d_query": 2, "d_cand": 3, "d_shared": 4, "margin": 0.5, "x": 1}),
+    ("config", {"d_cand": 3, "d_shared": 4, "margin": 0.5}),
+    ("config", {"d_query": 2, "d_cand": 3, "d_shared": 4, "margin": "wide"}),
+    ("config", ["not", "an", "object"]),
+    ("thresholds", {"min_similarity": 0.1, "min_gap": 0.0, "x": 1}),
+    ("thresholds", {"min_similarity": 0.1}),
+])
+def test_restore_maps_fields_that_do_not_fit_to_parse_error(key, fields):
+    params = init_pipeline_params(PipelineConfig(d_query=2, d_cand=3, d_shared=4), Rng(1))
+    record = pipeline_record(params, Thresholds(min_similarity=0.1, min_gap=0.04))
+    record[key] = fields
+    with pytest.raises(ParseError, match=key):
+        restore_pipeline(record)
+
+
+def test_restore_validates_the_config():
+    record = pop_record(_pop_params())
+    record["config"]["contrast"] = "nope"
+    with pytest.raises(ConfigError, match="contrast"):
+        restore_pop(record)
+
+
+def _random_params(rng: Rng, kind: str, use_bias: bool):
+    """Params of random dims whose entries span many binary exponents."""
+    if kind == "pipeline":
+        config = PipelineConfig(d_query=1 + rng.randrange(4), d_cand=1 + rng.randrange(4),
+                                d_shared=1 + rng.randrange(4),
+                                margin=rng.uniform(0.01, 2.0))
+        params = init_pipeline_params(config, rng.fork())
+    else:
+        config = PopConfig(d_query=1 + rng.randrange(4), d_cand=1 + rng.randrange(4),
+                           d_ent=1 + rng.randrange(4), n_sensors=1 + rng.randrange(4),
+                           use_bias=use_bias)
+        params = init_params(config, rng.fork())
+    for arr in params.named_arrays().values():
+        for index in np.ndindex(arr.shape):
+            arr[index] = rng.normal() * 2.0 ** (rng.randrange(121) - 60)
+    return params
+
+
+@pytest.mark.parametrize("kind, use_bias, tuned", [
+    ("pop", False, False),
+    ("pop", True, False),
+    ("trpop", False, False),
+    ("pipeline", False, False),
+    ("pipeline", False, True),
+])
+def test_save_load_restore_save_is_byte_identical(tmp_path, kind, use_bias, tuned):
+    rng = Rng(20261018)
+    for trial in range(10):
+        params = _random_params(rng, kind, use_bias)
+        extra = {"trial": trial, "weight": rng.normal()}
+        first, second = tmp_path / f"{trial}a.json", tmp_path / f"{trial}b.json"
+        if kind == "pipeline":
+            thresholds = None
+            if tuned:
+                thresholds = Thresholds(min_similarity=rng.uniform(-1.0, 1.0),
+                                        min_gap=rng.uniform(0.0, 1.0))
+            save_checkpoint(pipeline_record(params, thresholds, extra), first)
+            record = load_checkpoint(first)
+            restored, loaded = restore_pipeline(record)
+            assert loaded == thresholds
+            save_checkpoint(pipeline_record(restored, loaded, record["extra"]), second)
+        else:
+            save_checkpoint(pop_record(params, kind, extra), first)
+            record = load_checkpoint(first)
+            restored = restore_pop(record)
+            save_checkpoint(pop_record(restored, kind, record["extra"]), second)
+        assert first.read_bytes() == second.read_bytes()
+        for name, arr in params.named_arrays().items():
+            assert restored.named_arrays()[name].tobytes() == arr.tobytes()
 
 
 def test_checkpoint_file_is_sorted_readable_json(tmp_path):

@@ -155,6 +155,30 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path, data_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bogus", 1),          # unknown key
+    ("d_query", None),     # missing key
+    ("contrast", "nope"),  # a value the config rejects
+])
+def test_eval_rejects_a_checkpoint_config_that_does_not_fit(
+        tmp_path, spec_file, data_dir, capsys, field, value):
+    ckpt = tmp_path / "pop.json"
+    assert main(["train", "--model", "pop", "--data", str(data_dir / "train.jsonl"),
+                 "--config", str(spec_file), "--out-checkpoint", str(ckpt)]) == EXIT_OK
+    record = json.loads(ckpt.read_text())
+    if value is None:
+        del record["config"][field]
+    else:
+        record["config"][field] = value
+    ckpt.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--test", str(data_dir / "test.jsonl")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_baseline_majority_and_random(data_dir, tmp_path, capsys):
     report = tmp_path / "maj.json"
     code = main(["baseline", "--kind", "majority",
@@ -240,6 +264,15 @@ def test_train_builds_the_same_model_as_run_experiment(tmp_path, capsys):
     assert sorted(cli["arrays"]) == sorted(harness["arrays"])
     # Same acts, settings and seeds: training reproduces the same weights.
     assert cli["arrays"] == harness["arrays"]
+
+
+def test_nonfinite_config_number_exits_2_naming_the_key(tmp_path, data_dir, capsys):
+    spec = tmp_path / "nan.cfg"
+    spec.write_text(_SPEC_TEXT + "train.lr0 = nan\n")
+    assert main(["train", "--model", "pop", "--data", str(data_dir / "train.jsonl"),
+                 "--config", str(spec), "--out-checkpoint",
+                 str(tmp_path / "c.json")]) == EXIT_DATA
+    assert "train.lr0" in capsys.readouterr().err
 
 
 def test_malformed_model_value_exits_2_naming_the_key(tmp_path, data_dir, capsys):

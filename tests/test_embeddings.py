@@ -10,10 +10,8 @@ from popref.embeddings import (
     EmbeddingTable,
     EncodedAct,
     WorldConfig,
-    assemble_world,
     build_synthetic_world,
     encode_act,
-    load_compat_table,
     load_table,
     nearest_centroid_accuracy,
     one_hot,
@@ -205,6 +203,8 @@ def test_load_table_skips_blank_lines(tmp_path):
         ("1 2\nfoo 1.0\n", 2),  # row arity
         ("2 1\nfoo 1.0\nfoo 2.0\n", 3),  # duplicate token
         ("1 1\nfoo abc\n", 2),  # non-numeric value
+        ("2 2\nbar 1.0 2.0\nfoo nan 1.0\n", 3),  # non-finite value
+        ("1 1\nfoo -inf\n", 2),  # non-finite value
         ("2 1\nfoo 1.0\n", 1),  # count mismatch
     ],
 )
@@ -214,59 +214,6 @@ def test_load_table_error_lines(tmp_path, text, line):
     with pytest.raises(ParseError) as err:
         load_table(path)
     assert err.value.line == line
-
-
-def test_load_compat_table(tmp_path):
-    path = tmp_path / "compat.txt"
-    path.write_text("cup: blue, small ,ceramic\n\nbowl: red,round\n")
-    compat = load_compat_table(path)
-    assert compat["cup"] == ("blue", "ceramic", "small")
-    assert compat["bowl"] == ("red", "round")
-
-
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        ("cup blue,red\n", 1),  # missing colon
-        (": blue\n", 1),  # empty object
-        ("cup: blue\ncup: red\n", 2),  # duplicate object
-        ("cup:\n", 1),  # no attributes
-    ],
-)
-def test_load_compat_table_errors(tmp_path, text, line):
-    path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(ParseError) as err:
-        load_compat_table(path)
-    assert err.value.line == line
-
-
-def test_assemble_world_validates(small_world):
-    rebuilt = assemble_world(
-        images=small_world.images,
-        image_vecs=small_world.image_vecs,
-        word_vecs=small_world.word_vecs,
-        attr_vecs=small_world.attr_vecs,
-        compat=small_world.compat,
-        config=small_world.config,
-        seed=small_world.seed,
-    )
-    assert rebuilt.objects == small_world.objects
-    assert rebuilt.inverse_compat == small_world.inverse_compat
-
-
-def test_assemble_world_rejects_missing_vectors(small_world):
-    sparse_words = EmbeddingTable(small_world.word_vecs.dim)
-    first = small_world.objects[0]
-    sparse_words.add(first, small_world.word_vecs[first])
-    with pytest.raises(ValidationError):
-        assemble_world(
-            images=small_world.images,
-            image_vecs=small_world.image_vecs,
-            word_vecs=sparse_words,
-            attr_vecs=small_world.attr_vecs,
-            compat=small_world.compat,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +312,8 @@ def test_one_hot_equals_dense_with_indicator_tables(small_world):
     indicator_attrs = EmbeddingTable(len(small_world.attributes))
     for attr in small_world.attributes:
         indicator_attrs.add(attr, one_hot(attr, small_world.attributes))
-    indicator_world = assemble_world(
-        images=small_world.images,
-        image_vecs=small_world.image_vecs,
-        word_vecs=indicator_words,
-        attr_vecs=indicator_attrs,
-        compat=small_world.compat,
+    indicator_world = dataclasses.replace(
+        small_world, word_vecs=indicator_words, attr_vecs=indicator_attrs
     )
     for task in ("object-only", "object-attr"):
         for act in _some_acts(small_world, task, 10):

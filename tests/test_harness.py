@@ -38,7 +38,7 @@ from popref.harness import (
 )
 from popref.checkpoint import load_checkpoint, restore_pipeline
 from popref.numerics import Rng, derive_seed
-from popref.pipeline_model import MISS_GRID, GAP_GRID
+from popref.pipeline_model import MISS_GRID, GAP_GRID, PipelineConfig
 from popref.pop_model import PopConfig, PopTrainable, Prediction, init_params
 from popref.training import TrainConfig, train
 
@@ -379,6 +379,40 @@ def test_run_experiment_reports_failures_instead_of_raising(tmp_path):
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["status"] == "failed"
     assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("key, value, stage", [
+    ("train.lr0", "nan", "manifest"),
+    ("data.p_miss", "-inf", "manifest"),
+    ("world.sigma", "NaN", "manifest"),
+    ("model.margin", "inf", "init"),
+])
+def test_run_experiment_rejects_a_nonfinite_number_naming_the_key(key, value, stage):
+    manifest = {**_TINY_POP, key: value}
+    if key == "model.margin":
+        manifest.update({"model": "pipeline"})
+        manifest.pop("model.d_ent")
+        manifest.pop("model.n_sensors")
+    report = run_experiment(manifest)
+    assert report["status"] == "failed"
+    assert report["stage"] == stage
+    assert report["error"].startswith("ConfigError")
+    assert key in report["error"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TrainConfig(lr0=float("nan")),
+    lambda: TrainConfig(momentum=float("inf")),
+    lambda: TrainConfig(decay=float("nan")),
+    lambda: PipelineConfig(d_query=2, d_cand=2, margin=float("inf")),
+    lambda: WorldConfig(sigma=float("nan")),
+    lambda: WorldConfig(sigma_word=float("inf")),
+    lambda: DatasetSpec(p_miss=float("nan")),
+    lambda: DatasetSpec(p_mult=float("nan")),
+])
+def test_every_float_field_rejects_nonfinite_values(build):
+    with pytest.raises(ConfigError, match="must be finite"):
+        build().validate()
 
 
 def test_report_to_json_is_sorted_with_trailing_newline():
