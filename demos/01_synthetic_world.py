@@ -13,6 +13,7 @@ the on-disk format.
 import argparse
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -71,9 +72,7 @@ def main() -> None:
     print(f"nearest-centroid accuracy at sigma={config.sigma}: "
           f"{nearest_centroid_accuracy(world):.3f}")
 
-    noisy = build_synthetic_world(
-        WorldConfig(**{**config.to_dict(), "sigma": 0.8}), args.seed
-    )
+    noisy = build_synthetic_world(replace(config, sigma=0.8), args.seed)
     print(f"nearest-centroid accuracy at sigma=0.8: "
           f"{nearest_centroid_accuracy(noisy):.3f}  (classes start to blur)")
 

@@ -13,10 +13,13 @@ params class's ``shapes`` table names.
 """
 
 import json
+import typing
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ParseError
+from .embeddings import WorldConfig
+from .errors import ConfigError, ParseError
 from .pipeline_model import PipelineConfig, PipelineParams, Thresholds
 from .pop_model import PopConfig, PopParams
 
@@ -40,12 +43,12 @@ def _record(kind: str, params, extra: dict | None,
     _check_kind(kind, type(params))
     record = {
         "kind": kind,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "arrays": {name: arr.tolist() for name, arr in params.named_arrays().items()},
         "extra": extra or {},
     }
     if thresholds is not None:
-        record["thresholds"] = thresholds.to_dict()
+        record["thresholds"] = asdict(thresholds)
     return record
 
 
@@ -85,14 +88,28 @@ def load_checkpoint(path) -> dict:
     return record
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has a config field's type; an integer may fill
+    a float field, a boolean only a bool field."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _validated(cls, record: dict, key: str):
-    """``cls`` built from ``record[key]`` and validated; a field that is
-    unknown, missing or of the wrong type is a :class:`ParseError`."""
-    try:
-        value = cls.from_dict(record[key])
-        value.validate()
-    except TypeError as exc:
-        raise ParseError(f"checkpoint {key} does not fit {cls.__name__}: {exc}") from None
+    """Config class ``cls`` built from ``record[key]`` and validated.  Any
+    value but an object with exactly the fields of ``cls``, each of its
+    type, is a :class:`ParseError`."""
+    given = record[key]
+    types = typing.get_type_hints(cls)
+    if not (isinstance(given, dict) and given.keys() == types.keys()
+            and all(_fits(given[name], kind) for name, kind in types.items())):
+        expected = ", ".join(f"{name}: {kind.__name__}" for name, kind in types.items())
+        raise ParseError(
+            f"checkpoint {key} does not fit {cls.__name__}({expected}): got {given!r}"
+        )
+    value = cls(**given)
+    value.validate()
     return value
 
 
@@ -114,6 +131,19 @@ def _restore(record: dict):
     if "thresholds" in record:
         thresholds = _validated(Thresholds, record, "thresholds")
     return params, thresholds
+
+
+def restore_world(record: dict) -> tuple[WorldConfig, int]:
+    """The world config and seed a record's ``extra`` carries, the config
+    checked like ``config``."""
+    extra = record.get("extra", {})
+    if not isinstance(extra, dict) or not _fits(extra.get("world_seed", 0), int):
+        raise ParseError("checkpoint extra must be an object with an integer world_seed")
+    if "world_config" not in extra:
+        raise ConfigError(
+            "checkpoint lacks world configuration; cannot rebuild the encoder"
+        )
+    return _validated(WorldConfig, extra, "world_config"), extra.get("world_seed", 0)
 
 
 def restore_pop(record: dict) -> PopParams:

@@ -17,16 +17,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import baselines
 from .checkpoint import (
     load_checkpoint,
     restore_pipeline,
     restore_pop,
+    restore_world,
     save_checkpoint,
 )
 from .datagen import dataset_stats, generate_splits, read_jsonl, write_jsonl
-from .embeddings import WorldConfig, build_synthetic_world
+from .embeddings import build_synthetic_world
 from .errors import ConfigError, NumericError, PopRefError
 from .harness import (
     MODEL_KINDS,
@@ -133,13 +135,8 @@ def _cmd_train(args) -> int:
 
 
 def _rebuild_world(record: dict):
-    extra = record.get("extra", {})
-    if "world_config" not in extra:
-        raise ConfigError(
-            "checkpoint lacks world configuration; cannot rebuild the encoder"
-        )
-    config = WorldConfig(**extra["world_config"])
-    return build_synthetic_world(config, extra.get("world_seed", 0)), extra
+    config, seed = restore_world(record)
+    return build_synthetic_world(config, seed), record.get("extra", {})
 
 
 def _cmd_tune_thresholds(args) -> int:
@@ -150,7 +147,7 @@ def _cmd_tune_thresholds(args) -> int:
                            extra.get("encoding", "dense"),
                            extra.get("normalize_blocks", False))
     thresholds = tune_thresholds(params, encoded)
-    record["thresholds"] = thresholds.to_dict()
+    record["thresholds"] = asdict(thresholds)
     out = args.out or args.checkpoint
     save_checkpoint(record, out)
     print(f"min_similarity={thresholds.min_similarity} "

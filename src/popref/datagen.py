@@ -14,7 +14,7 @@ gold-consistency validator before it is emitted.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, GenerationError, ParseError, ValidationError
 from .numerics import Rng, derive_seed, require_finite
@@ -63,9 +63,6 @@ class Gold:
                 raise ValidationError(f"inconsistent anomaly gold: {self}")
         else:
             raise ValidationError(f"unknown gold kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "index": self.index, "anomaly_kind": self.anomaly_kind}
 
 
 @dataclass(frozen=True)
@@ -121,18 +118,6 @@ class DatasetSpec:
                         ("n_test", self.n_test)):
             if n < 0:
                 raise ConfigError(f"{name} must be >= 0, got {n}")
-
-    def to_dict(self) -> dict:
-        return {
-            "min_len": self.min_len,
-            "max_len": self.max_len,
-            "p_miss": self.p_miss,
-            "p_mult": self.p_mult,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "seed": self.seed,
-        }
 
 
 def matches(item: Item, query: Query) -> bool:
@@ -409,7 +394,7 @@ def act_to_dict(act: ReferenceAct) -> dict:
             {"object": it.object, "image_id": it.image_id, "attribute": it.attribute}
             for it in act.items
         ],
-        "gold": act.gold.to_dict(),
+        "gold": asdict(act.gold),
     }
 
 
@@ -532,9 +517,6 @@ class StatsReport:
 
     avg_frequency: dict[str, dict[str, float | None]]
     unseen_pct: dict[str, float | None] | None
-
-    def to_dict(self) -> dict:
-        return {"avg_frequency": self.avg_frequency, "unseen_pct": self.unseen_pct}
 
     def to_text(self) -> str:
         def fmt(value: float | None) -> str:

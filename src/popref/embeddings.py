@@ -104,18 +104,6 @@ class WorldConfig:
                 f"attribute count {self.n_attributes}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "images_per_class": self.images_per_class,
-            "n_attributes": self.n_attributes,
-            "d_img": self.d_img,
-            "d_word": self.d_word,
-            "sigma": self.sigma,
-            "sigma_word": self.sigma_word,
-            "attrs_per_object": self.attrs_per_object,
-        }
-
 
 @dataclass
 class SyntheticWorld:

@@ -20,7 +20,9 @@ import datetime
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import typing
+from collections.abc import Callable
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .checkpoint import MODELS, pipeline_record, pop_record, save_checkpoint
 from .datagen import (
@@ -206,64 +208,32 @@ def _as_float(value: str, key: str) -> float:
     return number
 
 
-_WORLD_KEYS = {
-    "world.n_classes": ("n_classes", _as_int),
-    "world.images_per_class": ("images_per_class", _as_int),
-    "world.n_attributes": ("n_attributes", _as_int),
-    "world.d_img": ("d_img", _as_int),
-    "world.d_word": ("d_word", _as_int),
-    "world.sigma": ("sigma", _as_float),
-    "world.sigma_word": ("sigma_word", _as_float),
-    "world.attrs_per_object": ("attrs_per_object", _as_int),
-}
-
-_DATA_KEYS = {
-    "data.min_len": ("min_len", _as_int),
-    "data.max_len": ("max_len", _as_int),
-    "data.p_miss": ("p_miss", _as_float),
-    "data.p_mult": ("p_mult", _as_float),
-    "data.n_train": ("n_train", _as_int),
-    "data.n_val": ("n_val", _as_int),
-    "data.n_test": ("n_test", _as_int),
-    "data.seed": ("seed", _as_int),
-}
-
-_TRAIN_KEYS = {
-    "train.lr0": ("lr0", _as_float),
-    "train.momentum": ("momentum", _as_float),
-    "train.decay": ("decay", _as_float),
-    "train.epochs": ("epochs", _as_int),
-    "train.seed": ("seed", _as_int),
-    "train.shuffle_each_epoch": ("shuffle_each_epoch", _as_bool),
-}
-
-def _as_str(value: str, key: str) -> str:
-    return value
+# A config field's type picks the caster of its manifest value.
+_CASTERS = {int: _as_int, float: _as_float, bool: _as_bool,
+            str: lambda value, key: value}
 
 
-_POP_KEYS = {
-    "model.d_ent": ("d_ent", _as_int),
-    "model.n_sensors": ("n_sensors", _as_int),
-    "model.contrast": ("contrast", _as_str),
-    "model.score_squash": ("score_squash", _as_str),
-    "model.sensor_nonlinearity": ("sensor_nonlinearity", _as_bool),
-    "model.use_bias": ("use_bias", _as_bool),
-}
+def _settings(section: str, cls) -> dict[str, tuple[str, Callable]]:
+    """``section.field`` -> (field, caster) for every field of config class
+    ``cls`` that has a default.  A field without one (``d_query``,
+    ``d_cand``) comes from the data, never from a manifest key."""
+    types = typing.get_type_hints(cls)
+    table = {}
+    for f in fields(cls):
+        kind = types[f.name]
+        if kind not in _CASTERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no manifest caster for {kind!r}")
+        if f.default is not MISSING:
+            table[f"{section}.{f.name}"] = (f.name, _CASTERS[kind])
+    return table
 
-_PIPELINE_KEYS = {
-    "model.d_shared": ("d_shared", _as_int),
-    "model.margin": ("margin", _as_float),
-}
 
-_OTHER_KEYS = {
+KNOWN_MANIFEST_KEYS = {
     "task", "model", "world.seed", "encoding.normalize_blocks",
     "diagnostic.val_sample",
-}
-
-KNOWN_MANIFEST_KEYS = (
-    set(_WORLD_KEYS) | set(_DATA_KEYS) | set(_TRAIN_KEYS) | set(_POP_KEYS)
-    | set(_PIPELINE_KEYS) | _OTHER_KEYS
-)
+}.union(_settings("world", WorldConfig), _settings("data", DatasetSpec),
+        _settings("train", TrainConfig),
+        *(_settings("model", config_cls) for config_cls, _ in MODELS.values()))
 
 
 def validate_manifest_keys(manifest: dict[str, str]) -> None:
@@ -272,29 +242,29 @@ def validate_manifest_keys(manifest: dict[str, str]) -> None:
         raise ConfigError(f"unknown manifest keys: {', '.join(unknown)}")
 
 
-def _build_from(manifest: dict[str, str], table: dict, cls, **fixed):
-    fields_ = dict(fixed)
-    for key, (name, caster) in table.items():
+def _build_from(manifest: dict[str, str], section: str, cls, **fixed):
+    """``cls`` from the manifest's ``section.*`` keys.  ``fixed`` supplies
+    the fields without a default or replaces a default; a key present in the
+    manifest overrides it."""
+    values = dict(fixed)
+    for key, (name, caster) in _settings(section, cls).items():
         if key in manifest:
-            fields_[name] = caster(manifest[key], key)
-    return cls(**fields_)
+            values[name] = caster(manifest[key], key)
+    return cls(**values)
 
 
 def build_world_config(manifest: dict[str, str]) -> tuple[WorldConfig, int]:
-    config = _build_from(manifest, _WORLD_KEYS, WorldConfig)
+    config = _build_from(manifest, "world", WorldConfig)
     seed = _as_int(manifest.get("world.seed", "0"), "world.seed")
     return config, seed
 
 
 def build_dataset_spec(manifest: dict[str, str]) -> DatasetSpec:
-    return _build_from(manifest, _DATA_KEYS, DatasetSpec)
+    return _build_from(manifest, "data", DatasetSpec)
 
 
 def build_train_config(manifest: dict[str, str], default_epochs: int) -> TrainConfig:
-    config = _build_from(manifest, _TRAIN_KEYS, TrainConfig)
-    if "train.epochs" not in manifest:
-        config = TrainConfig(**{**config.to_dict(), "epochs": default_epochs})
-    return config
+    return _build_from(manifest, "train", TrainConfig, epochs=default_epochs)
 
 
 def build_encoding(manifest: dict[str, str], model: str) -> tuple[str, bool]:
@@ -310,12 +280,8 @@ def build_model(manifest: dict[str, str], model: str, d_query: int,
                 d_cand: int) -> PopConfig | PipelineConfig:
     """The validated config of ``model`` over the given input dims, from the
     manifest's ``model.*`` keys (absent keys take the config defaults)."""
-    if model == "pipeline":
-        config = _build_from(manifest, _PIPELINE_KEYS, PipelineConfig,
-                             d_query=d_query, d_cand=d_cand)
-    else:
-        config = _build_from(manifest, _POP_KEYS, PopConfig,
-                             d_query=d_query, d_cand=d_cand)
+    config = _build_from(manifest, "model", MODELS[model][0],
+                         d_query=d_query, d_cand=d_cand)
     config.validate()
     return config
 
@@ -373,7 +339,7 @@ def fit(manifest: dict[str, str], model: str, config, encoded_train, task: str,
         "task": task,
         "encoding": mode,
         "normalize_blocks": normalize_blocks,
-        "world_config": world_config.to_dict(),
+        "world_config": asdict(world_config),
         "world_seed": world_seed,
     }
     if model == "pipeline":
@@ -426,18 +392,18 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
         report["manifest"] = dict(manifest)
         report["task"] = task
         report["model"] = model
-        report["world"] = {"config": world_config.to_dict(), "seed": world_seed}
-        report["data"] = spec.to_dict()
-        report["train"] = {"config": train_config.to_dict()}
+        report["world"] = {"config": asdict(world_config), "seed": world_seed}
+        report["data"] = asdict(spec)
+        report["train"] = {"config": asdict(train_config)}
 
         stage = "world"
         world = build_synthetic_world(world_config, world_seed)
 
         stage = "data"
         splits = generate_splits(world, spec, task)
-        report["dataset_stats"] = dataset_stats(
-            splits["train"], splits["test"]
-        ).to_dict()
+        report["dataset_stats"] = asdict(
+            dataset_stats(splits["train"], splits["test"])
+        )
 
         stage = "encode"
         report["encoding"] = mode
@@ -463,7 +429,7 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
         if model == "pipeline":
             stage = "tune"
             thresholds = tune_thresholds(params, encoded["val"])
-            report["thresholds"] = thresholds.to_dict()
+            report["thresholds"] = asdict(thresholds)
             stage = "evaluate"
             metrics = evaluate(
                 lambda act: pipeline_predict(params, thresholds, act),

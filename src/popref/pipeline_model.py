@@ -15,7 +15,6 @@ triples: a missing-referent act has no positive and a multiple-referent act
 an ambiguous one.
 """
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -58,13 +57,6 @@ class PipelineConfig:
         if self.margin <= 0:
             raise ConfigError(f"margin must be > 0, got {self.margin}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(record: dict) -> "PipelineConfig":
-        return PipelineConfig(**record)
-
 
 @dataclass
 class PipelineParams(Params):
@@ -95,47 +87,23 @@ class Thresholds:
                     f"{name} must lie in the cosine range [-1, 1], got {value}"
                 )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(record: dict) -> "Thresholds":
-        return Thresholds(**record)
-
 
 def init_pipeline_params(config: PipelineConfig, rng: Rng) -> PipelineParams:
     """Glorot-uniform maps (see :meth:`Params.init`)."""
     return PipelineParams.init(config, rng)
 
 
-def extract_pairs(encoded_acts, corpus_negatives: int = 0, rng: Rng | None = None):
+def extract_pairs(encoded_acts):
     """Training triples (query, positive, negative) from successful acts only.
 
     The positive is the gold candidate; every other candidate in the same
-    act yields one triple.  ``corpus_negatives`` additionally samples that
-    many negatives per act from other acts' candidates (requires ``rng``) for
-    corpus-wide contrast instead of purely in-sequence negatives.
+    act yields one triple.
     """
-    acts = [act for act in encoded_acts if act.gold.kind == POINT]
-    if corpus_negatives and rng is None:
-        raise ConfigError("corpus_negatives requires an rng")
-    pooled = []
-    if corpus_negatives:
-        for idx, act in enumerate(acts):
-            pooled.extend((idx, vec) for vec in act.candidate_vecs)
-    triples = []
-    for idx, act in enumerate(acts):
-        positive = act.candidate_vecs[act.gold.index]
-        for k, candidate in enumerate(act.candidate_vecs):
-            if k != act.gold.index:
-                triples.append((act.query_vec, positive, candidate))
-        for _ in range(corpus_negatives):
-            for _attempt in range(1000):
-                source, vec = pooled[rng.randrange(len(pooled))]
-                if source != idx:
-                    triples.append((act.query_vec, positive, vec))
-                    break
-    return triples
+    return [
+        (act.query_vec, act.candidate_vecs[act.gold.index], candidate)
+        for act in encoded_acts if act.gold.kind == POINT
+        for k, candidate in enumerate(act.candidate_vecs) if k != act.gold.index
+    ]
 
 
 def _cosine(u: np.ndarray, v: np.ndarray, context: str = "") -> float:
@@ -146,18 +114,6 @@ def _cosine(u: np.ndarray, v: np.ndarray, context: str = "") -> float:
                        f" ({context})" if context else "")
         return 0.0
     return float(u @ v) / (nu * nv)
-
-
-def hinge_loss(query, positive, negative, params: PipelineParams,
-               margin: float | None = None) -> float:
-    """max(0, margin - cos(Mq q, Mo pos) + cos(Mq q, Mo neg))."""
-    m = params.config.margin if margin is None else margin
-    if m <= 0:
-        raise ConfigError(f"margin must be > 0, got {m}")
-    qv = params.query_map @ np.asarray(query, dtype=np.float64)
-    pv = params.object_map @ np.asarray(positive, dtype=np.float64)
-    nv = params.object_map @ np.asarray(negative, dtype=np.float64)
-    return max(0.0, m - _cosine(qv, pv, "positive") + _cosine(qv, nv, "negative"))
 
 
 def _dcos(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,6 +158,12 @@ def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[floa
     return value, grads
 
 
+def hinge_loss(query, positive, negative, params: PipelineParams) -> float:
+    """max(0, margin - cos(Mq q, Mo pos) + cos(Mq q, Mo neg)): the value of
+    :func:`hinge_grads`."""
+    return hinge_grads(query, positive, negative, params)[0]
+
+
 class PipelineTrainable(Trainable):
     """Adapter over (query, positive, negative) triples for the generic trainer."""
 
@@ -214,20 +176,12 @@ def train_pipeline(
     encoded_acts,
     config: PipelineConfig,
     train_config: TrainConfig,
-    params: PipelineParams | None = None,
-    corpus_negatives: int = 0,
 ) -> tuple[PipelineParams, TrainLog]:
-    """Initialize (unless given), extract triples, and run online SGD."""
-    if params is None:
-        params = init_pipeline_params(
-            config, Rng(derive_seed(train_config.seed, "pipeline-init"))
-        )
-    pair_rng = (
-        Rng(derive_seed(train_config.seed, "corpus-negatives"))
-        if corpus_negatives else None
+    """Initialize, extract triples, and run online SGD."""
+    params = init_pipeline_params(
+        config, Rng(derive_seed(train_config.seed, "pipeline-init"))
     )
-    triples = extract_pairs(encoded_acts, corpus_negatives=corpus_negatives,
-                            rng=pair_rng)
+    triples = extract_pairs(encoded_acts)
     log = train(PipelineTrainable(params), triples, train_config)
     return params, log
 

@@ -27,7 +27,6 @@ The same graph serves the dense-input and one-hot-input (tabula rasa) model
 variants; they differ only in how acts are encoded upstream.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,13 +128,6 @@ class PopConfig:
                     f"unknown {name} nonlinearity {value!r}; "
                     f"expected one of {sorted(NONLINEARITIES)}"
                 )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(record: dict) -> "PopConfig":
-        return PopConfig(**record)
 
 
 @dataclass

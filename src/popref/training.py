@@ -54,16 +54,6 @@ class TrainConfig:
         if self.momentum < 0 or self.decay < 0:
             raise ConfigError("momentum and decay must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "lr0": self.lr0,
-            "momentum": self.momentum,
-            "decay": self.decay,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "shuffle_each_epoch": self.shuffle_each_epoch,
-        }
-
 
 class Params:
     """A model's learned arrays, declared once in :meth:`shapes`.

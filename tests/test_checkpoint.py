@@ -130,6 +130,9 @@ def test_restore_pop_missing_array(tmp_path):
     ("config", ["not", "an", "object"]),
     ("thresholds", {"min_similarity": 0.1, "min_gap": 0.0, "x": 1}),
     ("thresholds", {"min_similarity": 0.1}),
+    ("config", {"d_query": 2, "d_cand": 3, "margin": 0.5}),  # d_shared has a default
+    ("config", {"d_query": 2, "d_cand": 3, "d_shared": 4.5, "margin": 0.5}),
+    ("thresholds", {"min_similarity": True, "min_gap": 0.0}),
 ])
 def test_restore_maps_fields_that_do_not_fit_to_parse_error(key, fields):
     params = init_pipeline_params(PipelineConfig(d_query=2, d_cand=3, d_shared=4), Rng(1))

@@ -9,8 +9,20 @@ from pathlib import Path
 import pytest
 
 import popref
+from popref import cli
 from popref.checkpoint import load_checkpoint
 from popref.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from popref.errors import (
+    ConfigError,
+    ContractViolation,
+    EncodingError,
+    GenerationError,
+    NumericError,
+    ParseError,
+    PopRefError,
+    UnsupportedInputError,
+    ValidationError,
+)
 from popref.harness import parse_kv_file, run_experiment
 
 _SPEC_TEXT = """
@@ -177,6 +189,97 @@ def test_eval_rejects_a_checkpoint_config_that_does_not_fit(
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Data plus a pop checkpoint and a tuned pipeline checkpoint."""
+    root = tmp_path_factory.mktemp("trained")
+    spec = root / "spec.cfg"
+    spec.write_text(_SPEC_TEXT)
+    data = root / "data"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    for model in ("pop", "pipeline"):
+        assert main(["train", "--model", model, "--data", str(data / "train.jsonl"),
+                     "--config", str(spec),
+                     "--out-checkpoint", str(root / f"{model}.json")]) == EXIT_OK
+    assert main(["tune-thresholds", "--checkpoint", str(root / "pipeline.json"),
+                 "--val", str(data / "val.jsonl")]) == EXIT_OK
+    return root
+
+
+def _without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("command", ["eval", "tune-thresholds"])
+@pytest.mark.parametrize("name, edit", [
+    pytest.param("bogus", lambda extra: {
+        **extra, "world_config": {**extra["world_config"], "bogus": 1}},
+        id="unknown-field"),
+    pytest.param("n_classes", lambda extra: {
+        **extra, "world_config": _without(extra["world_config"], "n_classes")},
+        id="missing-field"),
+    pytest.param("n_classes", lambda extra: {
+        **extra, "world_config": {**extra["world_config"], "n_classes": "many"}},
+        id="ill-typed-field"),
+    pytest.param("world_seed", lambda extra: {**extra, "world_seed": "5"},
+                 id="string-seed"),
+    pytest.param("extra", lambda extra: "world_config", id="extra-not-an-object"),
+])
+def test_a_checkpoint_world_that_does_not_fit_exits_2(
+        tmp_path, trained, capsys, command, name, edit):
+    model, split = ("pop", "test") if command == "eval" else ("pipeline", "val")
+    record = json.loads((trained / f"{model}.json").read_text())
+    record["extra"] = edit(record["extra"])
+    ckpt = tmp_path / "edited.json"
+    ckpt.write_text(json.dumps(record))
+    capsys.readouterr()
+    flag = "--test" if command == "eval" else "--val"
+    assert main([command, "--checkpoint", str(ckpt),
+                 flag, str(trained / "data" / f"{split}.jsonl")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# Every error the toolkit raises and the exit code main maps it to.
+_EXIT_CODES = {
+    ContractViolation: EXIT_DATA,
+    ConfigError: EXIT_DATA,
+    ParseError: EXIT_DATA,
+    EncodingError: EXIT_DATA,
+    GenerationError: EXIT_DATA,
+    ValidationError: EXIT_DATA,
+    UnsupportedInputError: EXIT_DATA,
+    NumericError: EXIT_NUMERIC,
+}
+
+
+def test_the_exit_code_table_covers_every_error_class():
+    assert set(_subclasses(PopRefError)) == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("error, code", [*_EXIT_CODES.items(), (None, EXIT_USAGE)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_exit_code_of_each_error_raised_under_main(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("planted failure")
+
+    monkeypatch.setattr(cli, "_cmd_stats", fail)
+    # Without an error to plant, the missing --train is the usage error.
+    argv = ["stats", "--train", "acts.jsonl"] if error else ["stats"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if error:
+        assert "planted failure" in err
 
 
 def test_baseline_majority_and_random(data_dir, tmp_path, capsys):

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from popref.datagen import (
+    GENERATORS,
+    MISS,
+    MULT,
     DatasetSpec,
     Gold,
     Item,
@@ -309,6 +312,40 @@ def test_object_attribute_sharding(small_world):
     assert whole == parts
 
 
+@pytest.mark.parametrize("task, length", [
+    ("object-only", 2), ("object-only", 5), ("object-attr", 2), ("object-attr", 7),
+])
+def test_generators_at_min_len_equal_to_max_len(small_world, task, length):
+    spec = DatasetSpec(min_len=length, max_len=length, p_miss=0.3, p_mult=0.3, seed=31)
+    acts = list(GENERATORS[task](small_world, spec, Rng(31), 200))
+    assert {len(act.items) for act in acts} == {length}
+    assert {act.gold.anomaly_kind for act in acts} == {None, MISS, MULT}
+
+
+def test_object_attribute_at_max_len_7_draws_every_length(small_world):
+    spec = DatasetSpec(min_len=2, max_len=7, p_miss=0.3, p_mult=0.3, seed=32)
+    acts = list(gen_object_attribute(small_world, spec, Rng(32), 600))
+    assert {len(act.items) for act in acts} == set(range(2, 8))
+    assert {act.gold.anomaly_kind for act in acts} == {None, MISS, MULT}
+
+
+@pytest.mark.parametrize("max_len", [2, 5])
+def test_object_only_with_exactly_max_len_plus_one_classes(max_len):
+    # A missing-referent act of length max_len has one object left to draw.
+    config = WorldConfig(
+        n_classes=max_len + 1, images_per_class=2, n_attributes=5, d_img=4,
+        d_word=4, attrs_per_object=3,
+    )
+    world = build_synthetic_world(config, seed=3)
+    spec = DatasetSpec(min_len=max_len, max_len=max_len, p_miss=0.3, p_mult=0.3,
+                       seed=33)
+    acts = list(gen_object_only(world, spec, Rng(33), 300))
+    assert {act.gold.anomaly_kind for act in acts} == {None, MISS, MULT}
+    for act in acts:
+        if act.gold.anomaly_kind == MISS:
+            assert act.query.noun not in {item.object for item in act.items}
+
+
 # ---------------------------------------------------------------------------
 # Splits
 # ---------------------------------------------------------------------------
@@ -352,6 +389,29 @@ def test_jsonl_round_trip(tmp_path, small_world):
         path = tmp_path / f"{task}.jsonl"
         write_jsonl(acts, path)
         assert read_jsonl(path) == acts
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_jsonl_write_read_write_is_byte_identical(tmp_path, small_world, trial):
+    rng = Rng(1000 + trial)
+    task = ("object-only", "object-attr")[trial % 2]
+    cap = 7 if task == "object-attr" else len(small_world.objects) - 1
+    min_len = 2 + rng.randrange(cap - 1)
+    spec = DatasetSpec(
+        min_len=min_len,
+        max_len=min_len + rng.randrange(cap - min_len + 1),
+        p_miss=rng.uniform(0.0, 0.45),
+        p_mult=rng.uniform(0.0, 0.45),
+        seed=rng.randrange(2**31),
+    )
+    acts = list(GENERATORS[task](small_world, spec, Rng(spec.seed),
+                                 1 + rng.randrange(60)))
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_jsonl(acts, first)
+    back = read_jsonl(first)
+    assert back == acts
+    write_jsonl(back, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_jsonl_lines_are_sorted_json(tmp_path, small_world):

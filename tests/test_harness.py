@@ -3,6 +3,9 @@
 import datetime
 import json
 import os
+import re
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +24,11 @@ from popref.datagen import (
 )
 from popref.embeddings import WorldConfig, build_synthetic_world, encode_act
 from popref.errors import ConfigError, ParseError
+from popref import harness
 from popref.harness import (
     DEFAULT_EPOCHS,
     GOLD_CATEGORIES,
+    KNOWN_MANIFEST_KEYS,
     Metrics,
     build_dataset_spec,
     build_train_config,
@@ -261,6 +266,43 @@ def test_build_train_config_injects_model_epoch_default():
 def test_build_train_config_rejects_bad_bool():
     with pytest.raises(ConfigError):
         build_train_config({"train.shuffle_each_epoch": "maybe"}, 14)
+
+
+def test_malformed_values_name_the_key_and_the_expected_type():
+    cases = [
+        (build_world_config, {"world.n_classes": "many"},
+         "key 'world.n_classes': expected an integer, got 'many'"),
+        (build_world_config, {"world.sigma": "nan"},
+         "key 'world.sigma': expected a finite number, got 'nan'"),
+        (build_dataset_spec, {"data.p_miss": "lots"},
+         "key 'data.p_miss': expected a number, got 'lots'"),
+        (lambda m: build_train_config(m, 14), {"train.shuffle_each_epoch": "maybe"},
+         "key 'train.shuffle_each_epoch': expected a boolean, got 'maybe'"),
+    ]
+    for build, manifest, message in cases:
+        with pytest.raises(ConfigError) as err:
+            build(manifest)
+        assert str(err.value) == message
+
+
+def test_a_config_field_type_without_a_caster_fails_loudly():
+    @dataclass(frozen=True)
+    class Odd:
+        sizes: tuple = (1, 2)
+
+    with pytest.raises(TypeError, match="Odd.sizes"):
+        harness._settings("odd", Odd)
+
+
+def test_readme_key_table_lists_every_manifest_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    after = readme.read_text(encoding="utf-8").split("Recognized keys:", 1)[1]
+    table = after.strip().split("\n\n", 1)[0].splitlines()
+    keys = set()
+    for row in table[2:]:  # skip the header and the rule
+        cell = re.sub(r"\([^)]*\)", "", row.split("|")[2])  # drop listed values
+        keys.update(re.findall(r"`([^`]+)`", cell))
+    assert keys == KNOWN_MANIFEST_KEYS
 
 
 def test_encode_split_matches_per_act_encoding(small_world):

@@ -90,11 +90,6 @@ def test_thresholds_validate_cosine_range():
         Thresholds(min_similarity=0.0, min_gap=-1.1).validate()
 
 
-def test_threshold_dict_round_trip():
-    t = Thresholds(min_similarity=0.1, min_gap=0.04)
-    assert Thresholds.from_dict(t.to_dict()) == t
-
-
 def test_init_pipeline_params_deterministic():
     config = PipelineConfig(d_query=3, d_cand=4, d_shared=5)
     a = init_pipeline_params(config, Rng(2))
@@ -130,38 +125,6 @@ def test_extract_pairs_from_success_acts_only():
     np.testing.assert_array_equal(triples[1][2], acts[0].candidate_vecs[2])
 
 
-def test_extract_pairs_corpus_negatives():
-    acts = [
-        _act([0.9, 0.1], Gold.point(0), "a"),
-        _act([0.2, 0.8], Gold.point(1), "b"),
-    ]
-    triples = extract_pairs(acts, corpus_negatives=2, rng=Rng(7))
-    # One in-act negative per act, plus two corpus negatives per act.
-    assert len(triples) == 2 + 4
-    own = {id(v) for act in acts for v in act.candidate_vecs}
-    for query, positive, negative in triples:
-        assert id(negative) in own or any(
-            np.array_equal(negative, v) for act in acts for v in act.candidate_vecs
-        )
-
-
-def test_extract_pairs_corpus_negatives_come_from_other_acts():
-    acts = [
-        _act([0.9, 0.1], Gold.point(0), "a"),
-        _act([0.21, 0.83], Gold.point(1), "b"),
-    ]
-    triples = extract_pairs(acts, corpus_negatives=3, rng=Rng(11))
-    for k, (query, positive, negative) in enumerate(triples[1:4], start=1):
-        # Triples 1..3 are the corpus negatives of act "a"; they must draw
-        # from act "b"'s candidates.
-        assert any(np.array_equal(negative, v) for v in acts[1].candidate_vecs)
-
-
-def test_extract_pairs_requires_rng_for_corpus_negatives():
-    with pytest.raises(ConfigError):
-        extract_pairs([_act([0.9, 0.1], Gold.point(0))], corpus_negatives=1)
-
-
 # ---------------------------------------------------------------------------
 # Hinge loss and gradients
 # ---------------------------------------------------------------------------
@@ -179,15 +142,6 @@ def test_hinge_loss_hand_values():
     assert hinge_loss(query, aligned, orthogonal, params) == 0.0
     # Positive equals negative: exactly the margin.
     assert hinge_loss(query, aligned, aligned, params) == pytest.approx(0.5)
-
-
-def test_hinge_loss_margin_override():
-    params = _identity_params()
-    query = np.array([1.0, 0.0])
-    v = np.array([0.0, 1.0])
-    assert hinge_loss(query, v, v, params, margin=0.2) == pytest.approx(0.2)
-    with pytest.raises(ConfigError):
-        hinge_loss(query, v, v, params, margin=0.0)
 
 
 def test_cosine_is_scale_invariant():

@@ -84,15 +84,6 @@ def test_config_rejects_bad_values(kwargs):
         PopConfig(**kwargs).validate()
 
 
-def test_config_dict_round_trip():
-    config = PopConfig(
-        d_query=3, d_cand=4, d_ent=5, n_sensors=6,
-        contrast="tanh", score_squash="identity",
-        sensor_nonlinearity=False, use_bias=True,
-    )
-    assert PopConfig.from_dict(config.to_dict()) == config
-
-
 def test_init_params_shapes_and_determinism():
     config = PopConfig(d_query=3, d_cand=4, d_ent=5, n_sensors=6)
     params = init_params(config, Rng(1))
