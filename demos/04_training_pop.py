@@ -14,9 +14,9 @@ import time
 from popref.baselines import majority_predict
 from popref.datagen import DatasetSpec, generate_splits
 from popref.embeddings import WorldConfig, build_synthetic_world
-from popref.harness import encode_split, evaluate
+from popref.harness import encode_split, evaluate, per_act
 from popref.numerics import Rng, derive_seed
-from popref.pop_model import PopConfig, PopTrainable, init_params, predict
+from popref.pop_model import PopConfig, PopTrainable, init_params, predict_batch
 from popref.training import TrainConfig, train
 
 N_TRAIN = 2000
@@ -42,7 +42,7 @@ def main() -> None:
 
     def protest_rate(model_params):
         protests = sum(
-            1 for act in val_acts if predict(model_params, act).is_protest
+            p.is_protest for p in predict_batch(model_params, val_acts)
         )
         return protests / len(val_acts)
 
@@ -61,8 +61,8 @@ def main() -> None:
     print(f"trained in {elapsed:.1f}s")
     print()
 
-    trained = evaluate(lambda act: predict(params, act), test_acts)
-    always_protest = evaluate(majority_predict, splits["test"])
+    trained = evaluate(lambda acts: predict_batch(params, acts), test_acts)
+    always_protest = evaluate(per_act(majority_predict), splits["test"])
     print("trained pointing network:")
     print(trained.to_text())
     print()

@@ -20,6 +20,7 @@ from popref.pipeline_model import (
     PipelineConfig,
     extract_pairs,
     pipeline_predict,
+    pipeline_predict_batch,
     similarity_profile,
     train_pipeline,
     tune_thresholds,
@@ -78,7 +79,7 @@ def main() -> None:
     print()
 
     metrics = evaluate(
-        lambda act: pipeline_predict(params, thresholds, act), test_acts
+        lambda acts: pipeline_predict_batch(params, thresholds, acts), test_acts
     )
     print("pipeline on the test split:")
     print(metrics.to_text())

@@ -24,7 +24,7 @@ from popref.baselines import (
 )
 from popref.datagen import DatasetSpec, generate_splits
 from popref.embeddings import WorldConfig, build_synthetic_world
-from popref.harness import evaluate
+from popref.harness import evaluate, per_act
 from popref.numerics import Rng
 
 
@@ -54,26 +54,26 @@ def main() -> None:
 
     rng = Rng(0)
     row("random guess", evaluate(
-        lambda act: random_predict(act, rng, spec.max_len), oo["test"]
+        per_act(lambda act: random_predict(act, rng, spec.max_len)), oo["test"]
     ))
-    row("always protest", evaluate(majority_predict, oo["test"]))
+    row("always protest", evaluate(per_act(majority_predict), oo["test"]))
 
     dist = estimate_label_distribution(oo["train"], spec.max_len)
     rng = Rng(1)
     row("label frequencies", evaluate(
-        lambda act: probability_predict(act, dist, rng), oo["test"]
+        per_act(lambda act: probability_predict(act, dist, rng)), oo["test"]
     ))
 
     vocabulary = tuple(world.objects)
     for p_true in (1.0, 0.8):
         labeler = SyntheticLabeler(vocabulary=vocabulary, p_true=p_true, seed=2)
         row(f"label matcher p={p_true}", evaluate(
-            lambda act: cnn_predict(act, labeler), oo["test"]
+            per_act(lambda act: cnn_predict(act, labeler)), oo["test"]
         ))
 
     rng = Rng(3)
     row("attribute matcher", evaluate(
-        lambda act: attr_random_predict(act, rng), oa["test"]
+        per_act(lambda act: attr_random_predict(act, rng)), oa["test"]
     ))
 
     print()

@@ -71,6 +71,7 @@ from .harness import (
     evaluate,
     fit,
     parse_kv_file,
+    per_act,
     run_experiment,
 )
 from .numerics import Rng, derive_seed, fnv1a64
@@ -83,6 +84,7 @@ from .pipeline_model import (
     hinge_loss,
     init_pipeline_params,
     pipeline_predict,
+    pipeline_predict_batch,
     train_pipeline,
     tune_thresholds,
 )
@@ -96,6 +98,7 @@ from .pop_model import (
     init_params,
     loss,
     predict,
+    predict_batch,
 )
 from .training import TrainConfig, train
 

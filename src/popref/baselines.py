@@ -33,7 +33,7 @@ from .harness import (
     infer_task,
 )
 from .numerics import Rng, derive_seed
-from .pop_model import PopParams, Prediction, predict
+from .pop_model import PopParams, Prediction, predict_batch
 from .training import TrainLog
 
 
@@ -216,7 +216,8 @@ def run_imgshuffle(
     config = build_model(manifest, "pop", encoded_train[0].query_vec.size,
                          encoded_train[0].candidate_vecs[0].size)
     fitted = fit(manifest, "pop", config, encoded_train, infer_task(train_acts))
-    metrics = evaluate(lambda act: predict(fitted.params, act), encoded_test)
+    metrics = evaluate(lambda acts: predict_batch(fitted.params, acts),
+                       encoded_test)
     return ImgShuffleResult(
         metrics=metrics,
         shuffle_seed=shuffle_seed,

@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .embeddings import WorldConfig
+from .embeddings import ENCODINGS, WorldConfig
 from .errors import ConfigError, ParseError
 from .pipeline_model import PipelineConfig, PipelineParams, Thresholds
 from .pop_model import PopConfig, PopParams
@@ -144,6 +144,28 @@ def restore_world(record: dict) -> tuple[WorldConfig, int]:
             "checkpoint lacks world configuration; cannot rebuild the encoder"
         )
     return _validated(WorldConfig, extra, "world_config"), extra.get("world_seed", 0)
+
+
+def restore_encoding(record: dict) -> tuple[str, bool]:
+    """(encoding mode, normalize_blocks) of a record's ``extra``; absent
+    keys mean ``dense`` and ``False``.  Anything but a mode in
+    :data:`~popref.embeddings.ENCODINGS` and a boolean is a
+    :class:`ParseError`."""
+    extra = record.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ParseError("checkpoint extra must be an object")
+    mode = extra.get("encoding", "dense")
+    normalize_blocks = extra.get("normalize_blocks", False)
+    if mode not in ENCODINGS:
+        raise ParseError(
+            f"checkpoint extra encoding must be one of {ENCODINGS}, got {mode!r}"
+        )
+    if not isinstance(normalize_blocks, bool):
+        raise ParseError(
+            f"checkpoint extra normalize_blocks must be a boolean, got "
+            f"{normalize_blocks!r}"
+        )
+    return mode, normalize_blocks
 
 
 def restore_pop(record: dict) -> PopParams:

@@ -22,6 +22,7 @@ from dataclasses import asdict
 from . import baselines
 from .checkpoint import (
     load_checkpoint,
+    restore_encoding,
     restore_pipeline,
     restore_pop,
     restore_world,
@@ -42,11 +43,12 @@ from .harness import (
     fit,
     infer_task,
     parse_kv_file,
+    per_act,
     validate_manifest_keys,
 )
 from .numerics import Rng
-from .pipeline_model import gradcheck_pipeline, pipeline_predict, tune_thresholds
-from .pop_model import gradcheck_pop, predict
+from .pipeline_model import gradcheck_pipeline, pipeline_predict_batch, tune_thresholds
+from .pop_model import gradcheck_pop, predict_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,18 +136,18 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _rebuild_world(record: dict):
+def _encode_for(record: dict, path, allow_unknown: bool = False):
+    """The acts in ``path``, encoded as the checkpoint's model was trained."""
     config, seed = restore_world(record)
-    return build_synthetic_world(config, seed), record.get("extra", {})
+    mode, normalize_blocks = restore_encoding(record)
+    return encode_split(build_synthetic_world(config, seed), read_jsonl(path),
+                        mode, normalize_blocks, allow_unknown=allow_unknown)
 
 
 def _cmd_tune_thresholds(args) -> int:
     record = load_checkpoint(args.checkpoint)
     params, _ = restore_pipeline(record)
-    world, extra = _rebuild_world(record)
-    encoded = encode_split(world, read_jsonl(args.val),
-                           extra.get("encoding", "dense"),
-                           extra.get("normalize_blocks", False))
+    encoded = _encode_for(record, args.val)
     thresholds = tune_thresholds(params, encoded)
     record["thresholds"] = asdict(thresholds)
     out = args.out or args.checkpoint
@@ -158,11 +160,7 @@ def _cmd_tune_thresholds(args) -> int:
 
 def _cmd_eval(args) -> int:
     record = load_checkpoint(args.checkpoint)
-    world, extra = _rebuild_world(record)
-    encoded = encode_split(world, read_jsonl(args.test),
-                           extra.get("encoding", "dense"),
-                           extra.get("normalize_blocks", False),
-                           allow_unknown=args.allow_unknown)
+    encoded = _encode_for(record, args.test, args.allow_unknown)
     if record["kind"] == "pipeline":
         params, thresholds = restore_pipeline(record)
         if thresholds is None:
@@ -171,11 +169,11 @@ def _cmd_eval(args) -> int:
                 "tune-thresholds first"
             )
         metrics = evaluate(
-            lambda act: pipeline_predict(params, thresholds, act), encoded
+            lambda acts: pipeline_predict_batch(params, thresholds, acts), encoded
         )
     else:
         params = restore_pop(record)
-        metrics = evaluate(lambda act: predict(params, act), encoded)
+        metrics = evaluate(lambda acts: predict_batch(params, acts), encoded)
     _print_metrics(metrics, args.report)
     return EXIT_OK
 
@@ -187,11 +185,10 @@ def _cmd_baseline(args) -> int:
 
     if args.kind == "random":
         rng = Rng(args.seed)
-        metrics = evaluate(
-            lambda act: baselines.random_predict(act, rng, args.max_len), acts
-        )
+        metrics = evaluate(per_act(
+            lambda act: baselines.random_predict(act, rng, args.max_len)), acts)
     elif args.kind == "majority":
-        metrics = evaluate(baselines.majority_predict, acts)
+        metrics = evaluate(per_act(baselines.majority_predict), acts)
     elif args.kind == "probability":
         if not args.train:
             raise ConfigError(
@@ -201,9 +198,8 @@ def _cmd_baseline(args) -> int:
         train_acts = read_jsonl(args.train)
         dist = baselines.estimate_label_distribution(train_acts, args.max_len)
         rng = Rng(args.seed)
-        metrics = evaluate(
-            lambda act: baselines.probability_predict(act, dist, rng), acts
-        )
+        metrics = evaluate(per_act(
+            lambda act: baselines.probability_predict(act, dist, rng)), acts)
     elif args.kind == "cnn":
         if args.config:
             world, _, _ = _world_from(_load_config(args.config))
@@ -213,14 +209,12 @@ def _cmd_baseline(args) -> int:
         labeler = baselines.SyntheticLabeler(
             vocabulary=vocabulary, p_true=args.p_true, seed=args.seed
         )
-        metrics = evaluate(
-            lambda act: baselines.cnn_predict(act, labeler), acts
-        )
+        metrics = evaluate(per_act(
+            lambda act: baselines.cnn_predict(act, labeler)), acts)
     elif args.kind == "attr-random":
         rng = Rng(args.seed)
-        metrics = evaluate(
-            lambda act: baselines.attr_random_predict(act, rng), acts
-        )
+        metrics = evaluate(per_act(
+            lambda act: baselines.attr_random_predict(act, rng)), acts)
     elif args.kind == "imgshuffle":
         if not args.train:
             raise ConfigError("the image-shuffle run needs --train acts")

@@ -396,6 +396,9 @@ class EncodedAct:
             raise ValidationError(f"act {self.act_id!r}: non-finite vector entries")
 
 
+ENCODINGS = ("dense", "one-hot")
+
+
 def _dense_lookup(
     table: EmbeddingTable, token: str, kind: str, allow_unknown: bool
 ) -> np.ndarray:
@@ -428,7 +431,7 @@ def encode_act(
     (image / word / attribute) to unit norm before concatenation, countering
     cross-modal scale imbalance; off by default.
     """
-    if mode not in ("dense", "one-hot"):
+    if mode not in ENCODINGS:
         raise ConfigError(f"unknown encoding mode {mode!r}")
     has_attr = act.query.attribute is not None
     for item in act.items:

@@ -41,11 +41,11 @@ from .pipeline_model import (
     PipelineConfig,
     PipelineParams,
     Thresholds,
-    pipeline_predict,
+    pipeline_predict_batch,
     train_pipeline,
     tune_thresholds,
 )
-from .pop_model import PopConfig, PopParams, PopTrainable, init_params, predict
+from .pop_model import PopConfig, PopParams, PopTrainable, init_params, predict_batch
 from .training import TrainConfig, TrainLog, train
 
 GOLD_CATEGORIES = (POINT, MISS, MULT)
@@ -133,17 +133,20 @@ class Metrics:
         return "\n".join(lines)
 
 
-def evaluate(predictor, acts) -> Metrics:
-    """Score a predictor (a callable act -> Prediction) over gold-bearing acts.
+def evaluate(predict_acts, acts) -> Metrics:
+    """Score a batch predictor over gold-bearing acts.
 
-    A prediction is correct iff it points at the gold index, or protests on
-    an anomalous act.  The result is independent of act order.
+    ``predict_acts`` maps the list of acts to one Prediction per act; it is
+    called here, so the time it takes is the evaluation's (wrap a one-act
+    predictor with :func:`per_act`).  A prediction is correct iff it points
+    at the gold index, or protests on an anomalous act.  The result is
+    independent of act order.
     """
+    acts = list(acts)
     metrics = Metrics()
-    for act in acts:
+    for act, prediction in zip(acts, predict_acts(acts), strict=True):
         gold = act.gold
         category = POINT if gold.kind == POINT else gold.anomaly_kind
-        prediction = predictor(act)
         if prediction.is_protest:
             correct = gold.kind == ANOMALY
             metrics.confusion[category]["protest"] += 1
@@ -155,6 +158,12 @@ def evaluate(predictor, acts) -> Metrics:
         cell.n += 1
         cell.correct += int(correct)
     return metrics
+
+
+def per_act(predictor):
+    """The batch form of a one-act predictor (act -> Prediction), for
+    :func:`evaluate`."""
+    return lambda acts: [predictor(act) for act in acts]
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -300,7 +309,7 @@ def encode_split(world, acts, mode: str, normalize_blocks: bool = False,
 
 
 def _protest_rate(params, acts) -> float:
-    protests = sum(1 for act in acts if predict(params, act).is_protest)
+    protests = sum(p.is_protest for p in predict_batch(params, acts))
     return protests / len(acts) if acts else 0.0
 
 
@@ -432,14 +441,15 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
             report["thresholds"] = asdict(thresholds)
             stage = "evaluate"
             metrics = evaluate(
-                lambda act: pipeline_predict(params, thresholds, act),
+                lambda acts: pipeline_predict_batch(params, thresholds, acts),
                 encoded["test"],
             )
         else:
             if probe:
                 report["diagnostics"] = {"val_protest_rate": fitted.protest_rates}
             stage = "evaluate"
-            metrics = evaluate(lambda act: predict(params, act), encoded["test"])
+            metrics = evaluate(lambda acts: predict_batch(params, acts),
+                               encoded["test"])
         checkpoint = fitted.record(thresholds)
 
         stage = "report"

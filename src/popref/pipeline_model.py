@@ -16,7 +16,6 @@ an ambiguous one.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,14 @@ import numpy as np
 from .datagen import POINT
 from .errors import ConfigError
 from .numerics import Rng, derive_seed, require_finite
-from .pop_model import Prediction
+from .pop_model import (
+    CHUNK,
+    Prediction,
+    act_label,
+    as_predictions,
+    padded,
+    stack,
+)
 from .training import (
     GradcheckReport,
     Params,
@@ -186,33 +192,77 @@ def train_pipeline(
     return params, log
 
 
+def chunk_cosines(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray]:
+    """(cosine of every candidate of a chunk in order, lengths).
+
+    Each map is applied to the whole chunk in one matmul.  The dot products
+    are reassociated as ``candidate @ (object_map.T @ query_vec)``, so the
+    only N x d_shared array is the mapped candidates, read for their norms.
+    """
+    cfg = params.config
+    queries, candidates, lengths = stack(acts, cfg.d_query, cfg.d_cand)
+    rows = np.repeat(np.arange(len(acts)), lengths)
+    query_vecs = queries @ params.query_map.T
+    object_vecs = candidates @ params.object_map.T
+    dots = np.einsum("nc,nc->n", candidates, (query_vecs @ params.object_map)[rows])
+    query_norms = np.sqrt(np.einsum("bd,bd->b", query_vecs, query_vecs))[rows]
+    object_norms = np.sqrt(np.einsum("nd,nd->n", object_vecs, object_vecs))
+    zero = (query_norms == 0.0) | (object_norms == 0.0)
+    if zero.any():
+        for i in sorted(set(rows[zero].tolist())):
+            logger.warning("zero-norm mapped vector (act %r); cosine defined as 0",
+                           act_label(acts[i]))
+    cosines = np.divide(dots, query_norms * object_norms,
+                        out=np.zeros_like(dots), where=~zero)
+    return cosines, lengths
+
+
 def similarity_profile(params: PipelineParams, act) -> np.ndarray:
     """Cosine similarity of the mapped query against each mapped candidate."""
-    qv = params.query_map @ np.asarray(act.query_vec, dtype=np.float64)
-    return np.array([
-        _cosine(qv, params.object_map @ np.asarray(vec, dtype=np.float64))
-        for vec in act.candidate_vecs
-    ])
+    return chunk_cosines(params, [act])[0]
 
 
-def protest_profile(params: PipelineParams, act) -> tuple[float, float, int]:
-    """(best similarity, gap between the top two, argmax) of one act.
+def protest_profiles(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(best similarity, gap between the top two, argmax) of every act, as
+    three arrays, :data:`~popref.pop_model.CHUNK` acts per matmul.
 
     The gap is inf for a single candidate, so the gap rule never fires
     there.  Ties in the argmax break toward the lowest index.
     """
-    sims = similarity_profile(params, act)
-    best = int(np.argmax(sims))
-    gap = math.inf
-    if sims.size >= 2:
-        top_two = np.sort(sims)[-2:]
-        gap = float(top_two[1] - top_two[0])
-    return float(sims[best]), gap, best
+    n = len(acts)
+    max_sims, gaps = np.empty(n), np.empty(n)
+    best = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, CHUNK):
+        cosines, lengths = chunk_cosines(params, acts[lo:lo + CHUNK])
+        # At least two columns: a lone candidate's runner-up is -inf.
+        rows = padded(cosines, lengths, max(2, int(lengths.max())))
+        top_two = np.sort(rows, axis=1)[:, -2:]
+        hi = lo + lengths.size
+        max_sims[lo:hi] = top_two[:, 1]
+        gaps[lo:hi] = top_two[:, 1] - top_two[:, 0]
+        best[lo:hi] = rows.argmax(axis=1)
+    return max_sims, gaps, best
+
+
+def protest_profile(params: PipelineParams, act) -> tuple[float, float, int]:
+    """:func:`protest_profiles` of one act."""
+    max_sims, gaps, best = protest_profiles(params, [act])
+    return float(max_sims[0]), float(gaps[0]), int(best[0])
 
 
 def _protests(max_sim, gap, min_similarity, min_gap):
-    """The two protest rules, on one profile or elementwise on arrays of them."""
+    """The two protest rules, elementwise on arrays of profiles."""
     return (max_sim < min_similarity) | (gap < min_gap)
+
+
+def pipeline_predict_batch(params: PipelineParams, thresholds: Thresholds,
+                           acts) -> list[Prediction]:
+    """:func:`pipeline_predict` for every act, from one
+    :func:`protest_profiles` call."""
+    max_sims, gaps, best = protest_profiles(params, acts)
+    protest = _protests(max_sims, gaps, thresholds.min_similarity,
+                        thresholds.min_gap)
+    return as_predictions(protest, best)
 
 
 def pipeline_predict(params: PipelineParams, thresholds: Thresholds, act) -> Prediction:
@@ -221,12 +271,9 @@ def pipeline_predict(params: PipelineParams, thresholds: Thresholds, act) -> Pre
     Protest when the best similarity falls below ``min_similarity`` (nothing
     matches well enough), or — for two or more candidates — when the top two
     similarities differ by less than ``min_gap`` (two things match equally
-    well).  See :func:`protest_profile`.
+    well).  See :func:`protest_profiles`.
     """
-    max_sim, gap, best = protest_profile(params, act)
-    if _protests(max_sim, gap, thresholds.min_similarity, thresholds.min_gap):
-        return Prediction.protest()
-    return Prediction.point(best)
+    return pipeline_predict_batch(params, thresholds, [act])[0]
 
 
 def tune_thresholds(
@@ -244,8 +291,7 @@ def tune_thresholds(
     acts = list(encoded_val_acts)
     if not acts:
         raise ConfigError("threshold tuning needs a nonempty validation set")
-    profiles = [protest_profile(params, act) for act in acts]
-    max_sims, gaps, argmaxes = (np.array(column) for column in zip(*profiles))
+    max_sims, gaps, argmaxes = protest_profiles(params, acts)
     gold_index = np.array([act.gold.index if act.gold.kind == POINT else -1
                            for act in acts])
     is_anomaly = gold_index < 0

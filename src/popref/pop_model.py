@@ -25,6 +25,12 @@ differences.
 
 The same graph serves the dense-input and one-hot-input (tabula rasa) model
 variants; they differ only in how acts are encoded upstream.
+
+Inference needs only the similarity profile and the protest score, not the
+entity vectors, so :func:`predict_batch` reassociates the similarities as
+``C @ (entity_map.T @ query_vec)`` and scores :data:`CHUNK` acts per call.
+Its logits agree with :func:`forward`'s to rounding; training keeps the
+per-act :func:`forward`, whose trace backprop needs.
 """
 
 from dataclasses import dataclass
@@ -174,6 +180,7 @@ class ForwardTrace:
     """Every intermediate of one forward pass, cached for exact backprop."""
 
     query_in: np.ndarray
+    query_cols: np.ndarray     # indices of the query's nonzero entries
     candidates_in: np.ndarray  # n x d_cand
     entity_vecs: np.ndarray    # n x d_ent
     query_vec: np.ndarray
@@ -189,35 +196,54 @@ class ForwardTrace:
     probs: np.ndarray
 
 
-def _act_id(act) -> str:
+def act_label(act) -> str:
     return getattr(act, "act_id", "") or "<unnamed>"
 
 
-def forward(params: PopParams, act) -> ForwardTrace:
-    """Run the network over one encoded act; returns the full trace."""
-    cfg = params.config
+def _lineup(act, d_query: int, d_cand: int) -> tuple[np.ndarray, np.ndarray]:
+    """(query vector, n x d_cand candidate matrix) of one act, as float64.
+
+    An empty or ragged lineup, or a query or candidate of the wrong
+    dimension, is a :class:`ContractViolation` naming the act.
+    """
     query_in = np.asarray(act.query_vec, dtype=np.float64)
     try:
         candidates = np.array(act.candidate_vecs, dtype=np.float64)
     except ValueError:
         candidates = None  # ragged: vectors of different lengths
-    if query_in.shape != (cfg.d_query,):
+    if query_in.shape != (d_query,):
         raise ContractViolation(
-            f"query vector has shape {query_in.shape}, expected ({cfg.d_query},)"
+            f"act {act_label(act)!r}: query vector has shape {query_in.shape}, "
+            f"expected ({d_query},)"
         )
     if candidates is None or candidates.ndim != 2 or candidates.shape[0] == 0:
         raise ContractViolation(
-            f"act {_act_id(act)!r}: the lineup must be one or more candidate "
+            f"act {act_label(act)!r}: the lineup must be one or more candidate "
             f"vectors of one length"
         )
-    if candidates.shape[1] != cfg.d_cand:
+    if candidates.shape[1] != d_cand:
         raise ContractViolation(
-            f"candidate vectors have dim {candidates.shape[1]}, expected {cfg.d_cand}"
+            f"act {act_label(act)!r}: candidate vectors have dim "
+            f"{candidates.shape[1]}, expected {d_cand}"
         )
+    return query_in, candidates
+
+
+def forward(params: PopParams, act) -> ForwardTrace:
+    """Run the network over one encoded act; returns the full trace."""
+    cfg = params.config
+    query_in, candidates = _lineup(act, cfg.d_query, cfg.d_cand)
     n = candidates.shape[0]
 
     entity_vecs = candidates @ params.entity_map.T
-    query_vec = params.query_map @ query_in
+    # A one-hot (or few-hot) query reads only its nonzero columns of the
+    # query map.  With 0/1 entries, as the one-hot encoding makes, every
+    # product is exact and the sum is bit-identical to the dense one.
+    query_cols = np.flatnonzero(query_in)
+    if query_cols.size < query_in.size:
+        query_vec = params.query_map[:, query_cols] @ query_in[query_cols]
+    else:
+        query_vec = params.query_map @ query_in
     if cfg.use_bias:
         entity_vecs = entity_vecs + params.entity_bias
         query_vec = query_vec + params.query_bias
@@ -244,10 +270,11 @@ def forward(params: PopParams, act) -> ForwardTrace:
 
     logits = np.concatenate([sims, [anomaly_score]])
     if not np.isfinite(logits).all():
-        raise NumericError(f"act {_act_id(act)!r}: non-finite logits {logits}")
+        raise NumericError(f"act {act_label(act)!r}: non-finite logits {logits}")
     probs = softmax(logits)
     return ForwardTrace(
         query_in=query_in,
+        query_cols=query_cols,
         candidates_in=candidates,
         entity_vecs=entity_vecs,
         query_vec=query_vec,
@@ -328,7 +355,7 @@ def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np
     # A one-hot (or few-hot) query touches only its nonzero columns of the
     # query map; hand the trainer just those.
     query_in = trace.query_in
-    cols = np.flatnonzero(query_in)
+    cols = trace.query_cols
     if cols.size < query_in.size:
         dquery_map = ColumnSparse(cols, np.outer(dquery_vec, query_in[cols]),
                                   query_in.size)
@@ -372,12 +399,104 @@ class Prediction:
         return self.kind == PROTEST
 
 
+# Acts per batched inference call: enough that the matmuls outweigh the
+# per-act Python, few enough that a chunk's arrays stay small.
+CHUNK = 32
+
+
+def stack(acts, d_query: int, d_cand: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B x d_query queries, N x d_cand candidates of all acts in order,
+    B lengths) of a chunk of acts, with :func:`_lineup`'s checks."""
+    lengths = np.array([len(act.candidate_vecs) for act in acts])
+    try:
+        queries = np.array([act.query_vec for act in acts], dtype=np.float64)
+        candidates = np.array([vec for act in acts for vec in act.candidate_vecs],
+                              dtype=np.float64)
+    except ValueError:
+        queries = candidates = None  # ragged
+    if (queries is None or queries.shape != (len(acts), d_query)
+            or candidates.shape != (lengths.sum(), d_cand) or not lengths.all()):
+        for act in acts:
+            _lineup(act, d_query, d_cand)  # raises for the first bad act
+        raise ContractViolation("acts do not stack into one chunk")
+    return queries, candidates, lengths
+
+
+def padded(values: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """Per-act ``values`` (all acts' in order) as rows of a B x ``width``
+    array, -inf past each act's length."""
+    rows = np.full((lengths.size, width), -np.inf)
+    rows[np.arange(width) < lengths[:, np.newaxis]] = values
+    return rows
+
+
+def chunk_logits(params: PopParams, acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(similarities of all candidates in order, protest score per act,
+    lengths) of a chunk, as :func:`forward` computes them but reassociated:
+    ``sims = C @ (entity_map.T @ query_vec)``, so no entity vector is formed.
+    Agrees with :func:`forward`'s logits to rounding."""
+    cfg = params.config
+    queries, candidates, lengths = stack(acts, cfg.d_query, cfg.d_cand)
+    query_vecs = queries @ params.query_map.T
+    if cfg.use_bias:
+        query_vecs += params.query_bias
+    rows = np.repeat(np.arange(len(acts)), lengths)
+    sims = np.einsum("nd,nd->n", candidates, (query_vecs @ params.entity_map)[rows])
+    if cfg.use_bias:
+        sims += (query_vecs @ params.entity_bias)[rows]
+
+    contrast, _ = NONLINEARITIES[cfg.contrast]
+    squash, _ = NONLINEARITIES[cfg.score_squash]
+    starts = np.cumsum(lengths) - lengths
+    pooled = np.column_stack([np.add.reduceat(contrast(sims), starts), lengths])
+    sensor_pre = pooled @ params.sensor_in.T
+    if cfg.use_bias:
+        sensor_pre += params.sensor_in_bias
+    sensors = contrast(sensor_pre) if cfg.sensor_nonlinearity else sensor_pre
+    anomaly_raw = sensors @ params.sensor_out[0]
+    if cfg.use_bias:
+        anomaly_raw += params.sensor_out_bias[0]
+    scores = squash(anomaly_raw)
+
+    finite = np.logical_and.reduceat(np.isfinite(sims), starts) & np.isfinite(scores)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        logits = np.append(sims[starts[i]:starts[i] + lengths[i]], scores[i])
+        raise NumericError(f"act {act_label(acts[i])!r}: non-finite logits {logits}")
+    return sims, scores, lengths
+
+
+def as_predictions(protest: np.ndarray, best: np.ndarray) -> list[Prediction]:
+    """Per act: protest where ``protest``, else point at ``best``.  Equal
+    predictions share one (frozen) instance."""
+    protest_once = Prediction.protest()
+    points = [Prediction.point(i) for i in range(int(best.max(initial=0)) + 1)]
+    return [protest_once if p else points[b]
+            for p, b in zip(protest.tolist(), best.tolist())]
+
+
+def predict_batch(params: PopParams, acts) -> list[Prediction]:
+    """:func:`predict` for every act, :data:`CHUNK` acts per call of
+    :func:`chunk_logits`.
+
+    Protest iff the score exceeds every similarity, which is the argmax of
+    the output distribution landing on the last cell; otherwise point at the
+    first maximal similarity.
+    """
+    predictions = []
+    for lo in range(0, len(acts), CHUNK):
+        sims, scores, lengths = chunk_logits(params, acts[lo:lo + CHUNK])
+        rows = padded(sims, lengths, int(lengths.max()))
+        best = rows.argmax(axis=1)  # argmax returns the first maximum
+        protest = scores > rows[np.arange(lengths.size), best]
+        predictions += as_predictions(protest, best)
+    return predictions
+
+
 def predict(params: PopParams, act) -> Prediction:
-    """Argmax over the output distribution; ties break toward the lowest index."""
-    trace = forward(params, act)
-    n = trace.sims.shape[0]
-    best = int(np.argmax(trace.probs))  # argmax returns the first maximum
-    return Prediction.protest() if best == n else Prediction.point(best)
+    """:func:`predict_batch` of one act: the argmax over the output
+    distribution, ties broken toward the lowest index."""
+    return predict_batch(params, [act])[0]
 
 
 class PopTrainable(Trainable):
@@ -388,7 +507,7 @@ class PopTrainable(Trainable):
         return loss(trace, act.gold), backward(self.params, trace, act.gold)
 
     def example_id(self, act) -> str:
-        return _act_id(act)
+        return act_label(act)
 
 
 # Every (contrast, score_squash) pair, and the query encodings trials cycle.

@@ -35,7 +35,13 @@ from popref.datagen import (
     validate_act,
 )
 from popref.embeddings import EncodedAct, WorldConfig, build_synthetic_world
-from popref.harness import encode_split, evaluate, report_to_json, run_experiment
+from popref.harness import (
+    encode_split,
+    evaluate,
+    per_act,
+    report_to_json,
+    run_experiment,
+)
 from popref.numerics import Rng, derive_seed
 from popref.pipeline_model import (
     GAP_GRID,
@@ -52,10 +58,11 @@ from popref.pop_model import (
     PopConfig,
     PopTrainable,
     Prediction,
+    chunk_logits,
     forward,
     gradcheck_pop,
     init_params,
-    predict,
+    predict_batch,
 )
 from popref.training import TrainConfig, train
 
@@ -100,7 +107,7 @@ def test_01_majority_baseline_exact_row(oo_splits):
     assert len(buckets[POINT]) >= 1400
     assert len(buckets[MISS]) >= 300 and len(buckets[MULT]) >= 300
     acts = buckets[POINT][:1400] + buckets[MISS][:300] + buckets[MULT][:300]
-    metrics = evaluate(majority_predict, acts)
+    metrics = evaluate(per_act(majority_predict), acts)
     row = (metrics.total, metrics.pointing, metrics.missref, metrics.multref)
     _check(
         "majority baseline scores exactly 30/0/100/100",
@@ -119,7 +126,7 @@ def test_02_random_baseline_mean_total(oo_splits):
     totals = []
     for seed in range(10):
         rng = Rng(seed)
-        metrics = evaluate(lambda act: random_predict(act, rng, 5), acts)
+        metrics = evaluate(per_act(lambda act: random_predict(act, rng, 5)), acts)
         totals.append(metrics.total)
     mean = sum(totals) / len(totals)
     _check(
@@ -141,7 +148,8 @@ def test_03_probability_baseline_mean_row(oo_splits):
     for seed in range(n_seeds):
         rng = Rng(1000 + seed)
         metrics = evaluate(
-            lambda act: probability_predict(act, dist, rng), oo_splits["test"]
+            per_act(lambda act: probability_predict(act, dist, rng)),
+            oo_splits["test"],
         )
         sums["total"] += metrics.total
         sums["pointing"] += metrics.pointing
@@ -170,7 +178,7 @@ def test_03_probability_baseline_mean_row(oo_splits):
 def test_04_attr_random_never_detects_duplicates(oa_acts):
     acts = oa_acts[:2000]
     rng = Rng(7)
-    metrics = evaluate(lambda act: attr_random_predict(act, rng), acts)
+    metrics = evaluate(per_act(lambda act: attr_random_predict(act, rng)), acts)
     assert metrics.counts[MULT].n > 0
     _check(
         "attribute-random duplicate-referent accuracy is exactly 0",
@@ -198,7 +206,8 @@ def test_05_gradient_checks():
 
 # ---------------------------------------------------------------------------
 # 6. Permutation equivariance: reordering candidates permutes the pointing
-#    probabilities and leaves the protest probability fixed, to 1e-9.
+#    probabilities and leaves the protest probability fixed, to 1e-9; the
+#    batched inference path permutes its logits and predictions alike.
 
 
 def _encoded(query, candidates):
@@ -213,7 +222,8 @@ def _encoded(query, candidates):
 
 def test_06_permutation_equivariance():
     rng = Rng(2026)
-    worst = 0.0
+    worst = worst_batch = 0.0
+    consistent = 0
     for _ in range(1000):
         config = PopConfig(
             d_query=2 + rng.randrange(3),
@@ -233,17 +243,32 @@ def test_06_permutation_equivariance():
         candidates = [rng.normals(config.d_cand) for _ in range(n)]
         perm = rng.sample(range(n), n)
 
-        base = forward(params, _encoded(query, candidates))
-        moved = forward(params, _encoded(query, [candidates[p] for p in perm]))
+        base_act = _encoded(query, candidates)
+        moved_act = _encoded(query, [candidates[p] for p in perm])
+        base = forward(params, base_act)
+        moved = forward(params, moved_act)
         worst = max(
             worst,
             float(np.max(np.abs(moved.probs[:n] - base.probs[perm]))),
             abs(float(moved.probs[n]) - float(base.probs[n])),
         )
+        # The batched inference path: both acts in one chunk.
+        sims, scores, _ = chunk_logits(params, [base_act, moved_act])
+        worst_batch = max(
+            worst_batch,
+            float(np.max(np.abs(sims[n:] - sims[:n][perm]))),
+            abs(float(scores[1] - scores[0])),
+        )
+        base_pred, moved_pred = predict_batch(params, [base_act, moved_act])
+        consistent += (base_pred.is_protest == moved_pred.is_protest
+                       and (base_pred.is_protest
+                            or perm[moved_pred.index] == base_pred.index))
     _check(
-        "candidate permutations permute probabilities (1000 trials, 1e-9)",
-        worst <= 1e-9,
-        f"max deviation {worst:.2e}",
+        "candidate permutations permute probabilities, and batched logits "
+        "and predictions (1000 trials, 1e-9)",
+        worst <= 1e-9 and worst_batch <= 1e-9 and consistent == 1000,
+        f"max deviation {worst:.2e}, batched {worst_batch:.2e}, "
+        f"{consistent}/1000 batched predictions permuted",
     )
 
 
@@ -291,7 +316,7 @@ def test_07_generator_fidelity(oo_splits, oa_acts):
 def test_08_perfect_labeler_ceiling(world, oo_splits):
     labeler = SyntheticLabeler(vocabulary=tuple(world.objects), p_true=1.0, seed=0)
     acts = oo_splits["test"][:1000]
-    metrics = evaluate(lambda act: cnn_predict(act, labeler), acts)
+    metrics = evaluate(per_act(lambda act: cnn_predict(act, labeler)), acts)
     _check(
         "perfect labeler scores total 100 on object-only",
         metrics.total == 100.0,
@@ -315,7 +340,7 @@ def test_09_learning_sanity(world):
     pop_config = PopConfig(d_query=32, d_cand=64, d_ent=300, n_sensors=100)
     pop_params = init_params(pop_config, Rng(derive_seed(0, "init", "pop")))
     train(PopTrainable(pop_params), dense_train, TrainConfig(epochs=14, seed=0))
-    pop_metrics = evaluate(lambda act: predict(pop_params, act), dense_test)
+    pop_metrics = evaluate(lambda acts: predict_batch(pop_params, acts), dense_test)
 
     onehot_train = encode_split(world, splits["train"], "one-hot")
     onehot_test = encode_split(world, splits["test"], "one-hot")
@@ -327,7 +352,7 @@ def test_09_learning_sanity(world):
     )
     tr_params = init_params(tr_config, Rng(derive_seed(0, "init", "trpop")))
     train(PopTrainable(tr_params), onehot_train, TrainConfig(epochs=36, seed=0))
-    tr_metrics = evaluate(lambda act: predict(tr_params, act), onehot_test)
+    tr_metrics = evaluate(lambda acts: predict_batch(tr_params, acts), onehot_test)
 
     elapsed = time.monotonic() - start
     gap = abs(tr_metrics.total - pop_metrics.total)

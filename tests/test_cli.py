@@ -226,6 +226,12 @@ def _without(mapping: dict, key: str) -> dict:
     pytest.param("world_seed", lambda extra: {**extra, "world_seed": "5"},
                  id="string-seed"),
     pytest.param("extra", lambda extra: "world_config", id="extra-not-an-object"),
+    pytest.param("normalize_blocks", lambda extra: {**extra, "normalize_blocks": "no"},
+                 id="string-normalize-blocks"),
+    pytest.param("normalize_blocks", lambda extra: {**extra, "normalize_blocks": 1},
+                 id="int-normalize-blocks"),
+    pytest.param("encoding", lambda extra: {**extra, "encoding": "sparse"},
+                 id="unknown-encoding"),
 ])
 def test_a_checkpoint_world_that_does_not_fit_exits_2(
         tmp_path, trained, capsys, command, name, edit):

@@ -36,6 +36,7 @@ from popref.harness import (
     encode_split,
     evaluate,
     parse_kv_file,
+    per_act,
     report_to_json,
     run_experiment,
     validate_manifest_keys,
@@ -57,7 +58,7 @@ def _act(i, gold):
 
 def _scripted(predictions):
     table = dict(predictions)
-    return lambda act: table[act.id]
+    return per_act(lambda act: table[act.id])
 
 
 # ---------------------------------------------------------------------------

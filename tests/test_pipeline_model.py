@@ -20,12 +20,17 @@ from popref.pipeline_model import (
     gradcheck_pipeline,
     hinge_grads,
     hinge_loss,
+    _cosine,
     init_pipeline_params,
     pipeline_predict,
+    pipeline_predict_batch,
+    protest_profile,
+    protest_profiles,
     similarity_profile,
     train_pipeline,
     tune_thresholds,
 )
+from popref.pop_model import CHUNK
 from popref.training import TrainConfig
 
 
@@ -363,6 +368,87 @@ def test_tuning_handles_single_candidate_acts():
     pred = pipeline_predict(params, thresholds, acts[0])
     assert pred.kind == "point"
     assert pipeline_predict(params, thresholds, acts[1]).is_protest
+
+
+# ---------------------------------------------------------------------------
+# Batched profiles against per-candidate cosines
+# ---------------------------------------------------------------------------
+
+
+def _random_acts(rng, config, size):
+    """Acts of 1-7 candidates, so every chunk mixes lengths and lone candidates."""
+    return [
+        EncodedAct(
+            query_vec=rng.normals(config.d_query),
+            candidate_vecs=[rng.normals(config.d_cand)
+                            for _ in range(1 + rng.randrange(7))],
+            gold=Gold.point(0),
+            act_id=f"r-{i}",
+        )
+        for i in range(size)
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 65])
+def test_batched_profiles_match_per_candidate_cosines(size):
+    rng = Rng(900 + size)
+    config = PipelineConfig(d_query=2 + rng.randrange(5), d_cand=2 + rng.randrange(5),
+                            d_shared=2 + rng.randrange(6))
+    params = init_pipeline_params(config, rng.fork())
+    acts = _random_acts(rng, config, size)
+    expected = [
+        np.array([_cosine(params.query_map @ act.query_vec, params.object_map @ vec)
+                  for vec in act.candidate_vecs])
+        for act in acts
+    ]
+    for act, cosines in zip(acts, expected):
+        np.testing.assert_allclose(similarity_profile(params, act), cosines,
+                                   rtol=0, atol=1e-12)
+
+    max_sims, gaps, best = protest_profiles(params, acts)
+    np.testing.assert_allclose(max_sims, [c.max() for c in expected], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        gaps, [np.inf if c.size == 1 else np.diff(np.sort(c)[-2:])[0] for c in expected],
+        rtol=0, atol=1e-12)
+    assert best.tolist() == [int(np.argmax(c)) for c in expected]
+    for i, act in enumerate(acts):
+        one = protest_profile(params, act)
+        np.testing.assert_allclose(one, (max_sims[i], gaps[i], best[i]),
+                                   rtol=0, atol=1e-12)
+
+    thresholds = Thresholds(min_similarity=-0.2, min_gap=0.1)
+    assert pipeline_predict_batch(params, thresholds, acts) == \
+        [pipeline_predict(params, thresholds, act) for act in acts]
+
+
+def test_batched_profiles_warn_on_a_zero_norm_act_mid_chunk(caplog):
+    params = _identity_params()
+    acts = [_act([0.9, 0.2], Gold.point(0), f"p-{i}") for i in range(CHUNK + 8)]
+    acts[CHUNK + 3] = EncodedAct(query_vec=np.array([1.0, 0.0]),
+                                 candidate_vecs=[np.zeros(2), _unit_at(0.5)],
+                                 gold=Gold.point(1), act_id="zero")
+    with caplog.at_level(logging.WARNING, logger="popref.pipeline_model"):
+        max_sims, gaps, best = protest_profiles(params, acts)
+    warned = [r.getMessage() for r in caplog.records]
+    assert len(warned) == 1 and "zero-norm" in warned[0] and "'zero'" in warned[0]
+    assert (max_sims[CHUNK + 3], best[CHUNK + 3]) == (pytest.approx(0.5), 1)
+    assert gaps[CHUNK + 3] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("candidates, query", [
+    ([], [1.0, 0.0]),                                   # empty lineup
+    ([[1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 0.0]),        # ragged
+    ([[1.0, 0.0, 0.0]], [1.0, 0.0]),                    # wrong candidate dim
+    ([[1.0, 0.0]], [1.0, 0.0, 0.0]),                    # wrong query dim
+], ids=["empty", "ragged", "candidate-dim", "query-dim"])
+def test_batched_profiles_reject_a_bad_act_mid_chunk(candidates, query):
+    acts = [_act([0.9, 0.2], Gold.point(0), f"p-{i}") for i in range(CHUNK + 8)]
+    acts[CHUNK + 3] = EncodedAct(
+        query_vec=np.array(query),
+        candidate_vecs=[np.array(c) for c in candidates],
+        gold=Gold.miss(), act_id="bad")
+    with pytest.raises(ContractViolation, match="act 'bad'"):
+        protest_profiles(_identity_params(), acts)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,23 @@ from popref.datagen import Gold
 from popref.embeddings import EncodedAct
 from popref.errors import ConfigError, ContractViolation, NumericError
 from popref.numerics import Rng
+from popref.embeddings import WorldConfig, build_synthetic_world, encode_act
+from popref.datagen import DatasetSpec, generate_splits
 from popref.pop_model import (
+    CHUNK,
     NONLINEARITIES,
     PopConfig,
     PopParams,
     PopTrainable,
     Prediction,
     backward,
+    chunk_logits,
     forward,
     gradcheck_pop,
     init_params,
     loss,
     predict,
+    predict_batch,
 )
 from popref.training import ColumnSparse
 
@@ -377,6 +382,131 @@ def test_predict_protests_when_all_sims_low():
 def test_predict_breaks_ties_toward_lowest_index():
     params = _scalar_params(sensor_in=np.zeros((2, 2)), sensor_out=np.zeros((1, 2)))
     assert predict(params, _act([1.0], [[2.0], [2.0]])) == Prediction.point(0)
+    # Zero sensors score sigmoid(0) = 0.5: a tie with the best candidate
+    # points, since the protest cell comes last.
+    assert predict(params, _act([1.0], [[0.5], [0.2]])) == Prediction.point(0)
+    assert predict_batch(params, [_act([1.0], [[0.2], [0.5001]]),
+                                  _act([1.0], [[0.2], [0.4999]])]) == \
+        [Prediction.point(1), Prediction.protest()]
+
+
+# ---------------------------------------------------------------------------
+# Batched inference against the per-act forward pass
+# ---------------------------------------------------------------------------
+
+_PAIRS = [(c, q) for c in NONLINEARITIES for q in NONLINEARITIES]
+_SPLIT_SIZES = (1, 31, 32, 33, 65)
+
+
+def _random_split(rng: Rng, config: PopConfig, size: int, query_kind: str):
+    acts = []
+    for i in range(size):
+        if query_kind == "dense":
+            query = rng.normals(config.d_query)
+        else:
+            query = np.zeros(config.d_query)
+            hot = 1 if query_kind == "one-hot" else 2
+            query[rng.sample(range(config.d_query), hot)] = 1.0
+        n = 1 + rng.randrange(6)  # lengths mix within every chunk
+        acts.append(_act(query, [rng.normals(config.d_cand) for _ in range(n)],
+                         act_id=f"b-{i}"))
+    return acts
+
+
+def _reference_prediction(trace) -> Prediction:
+    """The argmax over forward's output distribution."""
+    best = int(np.argmax(trace.probs))
+    n = trace.sims.shape[0]
+    return Prediction.protest() if best == n else Prediction.point(best)
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("query_kind", ["dense", "one-hot", "two-hot"])
+def test_batch_path_matches_forward(use_bias, query_kind):
+    rng = Rng(4242 + 7 * use_bias + len(query_kind))
+    for trial, (contrast, squash) in enumerate(_PAIRS):
+        config = PopConfig(d_query=3 + rng.randrange(4), d_cand=2 + rng.randrange(4),
+                           d_ent=2 + rng.randrange(5), n_sensors=1 + rng.randrange(4),
+                           contrast=contrast, score_squash=squash,
+                           sensor_nonlinearity=bool(rng.randrange(2)),
+                           use_bias=use_bias)
+        params = init_params(config, rng.fork())
+        for array in params.named_arrays().values():
+            array += rng.normals(array.size).reshape(array.shape) * 0.5
+        acts = _random_split(rng, config, _SPLIT_SIZES[trial % len(_SPLIT_SIZES)],
+                             query_kind)
+        traces = [forward(params, act) for act in acts]
+
+        sims, scores, lengths = chunk_logits(params, acts)
+        assert lengths.tolist() == [len(act.candidate_vecs) for act in acts]
+        np.testing.assert_allclose(sims, np.concatenate([t.sims for t in traces]),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(scores, [t.anomaly_score for t in traces],
+                                   rtol=0, atol=1e-9)
+        expected = [_reference_prediction(t) for t in traces]
+        assert predict_batch(params, acts) == expected
+        assert [predict(params, act) for act in acts] == expected
+
+
+def test_batch_path_splits_into_chunks_of_CHUNK_acts():
+    assert CHUNK == 32
+    config = PopConfig(d_query=3, d_cand=4, d_ent=5, n_sensors=3, use_bias=True)
+    params = init_params(config, Rng(11))
+    acts = _random_split(Rng(12), config, 2 * CHUNK + 1, "dense")
+    whole = predict_batch(params, acts)
+    assert len(whole) == len(acts)
+    assert whole == [p for lo in range(0, len(acts), 7)
+                     for p in predict_batch(params, acts[lo:lo + 7])]
+    assert predict_batch(params, []) == []
+
+
+def _bad_acts():
+    good = [1.0, 2.0, 3.0]
+    return {
+        "empty": (ContractViolation, EncodedAct(query_vec=np.ones(2), candidate_vecs=[],
+                                                gold=Gold.miss(), act_id="bad")),
+        "ragged": (ContractViolation, _act([1.0, 2.0], [good, [1.0, 2.0]], act_id="bad")),
+        "query-dim": (ContractViolation, _act([1.0, 2.0, 3.0], [good], act_id="bad")),
+        "candidate-dim": (ContractViolation, _act([1.0, 2.0], [[1.0, 2.0]], act_id="bad")),
+        "nan": (NumericError, _act([1.0, 2.0], [good, [math.nan, 0.0, 1.0]], act_id="bad")),
+        "inf": (NumericError, _act([math.inf, 2.0], [good], act_id="bad")),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_bad_acts()))
+def test_batch_path_names_a_bad_act_mid_chunk(kind):
+    error, bad = _bad_acts()[kind]
+    params = init_params(PopConfig(d_query=2, d_cand=3, d_ent=4, n_sensors=2), Rng(1))
+    rng = Rng(2)
+    acts = [_act(rng.normals(2), [rng.normals(3) for _ in range(2 + i % 3)],
+                 act_id=f"good-{i}") for i in range(CHUNK + 8)]
+    acts[CHUNK + 3] = bad  # the middle of the second chunk
+    with pytest.raises(error, match="act 'bad'"), np.errstate(invalid="ignore"):
+        predict_batch(params, acts)
+    with pytest.raises(error, match="act 'bad'"), np.errstate(invalid="ignore"):
+        forward(params, bad)
+
+
+@pytest.mark.parametrize("task", ["object-only", "object-attr"])
+@pytest.mark.parametrize("normalize_blocks", [False, True])
+def test_hot_query_slice_equals_the_dense_product_bit_for_bit(task, normalize_blocks):
+    world = build_synthetic_world(WorldConfig(), 0)
+    acts = generate_splits(world, DatasetSpec(n_train=60, n_val=0, n_test=0, seed=3),
+                           task)["train"]
+    encoded = [encode_act(act, world, "one-hot", normalize_blocks=normalize_blocks)
+               for act in acts]
+    assert {int(np.count_nonzero(e.query_vec)) for e in encoded} == \
+        {1 if task == "object-only" else 2}
+    config = PopConfig(d_query=encoded[0].query_vec.size,
+                       d_cand=encoded[0].candidate_vecs[0].size)
+    rng = Rng(17)
+    for _ in range(5):
+        params = init_params(config, rng.fork())
+        params.query_map *= 1.0 + 9.0 * rng.random()
+        for act in encoded:
+            trace = forward(params, act)
+            assert trace.query_cols.size < trace.query_in.size
+            assert np.array_equal(trace.query_vec, params.query_map @ trace.query_in)
 
 
 # ---------------------------------------------------------------------------
