@@ -13,12 +13,12 @@ import argparse
 import collections
 import os
 import tempfile
+from dataclasses import asdict
 
 from popref.datagen import (
     ANOMALY,
     POINT,
     DatasetSpec,
-    act_to_dict,
     dataset_stats,
     generate_splits,
     read_jsonl,
@@ -89,7 +89,7 @@ def main() -> None:
         write_jsonl(splits["train"], path)
         size = os.path.getsize(path)
         reread = read_jsonl(path)
-        same = all(act_to_dict(a) == act_to_dict(b)
+        same = all(asdict(a) == asdict(b)
                    for a, b in zip(splits["train"], reread))
         with open(path, "r", encoding="utf-8") as fh:
             first_line = fh.readline().strip()

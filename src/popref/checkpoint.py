@@ -13,13 +13,12 @@ params class's ``shapes`` table names.
 """
 
 import json
-import typing
 from dataclasses import asdict
 
 import numpy as np
 
 from .embeddings import ENCODINGS, WorldConfig
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, checked
 from .pipeline_model import PipelineConfig, PipelineParams, Thresholds
 from .pop_model import PopConfig, PopParams
 
@@ -88,27 +87,9 @@ def load_checkpoint(path) -> dict:
     return record
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value has a config field's type; an integer may fill
-    a float field, a boolean only a bool field."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def _validated(cls, record: dict, key: str):
-    """Config class ``cls`` built from ``record[key]`` and validated.  Any
-    value but an object with exactly the fields of ``cls``, each of its
-    type, is a :class:`ParseError`."""
-    given = record[key]
-    types = typing.get_type_hints(cls)
-    if not (isinstance(given, dict) and given.keys() == types.keys()
-            and all(_fits(given[name], kind) for name, kind in types.items())):
-        expected = ", ".join(f"{name}: {kind.__name__}" for name, kind in types.items())
-        raise ParseError(
-            f"checkpoint {key} does not fit {cls.__name__}({expected}): got {given!r}"
-        )
-    value = cls(**given)
+    """``record[key]`` checked into config class ``cls`` and validated."""
+    value = checked(cls, record[key], f"checkpoint {key}")
     value.validate()
     return value
 
@@ -137,7 +118,7 @@ def restore_world(record: dict) -> tuple[WorldConfig, int]:
     """The world config and seed a record's ``extra`` carries, the config
     checked like ``config``."""
     extra = record.get("extra", {})
-    if not isinstance(extra, dict) or not _fits(extra.get("world_seed", 0), int):
+    if not isinstance(extra, dict) or type(extra.get("world_seed", 0)) is not int:
         raise ParseError("checkpoint extra must be an object with an integer world_seed")
     if "world_config" not in extra:
         raise ConfigError(

@@ -65,6 +65,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_config(path) -> dict[str, str]:
     if path is None:
         return {}
@@ -236,12 +243,12 @@ def _cmd_baseline(args) -> int:
 def _cmd_gradcheck(args) -> int:
     reports = []
     if args.model in ("pop", "all"):
-        trials = args.trials or 20
+        trials = 20 if args.trials is None else args.trials
         reports.append(("pop", gradcheck_pop(
             trials=trials, seed=args.seed, tolerance=args.tolerance
         )))
     if args.model in ("pipeline", "all"):
-        trials = args.trials or 10
+        trials = 10 if args.trials is None else args.trials
         reports.append(("pipeline", gradcheck_pipeline(
             trials=trials, seed=args.seed, tolerance=args.tolerance
         )))
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="verify analytic gradients against finite differences")
     p.add_argument("--model", choices=["pop", "pipeline", "all"], default="all")
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=_positive_int, default=None,
                    help="trials per model (defaults: 20 pointing, 10 pipeline)")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=20260815)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import POINT
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .numerics import Rng, derive_seed, require_finite
 from .pop_model import (
     CHUNK,
@@ -198,6 +198,7 @@ def chunk_cosines(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray]
     Each map is applied to the whole chunk in one matmul.  The dot products
     are reassociated as ``candidate @ (object_map.T @ query_vec)``, so the
     only N x d_shared array is the mapped candidates, read for their norms.
+    A non-finite query or candidate is a :class:`NumericError` naming its act.
     """
     cfg = params.config
     queries, candidates, lengths = stack(acts, cfg.d_query, cfg.d_cand)
@@ -207,6 +208,10 @@ def chunk_cosines(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray]
     dots = np.einsum("nc,nc->n", candidates, (query_vecs @ params.object_map)[rows])
     query_norms = np.sqrt(np.einsum("bd,bd->b", query_vecs, query_vecs))[rows]
     object_norms = np.sqrt(np.einsum("nd,nd->n", object_vecs, object_vecs))
+    finite = np.isfinite(dots) & np.isfinite(query_norms * object_norms)
+    if not finite.all():
+        i = int(rows[np.argmin(finite)])
+        raise NumericError(f"act {act_label(acts[i])!r}: non-finite mapped vectors")
     zero = (query_norms == 0.0) | (object_norms == 0.0)
     if zero.any():
         for i in sorted(set(rows[zero].tolist())):
@@ -242,12 +247,6 @@ def protest_profiles(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarr
         gaps[lo:hi] = top_two[:, 1] - top_two[:, 0]
         best[lo:hi] = rows.argmax(axis=1)
     return max_sims, gaps, best
-
-
-def protest_profile(params: PipelineParams, act) -> tuple[float, float, int]:
-    """:func:`protest_profiles` of one act."""
-    max_sims, gaps, best = protest_profiles(params, [act])
-    return float(max_sims[0]), float(gaps[0]), int(best[0])
 
 
 def _protests(max_sim, gap, min_similarity, min_gap):

@@ -227,8 +227,11 @@ def gradcheck(sample, trials: int, tolerance: float = 1e-4,
     loss away from its kinks, and text appended to a failure line.  It
     returns a string instead when it could not draw one.  The finite
     differences run the trainable's own ``loss_and_grads`` on a copy of the
-    params, over every coordinate of every array.
+    params, over every coordinate of every array.  Fewer than one trial is
+    a :class:`ConfigError`: a check of nothing must not pass.
     """
+    if trials < 1:
+        raise ConfigError(f"gradcheck needs at least one trial, got {trials}")
     max_err = 0.0
     failures: list[str] = []
     for trial in range(trials):

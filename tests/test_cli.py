@@ -24,6 +24,7 @@ from popref.errors import (
     ValidationError,
 )
 from popref.harness import parse_kv_file, run_experiment
+from popref.training import GradcheckReport
 
 _SPEC_TEXT = """
 # shared settings for a small world and quick runs
@@ -249,6 +250,37 @@ def test_a_checkpoint_world_that_does_not_fit_exits_2(
     assert "Traceback" not in err
 
 
+def _point_gold_lineno(lines: list[str]) -> int:
+    """The 1-based number of the first point-gold line after line 1."""
+    return next(n for n, line in enumerate(lines, start=1)
+                if n > 1 and json.loads(line)["gold"]["kind"] == "point")
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda r: r["gold"].update(index=len(r["items"]) + 5),
+                 id="index-out-of-range"),
+    pytest.param(lambda r: r["gold"].update(index=True), id="boolean-index"),
+    pytest.param(lambda r: r["gold"].update(index=(r["gold"]["index"] + 1)
+                                            % len(r["items"])),
+                 id="index-at-a-non-matching-item"),
+    pytest.param(lambda r: r.update(note="unchecked"), id="unknown-field"),
+])
+def test_eval_rejects_a_tampered_act_naming_its_line(tmp_path, trained, capsys, edit):
+    lines = (trained / "data" / "test.jsonl").read_text().splitlines()
+    lineno = _point_gold_lineno(lines)
+    record = json.loads(lines[lineno - 1])
+    edit(record)
+    lines[lineno - 1] = json.dumps(record, sort_keys=True)
+    tampered = tmp_path / "test.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(trained / "pop.json"),
+                 "--test", str(tampered)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line {lineno}:" in err
+    assert "Traceback" not in err
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -338,6 +370,31 @@ def test_gradcheck_passes_and_fails_by_tolerance(capsys):
                  "--tolerance", "1e-30"])
     assert code == EXIT_NUMERIC
     assert "pipeline: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "many"])
+def test_gradcheck_rejects_a_non_positive_trial_count(capsys, trials):
+    assert main(["gradcheck", "--trials", trials]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_gradcheck_default_trial_counts(monkeypatch, capsys):
+    calls = []
+
+    def fake(name):
+        def check(trials, seed, tolerance):
+            calls.append((name, trials))
+            return GradcheckReport(True, trials, 0.0, tolerance)
+        return check
+
+    monkeypatch.setattr(cli, "gradcheck_pop", fake("pop"))
+    monkeypatch.setattr(cli, "gradcheck_pipeline", fake("pipeline"))
+    assert main(["gradcheck"]) == EXIT_OK
+    assert main(["gradcheck", "--trials", "1"]) == EXIT_OK
+    assert calls == [("pop", 20), ("pipeline", 10), ("pop", 1), ("pipeline", 1)]
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for reference-act generation, validation, serialization, and stats."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from popref.datagen import (
     Query,
     ReferenceAct,
     act_from_dict,
-    act_to_dict,
     dataset_stats,
     gen_object_attribute,
     gen_object_only,
@@ -426,6 +426,16 @@ def test_jsonl_lines_are_sorted_json(tmp_path, small_world):
         assert list(record.keys()) == sorted(record.keys())
 
 
+@pytest.mark.parametrize("task", ["object-only", "object-attr"])
+def test_jsonl_records_are_the_acts_asdict(tmp_path, small_world, task):
+    spec = DatasetSpec(n_train=20, n_val=1, n_test=1, seed=18)
+    acts = generate_splits(small_world, spec, task)["train"]
+    path = tmp_path / "acts.jsonl"
+    write_jsonl(acts, path)
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(asdict(act), sort_keys=True) for act in acts]
+
+
 def test_read_jsonl_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -442,7 +452,7 @@ def test_act_dict_round_trip():
         ),
         gold=Gold.point(0),
     )
-    assert act_from_dict(act_to_dict(act)) == act
+    assert act_from_dict(json.loads(json.dumps(asdict(act)))) == act
 
 
 def _good_record():
@@ -465,13 +475,76 @@ def _good_record():
         lambda r: r["gold"].update(kind="anomaly"),  # anomaly with an index
         lambda r: r["items"][0].update(object=3),
         lambda r: r["gold"].update(index="zero"),
+        lambda r: r["gold"].update(index=3),  # out of range for one item
+        lambda r: r["gold"].update(index=True),  # a boolean is not an index
+        lambda r: r["items"].append(dict(r["items"][0], object="bowl")) or
+        r["gold"].update(index=1),  # gold at an item that does not match
+        lambda r: r["items"].append(dict(r["items"][0])),  # two matches, point gold
+        lambda r: r.update(note="extra"),  # unknown field
+        lambda r: r["gold"].update(note="extra"),  # unknown nested field
+        lambda r: r["query"].update(attribute="blue"),  # attribute on one side only
+        lambda r: r.update(items=tuple(r["items"])),  # not a JSON array
     ],
 )
 def test_act_from_dict_rejects_bad_records(mutate):
     record = _good_record()
     mutate(record)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 5: "):
         act_from_dict(record, lineno=5)
+
+
+def test_act_from_dict_names_the_field_that_does_not_fit():
+    record = _good_record()
+    record["gold"]["index"] = True
+    with pytest.raises(ParseError) as err:
+        act_from_dict(record, lineno=2)
+    assert str(err.value).startswith(
+        "line 2: act.gold does not fit "
+        "Gold(kind: str, index: int | None, anomaly_kind: str | None)")
+    record = _good_record()
+    record["items"][0]["object"] = 3
+    with pytest.raises(ParseError, match=r"act\.items\[0\] does not fit Item\("):
+        act_from_dict(record)
+    with pytest.raises(ParseError, match=r"act does not fit ReferenceAct\(id: str, "
+                       r"query: Query, items: tuple\[Item, \.\.\.\], gold: Gold\)"):
+        act_from_dict(dict(_good_record(), id=7))
+
+
+# The exact bytes write_jsonl emits for one attribute act and one
+# object-only act; the README's file-format example is the first line.
+_GOLDEN_JSONL = (
+    '{"gold": {"anomaly_kind": null, "index": 1, "kind": "point"}, '
+    '"id": "train-000000", "items": [{"attribute": "attr003", '
+    '"image_id": "obj002-i00", "object": "obj002"}, {"attribute": "attr000", '
+    '"image_id": "obj005-i00", "object": "obj005"}], '
+    '"query": {"attribute": "attr000", "noun": "obj005"}}\n'
+    '{"gold": {"anomaly_kind": "miss", "index": null, "kind": "anomaly"}, '
+    '"id": "test-000042", "items": [{"attribute": null, "image_id": "cup-i1", '
+    '"object": "cup"}, {"attribute": null, "image_id": "bowl-i0", '
+    '"object": "bowl"}], "query": {"attribute": null, "noun": "pan"}}\n'
+)
+
+
+def test_write_jsonl_bytes_are_pinned(tmp_path):
+    acts = [
+        ReferenceAct(
+            id="train-000000",
+            query=Query(noun="obj005", attribute="attr000"),
+            items=(Item("obj002", "obj002-i00", attribute="attr003"),
+                   Item("obj005", "obj005-i00", attribute="attr000")),
+            gold=Gold.point(1),
+        ),
+        ReferenceAct(
+            id="test-000042",
+            query=Query(noun="pan"),
+            items=(Item("cup", "cup-i1"), Item("bowl", "bowl-i0")),
+            gold=Gold.miss(),
+        ),
+    ]
+    path = tmp_path / "golden.jsonl"
+    write_jsonl(acts, path)
+    assert path.read_text(encoding="utf-8") == _GOLDEN_JSONL
+    assert read_jsonl(path) == acts
 
 
 def test_read_jsonl_reports_line_numbers(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from popref.datagen import Gold
 from popref.embeddings import EncodedAct
-from popref.errors import ConfigError, ContractViolation
+from popref.errors import ConfigError, ContractViolation, NumericError
 from popref.numerics import Rng
 from popref.pipeline_model import (
     GAP_GRID,
@@ -24,7 +24,6 @@ from popref.pipeline_model import (
     init_pipeline_params,
     pipeline_predict,
     pipeline_predict_batch,
-    protest_profile,
     protest_profiles,
     similarity_profile,
     train_pipeline,
@@ -411,10 +410,6 @@ def test_batched_profiles_match_per_candidate_cosines(size):
         gaps, [np.inf if c.size == 1 else np.diff(np.sort(c)[-2:])[0] for c in expected],
         rtol=0, atol=1e-12)
     assert best.tolist() == [int(np.argmax(c)) for c in expected]
-    for i, act in enumerate(acts):
-        one = protest_profile(params, act)
-        np.testing.assert_allclose(one, (max_sims[i], gaps[i], best[i]),
-                                   rtol=0, atol=1e-12)
 
     thresholds = Thresholds(min_similarity=-0.2, min_gap=0.1)
     assert pipeline_predict_batch(params, thresholds, acts) == \
@@ -449,6 +444,30 @@ def test_batched_profiles_reject_a_bad_act_mid_chunk(candidates, query):
         gold=Gold.miss(), act_id="bad")
     with pytest.raises(ContractViolation, match="act 'bad'"):
         protest_profiles(_identity_params(), acts)
+
+
+@pytest.mark.parametrize("candidates, query", [
+    ([[0.9, 0.2], [np.nan, 0.0]], [1.0, 0.0]),          # nan candidate
+    ([[0.9, 0.2], [np.inf, 0.0]], [1.0, 0.0]),          # inf candidate
+    ([[0.9, 0.2]], [np.nan, 1.0]),                      # nan query
+    ([[0.9, 0.2]], [1.0, -np.inf]),                     # inf query
+    ([[0.9, 0.2], [np.nan, 0.0]], [0.0, 0.0]),          # nan beside a zero query
+], ids=["nan-candidate", "inf-candidate", "nan-query", "inf-query",
+        "nan-candidate-zero-query"])
+@pytest.mark.parametrize("call", [
+    protest_profiles,
+    tune_thresholds,
+    lambda params, acts: pipeline_predict_batch(
+        params, Thresholds(min_similarity=0.0, min_gap=0.0), acts),
+], ids=["protest_profiles", "tune_thresholds", "pipeline_predict_batch"])
+def test_batched_profiles_reject_a_non_finite_act_mid_chunk(candidates, query, call):
+    acts = [_act([0.9, 0.2], Gold.point(0), f"p-{i}") for i in range(CHUNK + 8)]
+    acts[CHUNK + 3] = EncodedAct(
+        query_vec=np.array(query),
+        candidate_vecs=[np.array(c) for c in candidates],
+        gold=Gold.point(0), act_id="bad")
+    with pytest.raises(NumericError, match="act 'bad'"), np.errstate(invalid="ignore"):
+        call(_identity_params(), acts)
 
 
 # ---------------------------------------------------------------------------

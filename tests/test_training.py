@@ -7,11 +7,13 @@ from popref.datagen import Gold
 from popref.embeddings import EncodedAct
 from popref.errors import ConfigError, ContractViolation, NumericError
 from popref.numerics import Rng
-from popref.pop_model import PopConfig, PopTrainable, init_params
+from popref.pipeline_model import gradcheck_pipeline
+from popref.pop_model import PopConfig, PopTrainable, gradcheck_pop, init_params
 from popref.training import (
     ColumnSparse,
     TrainConfig,
     TrainLog,
+    gradcheck,
     learning_rate,
     train,
 )
@@ -259,3 +261,14 @@ def test_column_sparse_any_reads_columns_only():
     np.testing.assert_array_equal(grad.any(axis=0), [False, True, False, False])
     with pytest.raises(ContractViolation):
         grad.any(axis=1)
+
+
+@pytest.mark.parametrize("check", [
+    lambda trials: gradcheck(lambda trial: "never drawn", trials),
+    lambda trials: gradcheck_pop(trials=trials),
+    lambda trials: gradcheck_pipeline(trials=trials),
+], ids=["gradcheck", "gradcheck_pop", "gradcheck_pipeline"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_gradcheck_rejects_fewer_than_one_trial(check, trials):
+    with pytest.raises(ConfigError, match="at least one trial"):
+        check(trials)
