@@ -6,13 +6,10 @@ Gaussian noise, and every word vector is a linear image of the centroid plus
 its own noise.  Because word vectors live in a different space than images,
 nothing matches across modalities by accident — a model has to learn the
 cross-modal map.  This script prints the sizes, the noise geometry, and the
-object/attribute compatibility structure, then round-trips a table through
-the on-disk format.
+object/attribute compatibility structure.
 """
 
 import argparse
-import os
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +17,7 @@ import numpy as np
 from popref.embeddings import (
     WorldConfig,
     build_synthetic_world,
-    load_table,
     nearest_centroid_accuracy,
-    save_table,
 )
 
 
@@ -82,18 +77,6 @@ def main() -> None:
     attr = world.attributes[0]
     print(f"...and inversely, {attr} applies to "
           f"{len(world.inverse_compat[attr])} objects")
-
-    banner("tables survive the text format")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "words.txt")
-        save_table(world.word_vecs, path)
-        reloaded = load_table(path)
-        first = world.objects[0]
-        exact = np.array_equal(reloaded[first], world.word_vecs[first])
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-        print(f"header line: {header!r}")
-        print(f"round-trip exact for {first}: {exact}")
 
 
 if __name__ == "__main__":

@@ -49,9 +49,7 @@ from .embeddings import (
     WorldConfig,
     build_synthetic_world,
     encode_act,
-    load_table,
     one_hot,
-    save_table,
     shuffle_images,
 )
 from .errors import (
@@ -81,7 +79,6 @@ from .pipeline_model import (
     Thresholds,
     extract_pairs,
     gradcheck_pipeline,
-    hinge_loss,
     init_pipeline_params,
     pipeline_predict,
     pipeline_predict_batch,

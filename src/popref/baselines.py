@@ -25,7 +25,7 @@ from .embeddings import SyntheticWorld, shuffle_images
 from .errors import ConfigError, UnsupportedInputError
 from .harness import (
     Metrics,
-    build_encoding,
+    build_inputs,
     build_model,
     encode_split,
     evaluate,
@@ -210,12 +210,14 @@ def run_imgshuffle(
     if not train_acts:
         raise ConfigError("the image-shuffle run needs training acts")
     shuffled = shuffle_images(world, shuffle_seed)
-    mode, normalize_blocks = build_encoding(manifest, "pop")
-    encoded_train = encode_split(shuffled, train_acts, mode, normalize_blocks)
-    encoded_test = encode_split(shuffled, test_acts, mode, normalize_blocks)
+    inputs = build_inputs(manifest, "pop", infer_task(train_acts))
+    encoded_train = encode_split(shuffled, train_acts, inputs.encoding,
+                                 inputs.normalize_blocks)
+    encoded_test = encode_split(shuffled, test_acts, inputs.encoding,
+                                inputs.normalize_blocks)
     config = build_model(manifest, "pop", encoded_train[0].query_vec.size,
                          encoded_train[0].candidate_vecs[0].size)
-    fitted = fit(manifest, "pop", config, encoded_train, infer_task(train_acts))
+    fitted = fit(manifest, "pop", config, encoded_train, inputs)
     metrics = evaluate(lambda acts: predict_batch(fitted.params, acts),
                        encoded_test)
     return ImgShuffleResult(

@@ -4,8 +4,9 @@ One format serves every model kind; records are tagged so loaders can
 dispatch.  Arrays are stored as nested lists of Python floats: JSON emits
 each float via its shortest round-tripping decimal representation, so a
 save/load cycle reproduces every entry bit for bit.  The container also
-carries whatever context is needed to re-run evaluation from the file alone
-(world configuration, encoding mode, tuned thresholds).
+carries whatever context is needed to re-run evaluation from the file alone:
+the run's :class:`~popref.embeddings.Inputs` (its ``extra``) and the tuned
+thresholds.
 
 :data:`MODELS` maps each kind to its config and params classes; one record
 body and one restore body serve them all, and the arrays are whatever the
@@ -17,8 +18,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .embeddings import ENCODINGS, WorldConfig
-from .errors import ConfigError, ParseError, checked
+from .embeddings import Inputs
+from .errors import ParseError, checked
 from .pipeline_model import PipelineConfig, PipelineParams, Thresholds
 from .pop_model import PopConfig, PopParams
 
@@ -88,8 +89,9 @@ def load_checkpoint(path) -> dict:
 
 
 def _validated(cls, record: dict, key: str):
-    """``record[key]`` checked into config class ``cls`` and validated."""
-    value = checked(cls, record[key], f"checkpoint {key}")
+    """``record[key]`` checked into config class ``cls`` and validated; an
+    absent key is a :class:`ParseError`."""
+    value = checked(cls, record.get(key), f"checkpoint {key}")
     value.validate()
     return value
 
@@ -114,39 +116,10 @@ def _restore(record: dict):
     return params, thresholds
 
 
-def restore_world(record: dict) -> tuple[WorldConfig, int]:
-    """The world config and seed a record's ``extra`` carries, the config
-    checked like ``config``."""
-    extra = record.get("extra", {})
-    if not isinstance(extra, dict) or type(extra.get("world_seed", 0)) is not int:
-        raise ParseError("checkpoint extra must be an object with an integer world_seed")
-    if "world_config" not in extra:
-        raise ConfigError(
-            "checkpoint lacks world configuration; cannot rebuild the encoder"
-        )
-    return _validated(WorldConfig, extra, "world_config"), extra.get("world_seed", 0)
-
-
-def restore_encoding(record: dict) -> tuple[str, bool]:
-    """(encoding mode, normalize_blocks) of a record's ``extra``; absent
-    keys mean ``dense`` and ``False``.  Anything but a mode in
-    :data:`~popref.embeddings.ENCODINGS` and a boolean is a
-    :class:`ParseError`."""
-    extra = record.get("extra", {})
-    if not isinstance(extra, dict):
-        raise ParseError("checkpoint extra must be an object")
-    mode = extra.get("encoding", "dense")
-    normalize_blocks = extra.get("normalize_blocks", False)
-    if mode not in ENCODINGS:
-        raise ParseError(
-            f"checkpoint extra encoding must be one of {ENCODINGS}, got {mode!r}"
-        )
-    if not isinstance(normalize_blocks, bool):
-        raise ParseError(
-            f"checkpoint extra normalize_blocks must be a boolean, got "
-            f"{normalize_blocks!r}"
-        )
-    return mode, normalize_blocks
+def restore_inputs(record: dict) -> Inputs:
+    """The :class:`~popref.embeddings.Inputs` a record's ``extra`` carries,
+    checked like ``config``: every field is required."""
+    return _validated(Inputs, record, "extra")
 
 
 def restore_pop(record: dict) -> PopParams:

@@ -22,10 +22,9 @@ from dataclasses import asdict
 from . import baselines
 from .checkpoint import (
     load_checkpoint,
-    restore_encoding,
+    restore_inputs,
     restore_pipeline,
     restore_pop,
-    restore_world,
     save_checkpoint,
 )
 from .datagen import dataset_stats, generate_splits, read_jsonl, write_jsonl
@@ -35,7 +34,7 @@ from .harness import (
     MODEL_KINDS,
     TASKS,
     build_dataset_spec,
-    build_encoding,
+    build_inputs,
     build_model,
     build_world_config,
     encode_split,
@@ -84,7 +83,7 @@ def _world_from(kv: dict[str, str], seed_override=None):
     config, seed = build_world_config(kv)
     if seed_override is not None:
         seed = seed_override
-    return build_synthetic_world(config, seed), config, seed
+    return build_synthetic_world(config, seed)
 
 
 def _print_metrics(metrics, report_path=None) -> None:
@@ -101,7 +100,7 @@ def _cmd_gen_data(args) -> int:
     task = args.task or kv.get("task", "object-only")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-    world, _, world_seed = _world_from(kv, args.world_seed)
+    world = _world_from(kv, args.world_seed)
     spec = build_dataset_spec(kv)
     splits = generate_splits(world, spec, task)
     os.makedirs(args.out, exist_ok=True)
@@ -109,7 +108,7 @@ def _cmd_gen_data(args) -> int:
         path = os.path.join(args.out, f"{split}.jsonl")
         write_jsonl(acts, path)
         print(f"{split}: {len(acts)} acts -> {path}")
-    print(f"task={task} world_seed={world_seed} data_seed={spec.seed}")
+    print(f"task={task} world_seed={world.seed} data_seed={spec.seed}")
     return EXIT_OK
 
 
@@ -126,13 +125,11 @@ def _cmd_train(args) -> int:
                 f"config key {key} = {kv[key]!r} conflicts with {source} "
                 f"({value!r})"
             )
-    world, _, _ = _world_from(kv)
-    mode, normalize_blocks = build_encoding(kv, args.model)
-    encoded = encode_split(world, acts, mode, normalize_blocks,
-                           allow_unknown=args.allow_unknown)
+    inputs = build_inputs(kv, args.model, task)
+    encoded = _encode(inputs, acts, args.allow_unknown)
     config = build_model(kv, args.model, encoded[0].query_vec.size,
                          encoded[0].candidate_vecs[0].size)
-    fitted = fit(kv, args.model, config, encoded, task)
+    fitted = fit(kv, args.model, config, encoded, inputs)
 
     save_checkpoint(fitted.record(), args.out_checkpoint)
     losses = ", ".join(f"{v:.4f}" for v in fitted.log.epoch_losses)
@@ -143,18 +140,17 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _encode_for(record: dict, path, allow_unknown: bool = False):
-    """The acts in ``path``, encoded as the checkpoint's model was trained."""
-    config, seed = restore_world(record)
-    mode, normalize_blocks = restore_encoding(record)
-    return encode_split(build_synthetic_world(config, seed), read_jsonl(path),
-                        mode, normalize_blocks, allow_unknown=allow_unknown)
+def _encode(inputs, acts, allow_unknown: bool = False):
+    """``acts`` encoded as ``inputs`` says, in the world they name."""
+    world = build_synthetic_world(inputs.world_config, inputs.world_seed)
+    return encode_split(world, acts, inputs.encoding, inputs.normalize_blocks,
+                        allow_unknown=allow_unknown)
 
 
 def _cmd_tune_thresholds(args) -> int:
     record = load_checkpoint(args.checkpoint)
     params, _ = restore_pipeline(record)
-    encoded = _encode_for(record, args.val)
+    encoded = _encode(restore_inputs(record), read_jsonl(args.val))
     thresholds = tune_thresholds(params, encoded)
     record["thresholds"] = asdict(thresholds)
     out = args.out or args.checkpoint
@@ -167,7 +163,8 @@ def _cmd_tune_thresholds(args) -> int:
 
 def _cmd_eval(args) -> int:
     record = load_checkpoint(args.checkpoint)
-    encoded = _encode_for(record, args.test, args.allow_unknown)
+    encoded = _encode(restore_inputs(record), read_jsonl(args.test),
+                      args.allow_unknown)
     if record["kind"] == "pipeline":
         params, thresholds = restore_pipeline(record)
         if thresholds is None:
@@ -209,7 +206,7 @@ def _cmd_baseline(args) -> int:
             lambda act: baselines.probability_predict(act, dist, rng)), acts)
     elif args.kind == "cnn":
         if args.config:
-            world, _, _ = _world_from(_load_config(args.config))
+            world = _world_from(_load_config(args.config))
             vocabulary = tuple(world.objects)
         else:
             vocabulary = tuple(sorted({it.object for a in acts for it in a.items}))
@@ -226,7 +223,7 @@ def _cmd_baseline(args) -> int:
         if not args.train:
             raise ConfigError("the image-shuffle run needs --train acts")
         kv = _load_config(args.config)
-        world, _, _ = _world_from(kv)
+        world = _world_from(kv)
         result = baselines.run_imgshuffle(
             world, read_jsonl(args.train), acts, kv,
             shuffle_seed=args.shuffle_seed,

@@ -2,21 +2,21 @@
 
 Provides a seeded synthetic "embedding world" (class centroids with Gaussian
 image noise, a fixed cross-modal linear map into word space, random attribute
-vectors, and a sampled object-attribute compatibility relation), a text
-format for embedding tables (:func:`load_table`, :func:`save_table`),
-one-hot encoding for the tabula-rasa model variant, and the image-shuffling
-control transform.
+vectors, and a sampled object-attribute compatibility relation), one-hot
+encoding for the tabula-rasa model variant, the image-shuffling control
+transform, and :class:`Inputs`, the record of which world a run's acts are
+looked up in and how they are encoded.
 
 Worlds and tables are immutable after construction and safe for shared
 concurrent reads.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EncodingError, ParseError, ValidationError
+from .datagen import GENERATORS
+from .errors import ConfigError, EncodingError, ValidationError
 from .numerics import Rng, derive_seed, require_finite
 
 
@@ -301,66 +301,6 @@ def nearest_centroid_accuracy(world: SyntheticWorld) -> float:
     return correct / total
 
 
-def load_table(path) -> EmbeddingTable:
-    """Read an embedding table from text.
-
-    Format: line 1 is ``<count> <dim>``; each following line is
-    ``<token> <v1> ... <vdim>`` with space-separated decimal floats.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("missing header", line=1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(
-            f"header must be '<count> <dim>', got {lines[0]!r}", line=1
-        )
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(
-            f"header must hold two integers, got {lines[0]!r}", line=1
-        ) from None
-    if count < 0 or dim < 1:
-        raise ParseError(f"invalid header counts {count} {dim}", line=1)
-    table = EmbeddingTable(dim)
-    rows = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
-    for lineno, line in rows:
-        parts = line.split()
-        token, values = parts[0], parts[1:]
-        if len(values) != dim:
-            raise ParseError(
-                f"row for {token!r} has {len(values)} values, expected {dim}",
-                line=lineno,
-            )
-        if token in table:
-            raise ParseError(f"duplicate token {token!r}", line=lineno)
-        try:
-            vec = [float(v) for v in values]
-        except ValueError:
-            raise ParseError(
-                f"non-numeric value in row for {token!r}", line=lineno
-            ) from None
-        if not all(math.isfinite(v) for v in vec):
-            raise ParseError(f"non-finite value in row for {token!r}", line=lineno)
-        table.add(token, vec)
-    if len(table) != count:
-        raise ParseError(
-            f"header declares {count} rows but file holds {len(table)}", line=1
-        )
-    return table
-
-
-def save_table(table: EmbeddingTable, path) -> None:
-    """Write a table in the text format accepted by :func:`load_table`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for token in table.tokens:
-            values = " ".join(repr(float(v)) for v in table.entries[token])
-            fh.write(f"{token} {values}\n")
-
-
 def one_hot(token: str, vocab: list[str]) -> np.ndarray:
     """Indicator vector of ``token`` within an ordered vocabulary."""
     try:
@@ -397,6 +337,31 @@ class EncodedAct:
 
 
 ENCODINGS = ("dense", "one-hot")
+
+
+@dataclass(frozen=True)
+class Inputs:
+    """What a run's acts are: the task that generates them, the encoding
+    mode and block normalisation that turn them into vectors, and the
+    synthetic world (config and seed) whose vectors they are looked up in.
+    A checkpoint's ``extra`` holds exactly these fields."""
+
+    task: str
+    encoding: str
+    normalize_blocks: bool
+    world_config: WorldConfig
+    world_seed: int
+
+    def validate(self) -> None:
+        if self.task not in GENERATORS:
+            raise ConfigError(
+                f"unknown task {self.task!r}; expected one of {tuple(GENERATORS)}"
+            )
+        if self.encoding not in ENCODINGS:
+            raise ConfigError(
+                f"unknown encoding {self.encoding!r}; expected one of {ENCODINGS}"
+            )
+        self.world_config.validate()
 
 
 def _dense_lookup(

@@ -27,6 +27,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from .checkpoint import MODELS, pipeline_record, pop_record, save_checkpoint
 from .datagen import (
     ANOMALY,
+    GENERATORS,
     MISS,
     MULT,
     POINT,
@@ -34,7 +35,7 @@ from .datagen import (
     dataset_stats,
     generate_splits,
 )
-from .embeddings import WorldConfig, build_synthetic_world, encode_act
+from .embeddings import Inputs, WorldConfig, build_synthetic_world, encode_act
 from .errors import ConfigError, ParseError
 from .numerics import Rng, derive_seed
 from .pipeline_model import (
@@ -56,7 +57,7 @@ PREDICTED_BUCKETS = ("point_correct", "point_wrong", "protest")
 DEFAULT_EPOCHS = {"pop": 14, "trpop": 36, "pipeline": 10}
 
 MODEL_KINDS = tuple(MODELS)
-TASKS = ("object-only", "object-attr")
+TASKS = tuple(GENERATORS)
 
 
 @dataclass
@@ -276,13 +277,23 @@ def build_train_config(manifest: dict[str, str], default_epochs: int) -> TrainCo
     return _build_from(manifest, "train", TrainConfig, epochs=default_epochs)
 
 
-def build_encoding(manifest: dict[str, str], model: str) -> tuple[str, bool]:
-    """(encoding mode, normalize_blocks): one-hot inputs for ``trpop`` only."""
-    normalize_blocks = _as_bool(
-        manifest.get("encoding.normalize_blocks", "false"),
-        "encoding.normalize_blocks",
+def build_inputs(manifest: dict[str, str], model: str, task: str) -> Inputs:
+    """The validated inputs of a ``model`` run on ``task``: the manifest's
+    ``world.*`` and ``encoding.normalize_blocks`` keys, and one-hot inputs
+    for ``trpop`` only."""
+    world_config, world_seed = build_world_config(manifest)
+    inputs = Inputs(
+        task=task,
+        encoding="one-hot" if model == "trpop" else "dense",
+        normalize_blocks=_as_bool(
+            manifest.get("encoding.normalize_blocks", "false"),
+            "encoding.normalize_blocks",
+        ),
+        world_config=world_config,
+        world_seed=world_seed,
     )
-    return ("one-hot" if model == "trpop" else "dense"), normalize_blocks
+    inputs.validate()
+    return inputs
 
 
 def build_model(manifest: dict[str, str], model: str, d_query: int,
@@ -315,24 +326,27 @@ def _protest_rate(params, acts) -> float:
 
 @dataclass
 class Fitted:
-    """A trained model, its loss log, and the ``extra`` its checkpoint carries."""
+    """A trained model, its loss log, and the inputs it was trained on (its
+    checkpoint's ``extra``)."""
 
     model: str
     params: PopParams | PipelineParams
     log: TrainLog
-    extra: dict
+    inputs: Inputs
     protest_rates: list[float] = field(default_factory=list)
 
     def record(self, thresholds: Thresholds | None = None) -> dict:
+        extra = asdict(self.inputs)
         if self.model == "pipeline":
-            return pipeline_record(self.params, thresholds, extra=self.extra)
-        return pop_record(self.params, kind=self.model, extra=self.extra)
+            return pipeline_record(self.params, thresholds, extra=extra)
+        return pop_record(self.params, kind=self.model, extra=extra)
 
 
-def fit(manifest: dict[str, str], model: str, config, encoded_train, task: str,
-        probe=()) -> Fitted:
+def fit(manifest: dict[str, str], model: str, config, encoded_train,
+        inputs: Inputs, probe=()) -> Fitted:
     """Initialise ``model`` from its config (see :func:`build_model`) and
-    train it on the encoded acts under the manifest's ``train.*`` settings.
+    train it on the acts encoded as ``inputs`` says (see
+    :func:`build_inputs`), under the manifest's ``train.*`` settings.
 
     The pointing networks draw their initial weights from
     ``derive_seed(train.seed, "init", model)``; the pipeline's come from
@@ -342,18 +356,9 @@ def fit(manifest: dict[str, str], model: str, config, encoded_train, task: str,
     unbounded similarities early in training.
     """
     train_config = build_train_config(manifest, DEFAULT_EPOCHS[model])
-    world_config, world_seed = build_world_config(manifest)
-    mode, normalize_blocks = build_encoding(manifest, model)
-    extra = {
-        "task": task,
-        "encoding": mode,
-        "normalize_blocks": normalize_blocks,
-        "world_config": asdict(world_config),
-        "world_seed": world_seed,
-    }
     if model == "pipeline":
         params, log = train_pipeline(encoded_train, config, train_config)
-        return Fitted(model, params, log, extra)
+        return Fitted(model, params, log, inputs)
 
     params = init_params(
         config, Rng(derive_seed(train_config.seed, "init", model))
@@ -366,7 +371,7 @@ def fit(manifest: dict[str, str], model: str, config, encoded_train, task: str,
 
     log = train(PopTrainable(params), encoded_train, train_config,
                 epoch_callback=on_epoch)
-    return Fitted(model, params, log, extra, protest_rates)
+    return Fitted(model, params, log, inputs, protest_rates)
 
 
 def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
@@ -383,41 +388,38 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
     stage = "manifest"
     try:
         validate_manifest_keys(manifest)
-        task = manifest.get("task", "object-only")
-        if task not in TASKS:
-            raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
         model = manifest.get("model", "pop")
         if model not in MODEL_KINDS:
             raise ConfigError(
                 f"unknown model {model!r}; expected one of {MODEL_KINDS}"
             )
-        world_config, world_seed = build_world_config(manifest)
+        inputs = build_inputs(manifest, model, manifest.get("task", "object-only"))
         spec = build_dataset_spec(manifest)
         train_config = build_train_config(manifest, DEFAULT_EPOCHS[model])
-        mode, normalize_blocks = build_encoding(manifest, model)
         val_sample = _as_int(
             manifest.get("diagnostic.val_sample", "500"), "diagnostic.val_sample"
         )
         report["manifest"] = dict(manifest)
-        report["task"] = task
+        report["task"] = inputs.task
         report["model"] = model
-        report["world"] = {"config": asdict(world_config), "seed": world_seed}
+        report["world"] = {"config": asdict(inputs.world_config),
+                           "seed": inputs.world_seed}
         report["data"] = asdict(spec)
         report["train"] = {"config": asdict(train_config)}
 
         stage = "world"
-        world = build_synthetic_world(world_config, world_seed)
+        world = build_synthetic_world(inputs.world_config, inputs.world_seed)
 
         stage = "data"
-        splits = generate_splits(world, spec, task)
+        splits = generate_splits(world, spec, inputs.task)
         report["dataset_stats"] = asdict(
             dataset_stats(splits["train"], splits["test"])
         )
 
         stage = "encode"
-        report["encoding"] = mode
+        report["encoding"] = inputs.encoding
         encoded = {
-            name: encode_split(world, acts, mode, normalize_blocks)
+            name: encode_split(world, acts, inputs.encoding, inputs.normalize_blocks)
             for name, acts in splits.items()
         }
         sample = encoded["train"][0] if encoded["train"] else encoded["test"][0]
@@ -428,7 +430,7 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
 
         stage = "train"
         probe = encoded["val"][:val_sample] if val_sample > 0 else []
-        fitted = fit(manifest, model, config, encoded["train"], task, probe)
+        fitted = fit(manifest, model, config, encoded["train"], inputs, probe)
         params = fitted.params
         report["train"].update(
             {"epoch_losses": fitted.log.epoch_losses,

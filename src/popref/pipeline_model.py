@@ -164,12 +164,6 @@ def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[floa
     return value, grads
 
 
-def hinge_loss(query, positive, negative, params: PipelineParams) -> float:
-    """max(0, margin - cos(Mq q, Mo pos) + cos(Mq q, Mo neg)): the value of
-    :func:`hinge_grads`."""
-    return hinge_grads(query, positive, negative, params)[0]
-
-
 class PipelineTrainable(Trainable):
     """Adapter over (query, positive, negative) triples for the generic trainer."""
 
@@ -203,12 +197,15 @@ def chunk_cosines(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray]
     cfg = params.config
     queries, candidates, lengths = stack(acts, cfg.d_query, cfg.d_cand)
     rows = np.repeat(np.arange(len(acts)), lengths)
-    query_vecs = queries @ params.query_map.T
-    object_vecs = candidates @ params.object_map.T
-    dots = np.einsum("nc,nc->n", candidates, (query_vecs @ params.object_map)[rows])
-    query_norms = np.sqrt(np.einsum("bd,bd->b", query_vecs, query_vecs))[rows]
-    object_norms = np.sqrt(np.einsum("nd,nd->n", object_vecs, object_vecs))
-    finite = np.isfinite(dots) & np.isfinite(query_norms * object_norms)
+    # A non-finite act is reported below as a NumericError, not as warnings.
+    with np.errstate(invalid="ignore", over="ignore"):
+        query_vecs = queries @ params.query_map.T
+        object_vecs = candidates @ params.object_map.T
+        dots = np.einsum("nc,nc->n", candidates,
+                         (query_vecs @ params.object_map)[rows])
+        query_norms = np.sqrt(np.einsum("bd,bd->b", query_vecs, query_vecs))[rows]
+        object_norms = np.sqrt(np.einsum("nd,nd->n", object_vecs, object_vecs))
+        finite = np.isfinite(dots) & np.isfinite(query_norms * object_norms)
     if not finite.all():
         i = int(rows[np.argmin(finite)])
         raise NumericError(f"act {act_label(acts[i])!r}: non-finite mapped vectors")
@@ -331,7 +328,7 @@ def gradcheck_pipeline(
             params = init_pipeline_params(config, rng.fork())
             triple = (rng.normals(config.d_query), rng.normals(config.d_cand),
                       rng.normals(config.d_cand))
-            if hinge_loss(*triple, params) > 1e-3:
+            if hinge_grads(*triple, params)[0] > 1e-3:
                 return PipelineTrainable(params), triple, ""
         return "could not activate the hinge"
 

@@ -437,26 +437,29 @@ def chunk_logits(params: PopParams, acts) -> tuple[np.ndarray, np.ndarray, np.nd
     Agrees with :func:`forward`'s logits to rounding."""
     cfg = params.config
     queries, candidates, lengths = stack(acts, cfg.d_query, cfg.d_cand)
-    query_vecs = queries @ params.query_map.T
-    if cfg.use_bias:
-        query_vecs += params.query_bias
     rows = np.repeat(np.arange(len(acts)), lengths)
-    sims = np.einsum("nd,nd->n", candidates, (query_vecs @ params.entity_map)[rows])
-    if cfg.use_bias:
-        sims += (query_vecs @ params.entity_bias)[rows]
-
     contrast, _ = NONLINEARITIES[cfg.contrast]
     squash, _ = NONLINEARITIES[cfg.score_squash]
     starts = np.cumsum(lengths) - lengths
-    pooled = np.column_stack([np.add.reduceat(contrast(sims), starts), lengths])
-    sensor_pre = pooled @ params.sensor_in.T
-    if cfg.use_bias:
-        sensor_pre += params.sensor_in_bias
-    sensors = contrast(sensor_pre) if cfg.sensor_nonlinearity else sensor_pre
-    anomaly_raw = sensors @ params.sensor_out[0]
-    if cfg.use_bias:
-        anomaly_raw += params.sensor_out_bias[0]
-    scores = squash(anomaly_raw)
+    # A non-finite act is reported below as a NumericError, not as warnings.
+    with np.errstate(invalid="ignore", over="ignore"):
+        query_vecs = queries @ params.query_map.T
+        if cfg.use_bias:
+            query_vecs += params.query_bias
+        sims = np.einsum("nd,nd->n", candidates,
+                         (query_vecs @ params.entity_map)[rows])
+        if cfg.use_bias:
+            sims += (query_vecs @ params.entity_bias)[rows]
+
+        pooled = np.column_stack([np.add.reduceat(contrast(sims), starts), lengths])
+        sensor_pre = pooled @ params.sensor_in.T
+        if cfg.use_bias:
+            sensor_pre += params.sensor_in_bias
+        sensors = contrast(sensor_pre) if cfg.sensor_nonlinearity else sensor_pre
+        anomaly_raw = sensors @ params.sensor_out[0]
+        if cfg.use_bias:
+            anomaly_raw += params.sensor_out_bias[0]
+        scores = squash(anomaly_raw)
 
     finite = np.logical_and.reduceat(np.isfinite(sims), starts) & np.isfinite(scores)
     if not finite.all():

@@ -233,12 +233,24 @@ def _without(mapping: dict, key: str) -> dict:
                  id="int-normalize-blocks"),
     pytest.param("encoding", lambda extra: {**extra, "encoding": "sparse"},
                  id="unknown-encoding"),
+    pytest.param("world_seed", lambda extra: _without(extra, "world_seed"),
+                 id="missing-world-seed"),
+    pytest.param("normalize_blocks", lambda extra: _without(extra, "normalize_blocks"),
+                 id="missing-normalize-blocks"),
+    pytest.param("encoding", lambda extra: _without(extra, "encoding"),
+                 id="missing-encoding"),
+    pytest.param("task", lambda extra: _without(extra, "task"), id="missing-task"),
+    pytest.param("task", lambda extra: {**extra, "task": "object-verb"},
+                 id="unknown-task"),
+    pytest.param("extra", lambda extra: None, id="absent-extra"),
 ])
 def test_a_checkpoint_world_that_does_not_fit_exits_2(
         tmp_path, trained, capsys, command, name, edit):
     model, split = ("pop", "test") if command == "eval" else ("pipeline", "val")
     record = json.loads((trained / f"{model}.json").read_text())
-    record["extra"] = edit(record["extra"])
+    extra = edit(record.pop("extra"))
+    if extra is not None:  # None leaves the record without an extra
+        record["extra"] = extra
     ckpt = tmp_path / "edited.json"
     ckpt.write_text(json.dumps(record))
     capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Tests for synthetic worlds, vector-table IO, and act encoding."""
+"""Tests for synthetic worlds, vector tables, and act encoding."""
 
 import dataclasses
 
@@ -12,13 +12,11 @@ from popref.embeddings import (
     WorldConfig,
     build_synthetic_world,
     encode_act,
-    load_table,
     nearest_centroid_accuracy,
     one_hot,
-    save_table,
     shuffle_images,
 )
-from popref.errors import ConfigError, EncodingError, ParseError, ValidationError
+from popref.errors import ConfigError, EncodingError, ValidationError
 from popref.numerics import Rng
 
 
@@ -162,58 +160,6 @@ def test_centroids_are_unit_norm(small_world):
 
 def test_nearest_centroid_accuracy_high_at_default_noise(small_world):
     assert nearest_centroid_accuracy(small_world) >= 0.95
-
-
-# ---------------------------------------------------------------------------
-# Table IO
-# ---------------------------------------------------------------------------
-
-
-def test_save_load_round_trip_exact(tmp_path, small_world):
-    path = tmp_path / "words.vec"
-    save_table(small_world.word_vecs, path)
-    loaded = load_table(path)
-    assert loaded.dim == small_world.word_vecs.dim
-    assert loaded.tokens == small_world.word_vecs.tokens
-    for token in loaded.tokens:
-        np.testing.assert_array_equal(loaded[token], small_world.word_vecs[token])
-
-
-def test_load_table_happy_path(tmp_path):
-    path = tmp_path / "t.vec"
-    path.write_text("2 3\nfoo 1.0 2.0 3.0\nbar -1.5 0.25 8.0\n")
-    table = load_table(path)
-    assert table.tokens == ["foo", "bar"]
-    np.testing.assert_allclose(table["bar"], [-1.5, 0.25, 8.0])
-
-
-def test_load_table_skips_blank_lines(tmp_path):
-    path = tmp_path / "t.vec"
-    path.write_text("1 2\n\nfoo 1.0 2.0\n\n")
-    assert load_table(path).tokens == ["foo"]
-
-
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        ("", 1),  # missing header
-        ("3\nfoo 1.0\n", 1),  # header arity
-        ("x y\nfoo 1.0\n", 1),  # non-integer header
-        ("1 0\n", 1),  # dimension must be positive
-        ("1 2\nfoo 1.0\n", 2),  # row arity
-        ("2 1\nfoo 1.0\nfoo 2.0\n", 3),  # duplicate token
-        ("1 1\nfoo abc\n", 2),  # non-numeric value
-        ("2 2\nbar 1.0 2.0\nfoo nan 1.0\n", 3),  # non-finite value
-        ("1 1\nfoo -inf\n", 2),  # non-finite value
-        ("2 1\nfoo 1.0\n", 1),  # count mismatch
-    ],
-)
-def test_load_table_error_lines(tmp_path, text, line):
-    path = tmp_path / "bad.vec"
-    path.write_text(text)
-    with pytest.raises(ParseError) as err:
-        load_table(path)
-    assert err.value.line == line
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from popref.harness import (
     KNOWN_MANIFEST_KEYS,
     Metrics,
     build_dataset_spec,
+    build_inputs,
     build_train_config,
     build_world_config,
     encode_split,
@@ -42,7 +43,7 @@ from popref.harness import (
     validate_manifest_keys,
     write_report_bundle,
 )
-from popref.checkpoint import load_checkpoint, restore_pipeline
+from popref.checkpoint import load_checkpoint, restore_inputs, restore_pipeline
 from popref.numerics import Rng, derive_seed
 from popref.pipeline_model import MISS_GRID, GAP_GRID, PipelineConfig
 from popref.pop_model import PopConfig, PopTrainable, Prediction, init_params
@@ -398,6 +399,25 @@ def test_run_experiment_trpop_uses_one_hot():
     report = run_experiment(manifest)
     assert report["status"] == "ok"
     assert report["encoding"] == "one-hot"
+
+
+@pytest.mark.parametrize("model, task, normalize_blocks", [
+    ("pop", "object-only", "true"),
+    ("trpop", "object-attr", "false"),
+    ("pipeline", "object-attr", "true"),
+])
+def test_a_checkpoint_restores_the_inputs_of_its_run(tmp_path, model, task,
+                                                     normalize_blocks):
+    manifest = {**_TINY_POP, "model": model, "task": task,
+                "encoding.normalize_blocks": normalize_blocks,
+                "data.n_train": "20", "data.n_val": "10", "data.n_test": "10"}
+    if model == "pipeline":
+        manifest.pop("model.d_ent")
+        manifest.pop("model.n_sensors")
+    report = run_experiment(manifest, out_dir=tmp_path)
+    assert report["status"] == "ok", report.get("error")
+    restored = restore_inputs(load_checkpoint(tmp_path / "checkpoint.json"))
+    assert restored == build_inputs(manifest, model, task)
 
 
 def test_run_experiment_reports_failures_instead_of_raising(tmp_path):

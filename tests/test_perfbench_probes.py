@@ -69,8 +69,9 @@ def test_tracer_reads_a_trpop_step(probes, small_world):
     acts = generate_splits(small_world, DatasetSpec(n_train=8, n_val=0, n_test=0,
                                                     seed=2), "object-only")["train"]
     manifest = {}
-    mode, normalize_blocks = harness.build_encoding(manifest, "trpop")
-    encoded = harness.encode_split(small_world, acts, mode, normalize_blocks)
+    inputs = harness.build_inputs(manifest, "trpop", "object-only")
+    encoded = harness.encode_split(small_world, acts, inputs.encoding,
+                                   inputs.normalize_blocks)
     config = harness.build_model(manifest, "trpop", encoded[0].query_vec.size,
                                  encoded[0].candidate_vecs[0].size)
     trainable = PopTrainable(init_params(config, Rng(1)))

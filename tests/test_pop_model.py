@@ -288,7 +288,7 @@ def test_forward_rejects_empty_and_ragged_lineups():
 def test_nonfinite_logits_raise_instead_of_pointing(bad):
     params = init_params(PopConfig(d_query=2, d_cand=3, d_ent=4, n_sensors=2), Rng(1))
     act = _act([1.0, -1.0], [[1.0, 0.0, 0.5], [bad, 0.0, 1.0]], act_id="t-nan")
-    with pytest.raises(NumericError, match="t-nan"), np.errstate(invalid="ignore"):
+    with pytest.raises(NumericError, match="t-nan"):
         predict(params, act)
 
 
@@ -481,7 +481,7 @@ def test_batch_path_names_a_bad_act_mid_chunk(kind):
     acts = [_act(rng.normals(2), [rng.normals(3) for _ in range(2 + i % 3)],
                  act_id=f"good-{i}") for i in range(CHUNK + 8)]
     acts[CHUNK + 3] = bad  # the middle of the second chunk
-    with pytest.raises(error, match="act 'bad'"), np.errstate(invalid="ignore"):
+    with pytest.raises(error, match="act 'bad'"):
         predict_batch(params, acts)
     with pytest.raises(error, match="act 'bad'"), np.errstate(invalid="ignore"):
         forward(params, bad)
