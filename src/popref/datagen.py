@@ -352,16 +352,21 @@ GENERATORS = {
 }
 
 
+def check_task(task: str) -> None:
+    """Raise :class:`ConfigError` unless ``task`` names a generator."""
+    if task not in GENERATORS:
+        raise ConfigError(
+            f"unknown task {task!r}; expected one of {tuple(GENERATORS)}"
+        )
+
+
 def generate_splits(world, spec: DatasetSpec, task: str) -> dict[str, list[ReferenceAct]]:
     """Generate the train/val/test splits for a task.
 
     Each split draws from its own child of ``spec.seed``, so regenerating any
     single split (or resizing another) leaves the rest byte-identical.
     """
-    if task not in GENERATORS:
-        raise ConfigError(
-            f"unknown task {task!r}; expected one of {sorted(GENERATORS)}"
-        )
+    check_task(task)
     gen = GENERATORS[task]
     splits = {}
     for split, count in (("train", spec.n_train), ("val", spec.n_val),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import GENERATORS
+from .datagen import check_task
 from .errors import ConfigError, EncodingError, ValidationError
 from .numerics import Rng, derive_seed, require_finite
 
@@ -353,10 +353,7 @@ class Inputs:
     world_seed: int
 
     def validate(self) -> None:
-        if self.task not in GENERATORS:
-            raise ConfigError(
-                f"unknown task {self.task!r}; expected one of {tuple(GENERATORS)}"
-            )
+        check_task(self.task)
         if self.encoding not in ENCODINGS:
             raise ConfigError(
                 f"unknown encoding {self.encoding!r}; expected one of {ENCODINGS}"

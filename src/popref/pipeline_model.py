@@ -22,7 +22,7 @@ import numpy as np
 
 from .datagen import POINT
 from .errors import ConfigError, NumericError
-from .numerics import Rng, derive_seed, require_finite
+from .numerics import Rng, derive_seed, outer, require_finite
 from .pop_model import (
     CHUNK,
     Prediction,
@@ -112,9 +112,9 @@ def extract_pairs(encoded_acts):
     ]
 
 
-def _cosine(u: np.ndarray, v: np.ndarray, context: str = "") -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float,
+            context: str = "") -> float:
+    """cos(u, v) given the norms ``nu`` and ``nv``; 0 at a zero-norm vector."""
     if nu == 0.0 or nv == 0.0:
         logger.warning("zero-norm mapped vector%s; cosine defined as 0",
                        f" ({context})" if context else "")
@@ -122,13 +122,12 @@ def _cosine(u: np.ndarray, v: np.ndarray, context: str = "") -> float:
     return float(u @ v) / (nu * nv)
 
 
-def _dcos(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partials of cos(u, v) w.r.t. u and v; zero at a zero-norm vector."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+def _dcos(u: np.ndarray, v: np.ndarray, nu: float, nv: float,
+          c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Partials of ``c = cos(u, v)`` w.r.t. u and v, given the norms; zero at
+    a zero-norm vector."""
     if nu == 0.0 or nv == 0.0:
         return np.zeros_like(u), np.zeros_like(v)
-    c = float(u @ v) / (nu * nv)
     du = v / (nu * nv) - c * u / (nu * nu)
     dv = u / (nu * nv) - c * v / (nv * nv)
     return du, dv
@@ -147,19 +146,20 @@ def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[floa
     qv = params.query_map @ query
     pv = params.object_map @ positive
     nv = params.object_map @ negative
-    cos_pos = _cosine(qv, pv, "positive")
-    cos_neg = _cosine(qv, nv, "negative")
+    norm_q, norm_p, norm_n = (float(np.linalg.norm(x)) for x in (qv, pv, nv))
+    cos_pos = _cosine(qv, pv, norm_q, norm_p, "positive")
+    cos_neg = _cosine(qv, nv, norm_q, norm_n, "negative")
     value = params.config.margin - cos_pos + cos_neg
     if value <= 0.0:
         return 0.0, {name: np.zeros_like(arr)
                      for name, arr in params.named_arrays().items()}
 
-    dq_pos, dp = _dcos(qv, pv)
-    dq_neg, dn = _dcos(qv, nv)
+    dq_pos, dp = _dcos(qv, pv, norm_q, norm_p, cos_pos)
+    dq_neg, dn = _dcos(qv, nv, norm_q, norm_n, cos_neg)
     dqv = -dq_pos + dq_neg
     grads = {
-        "query_map": np.outer(dqv, query),
-        "object_map": np.outer(-dp, positive) + np.outer(dn, negative),
+        "query_map": outer(dqv, query),
+        "object_map": outer(-dp, positive) + outer(dn, negative),
     }
     return value, grads
 

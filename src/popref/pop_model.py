@@ -33,6 +33,7 @@ Its logits agree with :func:`forward`'s to rounding; training keeps the
 per-act :func:`forward`, whose trace backprop needs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from .datagen import ANOMALY, Gold
 from .embeddings import EncodedAct
 from .errors import ConfigError, ContractViolation, NumericError
-from .numerics import Rng, logsumexp, softmax
+from .numerics import Rng, outer
 from .training import ColumnSparse, GradcheckReport, Params, Trainable, gradcheck
 
 
@@ -194,6 +195,7 @@ class ForwardTrace:
     anomaly_score: float
     logits: np.ndarray
     probs: np.ndarray
+    log_norm: float            # log of the softmax normaliser, logsumexp(logits)
 
 
 def act_label(act) -> str:
@@ -271,7 +273,10 @@ def forward(params: PopParams, act) -> ForwardTrace:
     logits = np.concatenate([sims, [anomaly_score]])
     if not np.isfinite(logits).all():
         raise NumericError(f"act {act_label(act)!r}: non-finite logits {logits}")
-    probs = softmax(logits)
+    # Softmax and its log-normaliser from one max-shifted exp.
+    top = logits.max()
+    exps = np.exp(logits - top)
+    total = exps.sum()
     return ForwardTrace(
         query_in=query_in,
         query_cols=query_cols,
@@ -287,7 +292,8 @@ def forward(params: PopParams, act) -> ForwardTrace:
         anomaly_raw=anomaly_raw,
         anomaly_score=anomaly_score,
         logits=logits,
-        probs=probs,
+        probs=exps / total,
+        log_norm=float(top) + math.log(float(total)),
     )
 
 
@@ -306,7 +312,7 @@ def loss(trace: ForwardTrace, gold: Gold) -> float:
     """Negative log-likelihood of the gold cell."""
     n = trace.sims.shape[0]
     target = _target_cell(gold, n)
-    return logsumexp(trace.logits) - float(trace.logits[target])
+    return trace.log_norm - float(trace.logits[target])
 
 
 def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np.ndarray]:
@@ -342,7 +348,7 @@ def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np
     else:
         dsensor_pre = dsensors
     pooled = np.array([trace.cum_sim, trace.cardinality])
-    d_sensor_in = np.outer(dsensor_pre, pooled)
+    d_sensor_in = outer(dsensor_pre, pooled)
     dcum_sim = float(dsensor_pre @ params.sensor_in[:, 0])
     dsims_via_anomaly = dcum_sim * dcontrast(trace.sims)
 
@@ -350,17 +356,17 @@ def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np
     dsims = dlogits[:n] + dsims_via_anomaly
 
     dquery_vec = trace.entity_vecs.T @ dsims
-    dentity_vecs = np.outer(dsims, trace.query_vec)
+    dentity_vecs = outer(dsims, trace.query_vec)
 
     # A one-hot (or few-hot) query touches only its nonzero columns of the
     # query map; hand the trainer just those.
     query_in = trace.query_in
     cols = trace.query_cols
     if cols.size < query_in.size:
-        dquery_map = ColumnSparse(cols, np.outer(dquery_vec, query_in[cols]),
+        dquery_map = ColumnSparse(cols, outer(dquery_vec, query_in[cols]),
                                   query_in.size)
     else:
-        dquery_map = np.outer(dquery_vec, query_in)
+        dquery_map = outer(dquery_vec, query_in)
 
     grads = {
         "entity_map": dentity_vecs.T @ trace.candidates_in,

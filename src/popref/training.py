@@ -10,6 +10,12 @@ step uses ``lr0`` exactly), the step size is ``lr0 / (1 + decay * u)``.
 Heavy-ball momentum with zero-initialized velocity:
 ``velocity = momentum * velocity - lr_u * grad; param += velocity``.
 
+The velocities of all arrays live in one flat buffer, so the momentum decay
+is one numpy call per update; each array updates through its view of it.
+The trainer scales each gradient by ``lr_u`` in place: it owns, and may
+overwrite, the gradient arrays ``loss_and_grads`` hands it.  The weights are
+bit-identical to a per-array update with a fresh ``lr_u * grad``.
+
 A gradient may come as a :class:`ColumnSparse` matrix, zero outside a few
 columns (the query-map gradient of a one-hot query).  The trainer then
 subtracts ``lr_u * grad`` from those columns of the velocity only; the
@@ -101,7 +107,10 @@ class Params:
 
 class Trainable:
     """The trainer's handle on a model: its :class:`Params` and, in a
-    subclass, ``loss_and_grads(example) -> (loss, {array name: gradient})``."""
+    subclass, ``loss_and_grads(example) -> (loss, {array name: gradient})``.
+
+    Each gradient is a fresh float array (or :class:`ColumnSparse` block)
+    that nothing else holds: :func:`train` scales it in place."""
 
     def __init__(self, params: Params):
         self.params = params
@@ -162,18 +171,24 @@ class TrainLog:
 def train(trainable, examples, config: TrainConfig, epoch_callback=None) -> TrainLog:
     """Run online SGD over the examples for ``config.epochs`` passes.
 
-    Mutates the trainable's parameter arrays in place and returns the loss
-    log.  Example order is reshuffled each epoch from a seeded stream when
-    ``shuffle_each_epoch`` is set.  ``epoch_callback(epoch, mean_loss,
-    trainable)``, when given, runs after every epoch — handy for validation
-    diagnostics.  A non-finite loss aborts with the offending example's id.
+    Mutates the trainable's parameter arrays, and the gradient arrays it is
+    handed, in place and returns the loss log.  Example order is reshuffled
+    each epoch from a seeded stream when ``shuffle_each_epoch`` is set.
+    ``epoch_callback(epoch, mean_loss, trainable)``, when given, runs after
+    every epoch — handy for validation diagnostics.  A non-finite loss
+    aborts with the offending example's id.
     """
     config.validate()
     examples = list(examples)
     if not examples and config.epochs > 0:
         raise ConfigError("training needs at least one example")
     arrays = trainable.parameter_arrays()
-    velocities = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    # One velocity buffer, decayed in one call; a view of it per array.
+    velocity = np.zeros(sum(arr.size for arr in arrays.values()))
+    views, offset = [], 0
+    for name, arr in arrays.items():
+        views.append((name, arr, velocity[offset:offset + arr.size].reshape(arr.shape)))
+        offset += arr.size
     shuffle_rng = Rng(derive_seed(config.seed, "epoch-shuffle"))
     log = TrainLog()
 
@@ -193,14 +208,15 @@ def train(trainable, examples, config: TrainConfig, epoch_callback=None) -> Trai
                 )
             epoch_loss += value
             lr = learning_rate(config, log.updates)
-            for name, arr in arrays.items():
-                v = velocities[name]
-                v *= config.momentum
+            velocity *= config.momentum
+            for name, arr, v in views:
                 grad = grads[name]
                 if isinstance(grad, ColumnSparse):
-                    v[:, grad.cols] -= lr * grad.block
+                    grad.block *= lr
+                    v[:, grad.cols] -= grad.block
                 else:
-                    v -= lr * grad
+                    grad *= lr
+                    v -= grad
                 arr += v
             log.updates += 1
         log.epoch_losses.append(epoch_loss / len(examples) if examples else 0.0)

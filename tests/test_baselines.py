@@ -23,7 +23,6 @@ from popref.datagen import (
     ReferenceAct,
     gen_object_attribute,
     gen_object_only,
-    matches,
 )
 from popref.errors import ConfigError, UnsupportedInputError
 from popref.numerics import Rng

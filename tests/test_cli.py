@@ -101,6 +101,16 @@ def test_gen_data_rejects_unknown_spec_key(tmp_path, capsys):
     assert "world.n_class" in capsys.readouterr().err
 
 
+def test_gen_data_rejects_unknown_task_with_the_one_message(tmp_path, capsys):
+    spec = tmp_path / "bogus.cfg"
+    spec.write_text(_SPEC_TEXT.replace("task = object-only", "task = bogus"))
+    out = tmp_path / "d"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.count(
+        "unknown task 'bogus'; expected one of ('object-only', 'object-attr')") == 1
+    assert not out.exists()
+
+
 def test_stats_prints_table(data_dir, capsys):
     code = main(["stats", "--train", str(data_dir / "train.jsonl"),
                  "--test", str(data_dir / "test.jsonl")])

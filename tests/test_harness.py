@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from popref.datagen import (
-    ANOMALY,
     MISS,
     MULT,
     POINT,

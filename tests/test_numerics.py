@@ -14,9 +14,8 @@ from popref.numerics import (
     flatten_arrays,
     fnv1a64,
     glorot_uniform,
-    logsumexp,
+    outer,
     rel_error,
-    softmax,
     splitmix64,
     unflatten_into,
 )
@@ -228,30 +227,12 @@ def test_as_vector_rejects_matrices():
         as_vector(np.zeros((2, 2)))
 
 
-def test_softmax_against_direct_computation():
-    v = [2.0, 6.0, 0.0, 0.5]
-    exps = [math.exp(x) for x in v]
-    expected = np.array(exps) / sum(exps)
-    np.testing.assert_allclose(softmax(v), expected, rtol=1e-12)
-    assert softmax(v).sum() == pytest.approx(1.0)
-
-
-def test_softmax_shift_invariance_and_stability():
-    v = np.array([0.3, -1.2, 2.2])
-    np.testing.assert_allclose(softmax(v), softmax(v + 100.0), rtol=1e-12)
-    np.testing.assert_allclose(softmax([1000.0, 1000.0]), [0.5, 0.5])
-
-
-def test_softmax_empty_rejected():
-    with pytest.raises(ContractViolation):
-        softmax([])
-
-
-def test_logsumexp_small_and_large():
-    v = [0.1, 1.5, -0.7]
-    direct = math.log(sum(math.exp(x) for x in v))
-    assert logsumexp(v) == pytest.approx(direct, rel=1e-12)
-    assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0))
+@pytest.mark.parametrize("rows, cols", [(300, 32), (3, 300), (100, 2), (300, 1)])
+def test_outer_is_np_outer_bit_for_bit(rows, cols):
+    rng = Rng(rows * cols)
+    a, b = rng.normals(rows), rng.normals(cols)
+    assert outer(a, b).tobytes() == np.outer(a, b).tobytes()
+    assert outer(a, b).flags.c_contiguous
 
 
 def test_finite_diff_on_quadratic():

@@ -393,6 +393,10 @@ def _random_acts(rng, config, size):
     ]
 
 
+def _cosine_of(u, v):
+    return _cosine(u, v, float(np.linalg.norm(u)), float(np.linalg.norm(v)))
+
+
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 65])
 def test_batched_profiles_match_per_candidate_cosines(size):
     rng = Rng(900 + size)
@@ -401,7 +405,8 @@ def test_batched_profiles_match_per_candidate_cosines(size):
     params = init_pipeline_params(config, rng.fork())
     acts = _random_acts(rng, config, size)
     expected = [
-        np.array([_cosine(params.query_map @ act.query_vec, params.object_map @ vec)
+        np.array([_cosine_of(params.query_map @ act.query_vec,
+                             params.object_map @ vec)
                   for vec in act.candidate_vecs])
         for act in acts
     ]

@@ -311,6 +311,57 @@ def test_loss_rejects_out_of_range_gold():
         loss(trace, Gold.point(2))
 
 
+def test_forward_probs_against_direct_computation():
+    # Zero sensors give a protest score of sigmoid(0) = 0.5.
+    params = _scalar_params(sensor_in=np.zeros((2, 2)), sensor_out=np.zeros((1, 2)))
+    trace = forward(params, _act([1.0], [[2.0], [6.0], [0.0]]))
+    np.testing.assert_array_equal(trace.logits, [2.0, 6.0, 0.0, 0.5])
+    exps = [math.exp(x) for x in trace.logits]
+    np.testing.assert_allclose(trace.probs, np.array(exps) / sum(exps), rtol=1e-12)
+    assert trace.probs.sum() == pytest.approx(1.0)
+    assert trace.log_norm == pytest.approx(math.log(sum(exps)), rel=1e-12)
+
+
+def test_forward_probs_shift_invariance_and_stability():
+    # 1-D maps, identity contrast and squash, and one linear sensor weighing
+    # cum_sim by 1/4: the logits are four candidate values and their mean,
+    # so shifting every candidate shifts every logit.
+    params = PopParams(
+        config=PopConfig(d_query=1, d_cand=1, d_ent=1, n_sensors=1,
+                         contrast="identity", score_squash="identity",
+                         sensor_nonlinearity=False),
+        entity_map=np.array([[1.0]]),
+        query_map=np.array([[1.0]]),
+        sensor_in=np.array([[0.25, 0.0]]),
+        sensor_out=np.array([[1.0]]),
+    )
+    values = np.array([0.3, -1.2, 2.2, 0.5])
+    base = forward(params, _act([1.0], values[:, np.newaxis]))
+    shifted = forward(params, _act([1.0], values[:, np.newaxis] + 100.0))
+    np.testing.assert_allclose(shifted.logits, base.logits + 100.0, rtol=1e-12)
+    np.testing.assert_allclose(shifted.probs, base.probs, rtol=1e-12)
+
+    big = forward(params, _act([1.0], [[1000.0]] * 4))
+    np.testing.assert_array_equal(big.logits, [1000.0] * 5)
+    np.testing.assert_allclose(big.probs, [0.2] * 5)
+    assert loss(big, Gold.miss()) == pytest.approx(math.log(5.0))
+
+
+def test_loss_is_the_max_shifted_logsumexp_bit_for_bit():
+    rng = Rng(4242)
+    config = PopConfig(d_query=3, d_cand=4, d_ent=5, n_sensors=3)
+    for _ in range(20):
+        params = init_params(config, rng.fork())
+        n = 2 + rng.randrange(4)
+        trace = forward(params, _act(rng.normals(3, sigma=5.0),
+                                     [rng.normals(4) for _ in range(n)]))
+        top = float(np.max(trace.logits))
+        log_norm = top + math.log(float(np.exp(trace.logits - top).sum()))
+        for gold, target in ((Gold.point(0), 0), (Gold.point(n - 1), n - 1),
+                             (Gold.miss(), n), (Gold.mult(), n)):
+            assert loss(trace, gold) == log_norm - float(trace.logits[target])
+
+
 # ---------------------------------------------------------------------------
 # Permutation equivariance
 # ---------------------------------------------------------------------------

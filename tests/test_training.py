@@ -6,8 +6,13 @@ import pytest
 from popref.datagen import Gold
 from popref.embeddings import EncodedAct
 from popref.errors import ConfigError, ContractViolation, NumericError
-from popref.numerics import Rng
-from popref.pipeline_model import gradcheck_pipeline
+from popref.numerics import Rng, derive_seed
+from popref.pipeline_model import (
+    PipelineConfig,
+    PipelineTrainable,
+    gradcheck_pipeline,
+    init_pipeline_params,
+)
 from popref.pop_model import PopConfig, PopTrainable, gradcheck_pop, init_params
 from popref.training import (
     ColumnSparse,
@@ -224,13 +229,16 @@ class DensifiedTrainable(PopTrainable):
         return value, {name: np.asarray(g) for name, g in grads.items()}
 
 
-def _one_hot_acts(n_acts, d_query, d_cand, seed):
+def _random_acts(n_acts, d_query, d_cand, seed, one_hot=True):
     rng = Rng(seed)
     golds = [Gold.point(0), Gold.miss(), Gold.mult(), Gold.point(1)]
     acts = []
     for i in range(n_acts):
-        query = np.zeros(d_query)
-        query[rng.randrange(d_query)] = 1.0
+        if one_hot:
+            query = np.zeros(d_query)
+            query[rng.randrange(d_query)] = 1.0
+        else:
+            query = rng.normals(d_query)
         acts.append(EncodedAct(
             query_vec=query,
             candidate_vecs=[rng.normals(d_cand) for _ in range(2 + rng.randrange(3))],
@@ -243,7 +251,7 @@ def _one_hot_acts(n_acts, d_query, d_cand, seed):
 @pytest.mark.parametrize("use_bias", [False, True])
 def test_column_sparse_update_is_bit_identical_to_dense(use_bias):
     config = PopConfig(d_query=20, d_cand=6, d_ent=8, n_sensors=4, use_bias=use_bias)
-    acts = _one_hot_acts(60, config.d_query, config.d_cand, seed=17)
+    acts = _random_acts(60, config.d_query, config.d_cand, seed=17)
     train_config = TrainConfig(lr0=0.1, momentum=0.9, epochs=1, seed=3)
     sparse = PopTrainable(init_params(config, Rng(5)))
     dense = DensifiedTrainable(init_params(config, Rng(5)))
@@ -254,6 +262,72 @@ def test_column_sparse_update_is_bit_identical_to_dense(use_bias):
     assert log_sparse.epoch_losses == log_dense.epoch_losses
     for name, arr in sparse.parameter_arrays().items():
         assert np.array_equal(arr, dense.parameter_arrays()[name]), name
+
+
+def _reference_train(trainable, examples, config):
+    """:func:`train` with one velocity array per parameter array and
+    ``v *= m; v -= lr * grad; arr += v``: the update loop as first written,
+    kept to pin the trainer's bits.  Returns the log and every loss."""
+    arrays = trainable.parameter_arrays()
+    velocities = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    shuffle_rng = Rng(derive_seed(config.seed, "epoch-shuffle"))
+    log, losses = TrainLog(), []
+    for _ in range(config.epochs):
+        order = list(range(len(examples)))
+        shuffle_rng.shuffle(order)
+        epoch_loss = 0.0
+        for position in order:
+            value, grads = trainable.loss_and_grads(examples[position])
+            losses.append(value)
+            epoch_loss += value
+            lr = learning_rate(config, log.updates)
+            for name, arr in arrays.items():
+                v = velocities[name]
+                v *= config.momentum
+                grad = grads[name]
+                if isinstance(grad, ColumnSparse):
+                    v[:, grad.cols] -= lr * grad.block
+                else:
+                    v -= lr * grad
+                arr += v
+            log.updates += 1
+        log.epoch_losses.append(epoch_loss / len(examples))
+    return log, losses
+
+
+def _pop_case(one_hot):
+    config = PopConfig(d_query=20, d_cand=6, d_ent=8, n_sensors=4,
+                       use_bias=not one_hot)
+    acts = _random_acts(40, config.d_query, config.d_cand, seed=23,
+                        one_hot=one_hot)
+    return lambda: PopTrainable(init_params(config, Rng(5))), acts
+
+
+def _pipeline_case():
+    config = PipelineConfig(d_query=5, d_cand=4, d_shared=6, margin=0.3)
+    rng = Rng(29)
+    triples = [(rng.normals(5), rng.normals(4), rng.normals(4)) for _ in range(40)]
+    return lambda: PipelineTrainable(init_pipeline_params(config, Rng(5))), triples
+
+
+@pytest.mark.parametrize("case", ["pop", "trpop", "pipeline"])
+def test_train_is_bit_identical_to_the_per_array_reference(case):
+    """Dense query (``pop``), one-hot query through :class:`ColumnSparse`
+    (``trpop``), and hinge triples, some of them inactive (``pipeline``)."""
+    make, examples = _pipeline_case() if case == "pipeline" else _pop_case(case == "trpop")
+    config = TrainConfig(lr0=0.1, momentum=0.9, decay=1e-2, epochs=2, seed=3)
+    reference, trained = make(), make()
+    ref_log, losses = _reference_train(reference, examples, config)
+    log = train(trained, examples, config)
+
+    assert log.epoch_losses == ref_log.epoch_losses
+    assert log.updates == ref_log.updates == 2 * len(examples)
+    for name, arr in reference.parameter_arrays().items():
+        assert trained.parameter_arrays()[name].tobytes() == arr.tobytes(), name
+    grad = trained.loss_and_grads(examples[0])[1]["query_map"]
+    assert isinstance(grad, ColumnSparse) == (case == "trpop")
+    if case == "pipeline":
+        assert 0.0 in losses and max(losses) > 0.0
 
 
 def test_column_sparse_any_reads_columns_only():
