@@ -10,6 +10,8 @@ script prints every intermediate for a real act, shows that reordering the
 lineup just reorders the answer, and finishes with a gradient check.
 """
 
+import dataclasses
+
 import numpy as np
 
 from popref.datagen import ANOMALY, DatasetSpec, generate_splits
@@ -29,7 +31,7 @@ np.set_printoptions(precision=4, suppress=True)
 
 def show_trace(params, act, label):
     trace = forward(params, act)
-    n = len(act.candidate_vecs)
+    n = len(act.candidates)
     print(f"{label} (lineup of {n}):")
     print(f"  similarities        {trace.sims}")
     print(f"  sharpened (relu)    {trace.sharpened}")
@@ -75,10 +77,9 @@ def main() -> None:
 
     print("reordering the lineup permutes the probabilities:")
     base = forward(params, encoded)
-    n = len(encoded.candidate_vecs)
+    n = len(encoded.candidates)
     perm = list(reversed(range(n)))
-    flipped = encode_act(point_act, world, "dense")
-    flipped.candidate_vecs[:] = [encoded.candidate_vecs[p] for p in perm]
+    flipped = dataclasses.replace(encoded, candidates=encoded.candidates[perm])
     moved = forward(params, flipped)
     print(f"  original probs {base.probs}")
     print(f"  reversed probs {moved.probs}")

@@ -43,13 +43,14 @@ from .datagen import (
     write_jsonl,
 )
 from .embeddings import (
-    EmbeddingTable,
     EncodedAct,
+    EncodedSplit,
     SyntheticWorld,
+    Table,
     WorldConfig,
     build_synthetic_world,
     encode_act,
-    one_hot,
+    encode_split,
     shuffle_images,
 )
 from .errors import (

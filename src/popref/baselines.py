@@ -215,8 +215,8 @@ def run_imgshuffle(
                                  inputs.normalize_blocks)
     encoded_test = encode_split(shuffled, test_acts, inputs.encoding,
                                 inputs.normalize_blocks)
-    config = build_model(manifest, "pop", encoded_train[0].query_vec.size,
-                         encoded_train[0].candidate_vecs[0].size)
+    config = build_model(manifest, "pop", encoded_train.d_query,
+                         encoded_train.d_cand)
     fitted = fit(manifest, "pop", config, encoded_train, inputs)
     metrics = evaluate(lambda acts: predict_batch(fitted.params, acts),
                        encoded_test)

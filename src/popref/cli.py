@@ -125,8 +125,7 @@ def _cmd_train(args) -> int:
             )
     inputs = build_inputs(kv, args.model, task)
     encoded = _encode(inputs, acts, args.allow_unknown)
-    config = build_model(kv, args.model, encoded[0].query_vec.size,
-                         encoded[0].candidate_vecs[0].size)
+    config = build_model(kv, args.model, encoded.d_query, encoded.d_cand)
     fitted = fit(kv, args.model, config, encoded, inputs)
 
     save_checkpoint(fitted.record(), args.out_checkpoint)

@@ -2,61 +2,49 @@
 
 Provides a seeded synthetic "embedding world" (class centroids with Gaussian
 image noise, a fixed cross-modal linear map into word space, random attribute
-vectors, and a sampled object-attribute compatibility relation), one-hot
-encoding for the tabula-rasa model variant, the image-shuffling control
-transform, and :class:`Inputs`, the record of which world a run's acts are
-looked up in and how they are encoded.
+vectors, and a sampled object-attribute compatibility relation), split
+encoding into arrays (dense, or one-hot for the tabula-rasa variant), the
+image-shuffling control transform, and :class:`Inputs`, the record of which
+world a run's acts are looked up in and how they are encoded.
 
 Worlds and tables are immutable after construction and safe for shared
 concurrent reads.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from .datagen import check_task
-from .errors import ConfigError, EncodingError, ValidationError
+from .errors import ConfigError, ContractViolation, EncodingError, ValidationError
 from .numerics import Rng, derive_seed, require_finite
 
 
-class EmbeddingTable:
-    """A token -> fixed-dimension vector map with a declared dimension."""
+@dataclass(frozen=True, eq=False)
+class Table:
+    """One vocabulary's vectors: ``token``'s is row ``index[token]`` of
+    ``vecs``, and the row order is the one-hot order."""
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ConfigError(f"embedding dimension must be >= 1, got {dim}")
-        self.dim = int(dim)
-        self.entries: dict[str, np.ndarray] = {}
+    vecs: np.ndarray
+    index: dict[str, int]
 
-    def add(self, token: str, vec) -> None:
-        if not token:
-            raise ValidationError("embedding token must be nonempty")
-        if token in self.entries:
-            raise ValidationError(f"duplicate embedding token {token!r}")
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.shape != (self.dim,):
-            raise ValidationError(
-                f"vector for {token!r} has length {arr.size}, expected {self.dim}"
-            )
-        self.entries[token] = arr
+    @staticmethod
+    def of(tokens: list[str], vecs, dim: int) -> "Table":
+        """``tokens`` and their ``dim``-float vectors, copied in one pass."""
+        return Table(np.fromiter(vecs, np.dtype((np.float64, dim)), len(tokens)),
+                     {token: row for row, token in enumerate(tokens)})
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        return token in self.index
 
     def __getitem__(self, token: str) -> np.ndarray:
         try:
-            return self.entries[token]
+            return self.vecs[self.index[token]]
         except KeyError:
             raise EncodingError(f"unknown token {token!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def tokens(self) -> list[str]:
-        """Tokens in insertion order (the one-hot vocabulary order)."""
-        return list(self.entries.keys())
 
 
 @dataclass(frozen=True)
@@ -121,9 +109,9 @@ class SyntheticWorld:
 
     objects: list[str]
     images: dict[str, list[str]]
-    image_vecs: EmbeddingTable
-    word_vecs: EmbeddingTable
-    attr_vecs: EmbeddingTable
+    image_vecs: Table
+    word_vecs: Table
+    attr_vecs: Table
     compat: dict[str, tuple[str, ...]]
     config: WorldConfig
     seed: int
@@ -134,13 +122,10 @@ class SyntheticWorld:
     @property
     def attributes(self) -> list[str]:
         """Attribute vocabulary in one-hot order."""
-        return self.attr_vecs.tokens
+        return list(self.attr_vecs.index)
 
     def all_image_ids(self) -> list[str]:
-        out = []
-        for obj in self.objects:
-            out.extend(self.images[obj])
-        return out
+        return list(self.image_vecs.index)
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValidationError on breach."""
@@ -226,26 +211,21 @@ def build_synthetic_world(config: WorldConfig, seed: int) -> SyntheticWorld:
         obj: _unit(rng_centroids.normals(config.d_img)) for obj in objects
     }
 
-    image_vecs = EmbeddingTable(config.d_img)
-    images: dict[str, list[str]] = {}
-    for obj in objects:
-        ids = [f"{obj}-i{k:0{img_width}d}" for k in range(config.images_per_class)]
-        images[obj] = ids
-        for image_id in ids:
-            noise = rng_images.normals(config.d_img, sigma=config.sigma)
-            image_vecs.add(image_id, centroids[obj] + noise)
+    images = {obj: [f"{obj}-i{k:0{img_width}d}" for k in range(config.images_per_class)]
+              for obj in objects}
+    image_vecs = Table.of(
+        [image_id for obj in objects for image_id in images[obj]],
+        (centroids[obj] + rng_images.normals(config.d_img, sigma=config.sigma)
+         for obj in objects for _ in images[obj]), config.d_img)
 
     cross_modal = np.array(
         [rng_map.normals(config.d_img) for _ in range(config.d_word)]
     )
-    word_vecs = EmbeddingTable(config.d_word)
-    for obj in objects:
-        noise = rng_words.normals(config.d_word, sigma=config.sigma_word)
-        word_vecs.add(obj, cross_modal @ centroids[obj] + noise)
-
-    attr_vecs = EmbeddingTable(config.d_word)
-    for attr in attr_names:
-        attr_vecs.add(attr, _unit(rng_attrs.normals(config.d_word)))
+    word_vecs = Table.of(objects, (
+        cross_modal @ centroids[obj] + rng_words.normals(config.d_word, sigma=config.sigma_word)
+        for obj in objects), config.d_word)
+    attr_vecs = Table.of(attr_names, (_unit(rng_attrs.normals(config.d_word))
+                                      for _ in attr_names), config.d_word)
 
     compat_sets = {
         obj: set(rng_compat.sample(attr_names, config.attrs_per_object))
@@ -301,39 +281,96 @@ def nearest_centroid_accuracy(world: SyntheticWorld) -> float:
     return correct / total
 
 
-def one_hot(token: str, vocab: list[str]) -> np.ndarray:
-    """Indicator vector of ``token`` within an ordered vocabulary."""
-    try:
-        index = vocab.index(token)
-    except ValueError:
-        raise EncodingError(
-            f"token {token!r} is not in the one-hot vocabulary"
-        ) from None
-    vec = np.zeros(len(vocab), dtype=np.float64)
-    vec[index] = 1.0
-    return vec
-
-
 @dataclass
 class EncodedAct:
-    """A reference act rendered as network-ready vectors."""
+    """One act as network-ready arrays: a query vector and its n x d_cand lineup."""
 
     query_vec: np.ndarray
-    candidate_vecs: list[np.ndarray]
+    candidates: np.ndarray
     gold: object
     act_id: str = ""
 
-    def validate(self) -> None:
-        if not self.candidate_vecs:
-            raise ValidationError(f"act {self.act_id!r}: no candidate vectors")
-        dims = {v.shape for v in self.candidate_vecs}
-        if len(dims) != 1:
-            raise ValidationError(
-                f"act {self.act_id!r}: candidate dims disagree: {sorted(dims)}"
-            )
-        vecs = [self.query_vec, *self.candidate_vecs]
-        if not np.isfinite(np.concatenate(vecs, axis=None)).all():
-            raise ValidationError(f"act {self.act_id!r}: non-finite vector entries")
+    def require_dims(self, d_query: int, d_cand: int) -> None:
+        """A query of ``d_query`` entries and 1+ candidates of ``d_cand``."""
+        query, lineup = np.shape(self.query_vec), np.shape(self.candidates)
+        if query != (d_query,) or lineup[1:] != (d_cand,) or not lineup[0]:
+            raise ContractViolation(
+                f"act {self.act_id or '<unnamed>'!r}: a query of shape {query} and a "
+                f"lineup of shape {lineup}, not ({d_query},) and (n >= 1, {d_cand})")
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedSplit(Sequence):
+    """A split's acts as network-ready arrays, stored once.
+
+    Act ``i`` is the query ``queries[i]`` against candidates ``offsets[i]``
+    up to ``offsets[i + 1]``, with gold ``golds[i]`` and id ``ids[i]``.
+    Candidate ``k`` is row ``rows[k]`` of ``table``: an object-only split's
+    table is its world's image table, an attribute split's its own N x d_cand
+    matrix.  Indexing gives an act, slicing a sub-split sharing the table.
+    """
+
+    queries: np.ndarray  # B x d_query
+    table: np.ndarray    # T x d_cand
+    rows: np.ndarray     # N
+    offsets: np.ndarray  # B + 1, from 0 to N
+    golds: list
+    ids: list[str]
+
+    @property
+    def candidates(self) -> np.ndarray:
+        """The N x d_cand candidates of every act in order, in one gather."""
+        return np.take(self.table, self.rows, axis=0)
+
+    @property
+    def d_query(self) -> int:
+        return self.queries.shape[1]
+
+    @property
+    def d_cand(self) -> int:
+        return self.table.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        off = self.offsets
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(len(self))
+            if step != 1:
+                raise ContractViolation("a split slices into contiguous runs only")
+            hi = max(lo, hi)
+            return EncodedSplit(self.queries[lo:hi], self.table, self.rows[off[lo]:off[hi]],
+                                off[lo:hi + 1] - off[lo], self.golds[lo:hi],
+                                self.ids[lo:hi])
+        i = range(len(self))[key]
+        return EncodedAct(self.queries[i],
+                          np.take(self.table, self.rows[off[i]:off[i + 1]], axis=0),
+                          self.golds[i], self.ids[i])
+
+    def require_dims(self, d_query: int, d_cand: int) -> None:
+        """:meth:`EncodedAct.require_dims` for every act, naming the first."""
+        if len(self) and (self.d_query, self.d_cand) != (d_query, d_cand):
+            self[0].require_dims(d_query, d_cand)
+
+    @staticmethod
+    def of(acts) -> "EncodedSplit":
+        """The split of hand-made acts, in order.  Each must pass
+        :meth:`EncodedAct.require_dims` with the first act's dimensions."""
+        acts = list(acts)
+        if not acts:
+            return EncodedSplit(np.zeros((0, 0)), np.zeros((0, 0)),
+                                np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp),
+                                [], [])
+        dims = np.size(acts[0].query_vec), np.shape(acts[0].candidates)[-1]
+        for act in acts:
+            act.require_dims(*dims)
+        lengths = [len(act.candidates) for act in acts]
+        return EncodedSplit(
+            np.array([act.query_vec for act in acts], dtype=np.float64),
+            np.concatenate([act.candidates for act in acts], dtype=np.float64),
+            np.arange(sum(lengths)), np.cumsum([0] + lengths),
+            [act.gold for act in acts], [act.act_id for act in acts])
 
 
 ENCODINGS = ("dense", "one-hot")
@@ -361,14 +398,100 @@ class Inputs:
         self.world_config.validate()
 
 
-def _dense_lookup(
-    table: EmbeddingTable, token: str, kind: str, allow_unknown: bool
-) -> np.ndarray:
-    if token in table:
-        return table[token]
-    if allow_unknown:
-        return np.zeros(table.dim, dtype=np.float64)
-    raise EncodingError(f"unknown {kind} {token!r}")
+def _owner(owners: np.ndarray, k: int) -> int:
+    """The act of token ``k``, when act ``i`` owns ``owners[i]:owners[i + 1]``."""
+    return int(np.searchsorted(owners, k, side="right")) - 1
+
+
+def _lookup(ids: list[str], allow_unknown: bool, normalize: bool, table: Table,
+            tokens: list, owners: np.ndarray, kind: str,
+            indicator: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, rows) with token ``k``'s vector (from ``table``, or its
+    indicator) in ``vectors[rows[k]]``; a dense unknown token may be zero."""
+    rows = np.fromiter(map(table.index.get, tokens, repeat(-1)), dtype=np.intp,
+                       count=len(tokens))
+    vecs = np.eye(len(table.index)) if indicator else table.vecs
+    if (rows < 0).any():
+        if indicator or not allow_unknown:
+            k = int(np.argmax(rows < 0))
+            raise EncodingError(
+                f"act {ids[_owner(owners, k)]!r}: unknown {kind} {tokens[k]!r}")
+        vecs = np.vstack([vecs, np.zeros((1, vecs.shape[1]))])  # row -1
+    if normalize and not indicator:  # each row over its own norm
+        vecs = vecs.copy()
+        with np.errstate(invalid="ignore"):  # a non-finite row stays so
+            for row in vecs:
+                norm = float(np.linalg.norm(row))
+                if norm != 0.0:
+                    row /= norm
+    nonfinite = ~np.isfinite(vecs).all(axis=1)[rows]
+    if nonfinite.any():
+        k = int(np.argmax(nonfinite))
+        raise ValidationError(f"act {ids[_owner(owners, k)]!r}: non-finite "
+                              f"vector for {kind} {tokens[k]!r}")
+    return vecs, rows
+
+
+def _gathered(blocks: list, n: int) -> np.ndarray:
+    """Row ``k`` of every (vectors, rows) block, side by side, in place."""
+    out = np.empty((n, sum(vecs.shape[1] for vecs, _ in blocks)))
+    col = 0
+    for vecs, rows in blocks:
+        np.take(vecs, rows, axis=0, out=out[:, col:col + vecs.shape[1]], mode="wrap")
+        col += vecs.shape[1]
+    return out
+
+
+def encode_split(world: SyntheticWorld, acts, mode: str = "dense",
+                 normalize_blocks: bool = False,
+                 allow_unknown: bool = False) -> EncodedSplit:
+    """Turn reference acts into one :class:`EncodedSplit`, one lookup of all
+    the split's tokens per block.
+
+    Object-only acts encode the query as the noun's word vector and each
+    candidate as its image vector.  Attribute-bearing acts concatenate the
+    attribute vector onto both sides.  In ``one-hot`` mode the noun and
+    attributes become indicator vectors over the world's vocabularies, which
+    cannot represent an unseen word; image vectors stay dense.  In dense
+    blocks, ``allow_unknown`` backs unknown tokens off to zero vectors; by
+    default they are an error, since a silent back-off corrupts experiments.
+    ``normalize_blocks`` rescales each block to unit norm, countering
+    cross-modal scale imbalance.  The checks run here, once, and each error
+    names an act: an empty lineup or a non-finite vector is a
+    :class:`ValidationError`; an unknown token, or attribute fields present
+    on some parts of the split and absent on others, an :class:`EncodingError`.
+    """
+    if mode not in ENCODINGS:
+        raise ConfigError(f"unknown encoding mode {mode!r}")
+    acts = list(acts)
+    ids = [act.id for act in acts]
+    lengths = [len(act.items) for act in acts]
+    if 0 in lengths:
+        raise ValidationError(f"act {ids[lengths.index(0)]!r}: no candidate vectors")
+    offsets = np.cumsum([0] + lengths)
+    per_act = np.arange(len(acts) + 1)
+    items = [item for act in acts for item in act.items]
+    query_attrs = [act.query.attribute for act in acts]
+    item_attrs = [item.attribute for item in items]
+    has_attr = bool(acts) and query_attrs[0] is not None
+    for attrs, owners in ((query_attrs, per_act), (item_attrs, offsets)):
+        if attrs.count(None) != (0 if has_attr else len(attrs)):
+            k = [attr is None for attr in attrs].index(has_attr)
+            raise EncodingError(f"act {ids[_owner(owners, k)]!r}: attribute "
+                                f"fields must be all-present or all-absent")
+
+    lookup = partial(_lookup, ids, allow_unknown, normalize_blocks)
+    one_hot, golds = mode == "one-hot", [act.gold for act in acts]
+    queries = [lookup(world.word_vecs, [act.query.noun for act in acts], per_act,
+                      "object noun", one_hot)]
+    images = lookup(world.image_vecs, [item.image_id for item in items], offsets,
+                    "image id", False)
+    if not has_attr:  # the candidates stay rows of the image table
+        return EncodedSplit(_gathered(queries, len(acts)), *images, offsets, golds, ids)
+    queries.append(lookup(world.attr_vecs, query_attrs, per_act, "attribute", one_hot))
+    attrs = lookup(world.attr_vecs, item_attrs, offsets, "attribute", one_hot)
+    return EncodedSplit(_gathered(queries, len(acts)), _gathered([images, attrs], len(items)),
+                        np.arange(len(items)), offsets, golds, ids)
 
 
 def encode_act(
@@ -379,74 +502,8 @@ def encode_act(
     allow_unknown: bool = False,
     normalize_blocks: bool = False,
 ) -> EncodedAct:
-    """Turn a reference act into query/candidate vectors.
-
-    Object-only acts encode the query as the noun's word vector and each
-    candidate as its image vector.  Attribute-bearing acts concatenate the
-    attribute vector onto both sides.  In ``one-hot`` mode the linguistic
-    parts (noun, attributes) become indicator vectors over the world's
-    vocabularies while image vectors stay dense; unknown tokens are always a
-    hard error there, since an indicator vocabulary cannot represent unseen
-    words.  In dense mode, ``allow_unknown`` backs unknown tokens off to zero
-    vectors instead of raising; the default is a hard error because a silent
-    back-off corrupts experiments.  ``normalize_blocks`` rescales each block
-    (image / word / attribute) to unit norm before concatenation, countering
-    cross-modal scale imbalance; off by default.
-    """
-    if mode not in ENCODINGS:
-        raise ConfigError(f"unknown encoding mode {mode!r}")
-    has_attr = act.query.attribute is not None
-    for item in act.items:
-        if (item.attribute is not None) != has_attr:
-            raise EncodingError(
-                f"act {act.id!r}: attribute fields must be all-present or all-absent"
-            )
-
-    def maybe_unit(vec: np.ndarray) -> np.ndarray:
-        if not normalize_blocks:
-            return vec
-        norm = float(np.linalg.norm(vec))
-        return vec if norm == 0.0 else vec / norm
-
-    if mode == "dense":
-        noun_vec = maybe_unit(
-            _dense_lookup(world.word_vecs, act.query.noun, "object noun", allow_unknown)
-        )
-
-        def attr_of(name: str) -> np.ndarray:
-            return maybe_unit(
-                _dense_lookup(world.attr_vecs, name, "attribute", allow_unknown)
-            )
-
-    else:
-        noun_vec = maybe_unit(one_hot(act.query.noun, world.objects))
-
-        def attr_of(name: str) -> np.ndarray:
-            return maybe_unit(one_hot(name, world.attributes))
-
-    if has_attr:
-        query_vec = np.concatenate([noun_vec, attr_of(act.query.attribute)])
-    else:
-        query_vec = noun_vec
-
-    candidates = []
-    for item in act.items:
-        img = maybe_unit(
-            _dense_lookup(world.image_vecs, item.image_id, "image id", allow_unknown)
-        )
-        if has_attr:
-            candidates.append(np.concatenate([img, attr_of(item.attribute)]))
-        else:
-            candidates.append(img)
-
-    encoded = EncodedAct(
-        query_vec=query_vec,
-        candidate_vecs=candidates,
-        gold=act.gold,
-        act_id=act.id,
-    )
-    encoded.validate()
-    return encoded
+    """:func:`encode_split` of one act."""
+    return encode_split(world, [act], mode, normalize_blocks, allow_unknown)[0]
 
 
 def shuffle_images(world: SyntheticWorld, seed: int) -> SyntheticWorld:
@@ -468,13 +525,11 @@ def shuffle_images(world: SyntheticWorld, seed: int) -> SyntheticWorld:
         order[i], order[j] = order[j], order[i]
     permutation = {ids[k]: ids[order[k]] for k in range(len(ids))}
 
-    shuffled = EmbeddingTable(world.image_vecs.dim)
-    for image_id in ids:
-        shuffled.add(image_id, world.image_vecs[permutation[image_id]])
     return SyntheticWorld(
         objects=list(world.objects),
         images={obj: list(ids_) for obj, ids_ in world.images.items()},
-        image_vecs=shuffled,
+        # ids are the table's rows in order, so id k's vector is row order[k]
+        image_vecs=Table(world.image_vecs.vecs[order], world.image_vecs.index),
         word_vecs=world.word_vecs,
         attr_vecs=world.attr_vecs,
         compat=dict(world.compat),

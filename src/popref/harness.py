@@ -20,6 +20,7 @@ import datetime
 import json
 import math
 import os
+import traceback
 import typing
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -35,8 +36,8 @@ from .datagen import (
     dataset_stats,
     generate_splits,
 )
-from .embeddings import Inputs, WorldConfig, build_synthetic_world, encode_act
-from .errors import ConfigError, ParseError
+from .embeddings import EncodedSplit, Inputs, WorldConfig, build_synthetic_world, encode_split
+from .errors import ConfigError, ParseError, PopRefError
 from .numerics import Rng, derive_seed
 from .pipeline_model import (
     PipelineConfig,
@@ -135,18 +136,18 @@ class Metrics:
 
 
 def evaluate(predict_acts, acts) -> Metrics:
-    """Score a batch predictor over gold-bearing acts.
+    """Score a batch predictor over gold-bearing acts (a split or a list).
 
-    ``predict_acts`` maps the list of acts to one Prediction per act; it is
-    called here, so the time it takes is the evaluation's (wrap a one-act
+    ``predict_acts`` maps ``acts`` to one Prediction per act; it is called
+    here, so the time it takes is the evaluation's (wrap a one-act
     predictor with :func:`per_act`).  A prediction is correct iff it points
     at the gold index, or protests on an anomalous act.  The result is
     independent of act order.
     """
-    acts = list(acts)
+    acts = acts if isinstance(acts, EncodedSplit) else list(acts)
+    golds = acts.golds if isinstance(acts, EncodedSplit) else [act.gold for act in acts]
     metrics = Metrics()
-    for act, prediction in zip(acts, predict_acts(acts), strict=True):
-        gold = act.gold
+    for gold, prediction in zip(golds, predict_acts(acts), strict=True):
         category = POINT if gold.kind == POINT else gold.anomaly_kind
         if prediction.is_protest:
             correct = gold.kind == ANOMALY
@@ -310,15 +311,6 @@ def infer_task(acts) -> str:
     return "object-attr" if acts[0].query.attribute is not None else "object-only"
 
 
-def encode_split(world, acts, mode: str, normalize_blocks: bool = False,
-                 allow_unknown: bool = False):
-    return [
-        encode_act(act, world, mode, allow_unknown=allow_unknown,
-                   normalize_blocks=normalize_blocks)
-        for act in acts
-    ]
-
-
 def _protest_rate(params, acts) -> float:
     protests = sum(p.is_protest for p in predict_batch(params, acts))
     return protests / len(acts) if acts else 0.0
@@ -381,10 +373,13 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
     -> evaluate -> report.  Any stage failure produces a partial report with
     ``status: failed`` and the failing stage named.  With ``out_dir`` set,
     writes ``report.json`` (deterministic bytes), ``meta.json`` (timestamp),
-    and ``checkpoint.json``.
+    and ``checkpoint.json``.  A failure that is not a :class:`PopRefError`
+    is a programming error, not bad input: ``meta.json`` then also records
+    its stage and traceback.
     """
     report: dict = {"status": "ok"}
     checkpoint = None
+    meta: dict = {}
     stage = "manifest"
     try:
         validate_manifest_keys(manifest)
@@ -422,11 +417,10 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
             name: encode_split(world, acts, inputs.encoding, inputs.normalize_blocks)
             for name, acts in splits.items()
         }
-        sample = encoded["train"][0] if encoded["train"] else encoded["test"][0]
+        sample = encoded["train"] if len(encoded["train"]) else encoded["test"]
 
         stage = "init"
-        config = build_model(manifest, model, sample.query_vec.size,
-                             sample.candidate_vecs[0].size)
+        config = build_model(manifest, model, sample.d_query, sample.d_cand)
 
         stage = "train"
         probe = encoded["val"][:val_sample] if val_sample > 0 else []
@@ -460,9 +454,11 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
         report["status"] = "failed"
         report["stage"] = stage
         report["error"] = f"{type(exc).__name__}: {exc}"
+        if not isinstance(exc, PopRefError):
+            meta = {"stage": stage, "traceback": traceback.format_exc()}
 
     if out_dir is not None:
-        write_report_bundle(report, out_dir, checkpoint)
+        write_report_bundle(report, out_dir, checkpoint, meta)
     return report
 
 
@@ -471,11 +467,12 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
-def write_report_bundle(report: dict, out_dir, checkpoint: dict | None = None) -> None:
+def write_report_bundle(report: dict, out_dir, checkpoint: dict | None = None,
+                        meta: dict | None = None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report_to_json(report))
-    meta = {"timestamp": datetime.datetime.now().isoformat()}
+    meta = {"timestamp": datetime.datetime.now().isoformat(), **(meta or {})}
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")

@@ -169,13 +169,6 @@ def require_finite(**values: float) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def as_vector(v) -> np.ndarray:
-    out = np.asarray(v, dtype=np.float64)
-    if out.ndim != 1:
-        raise ContractViolation(f"expected a 1-D vector, got shape {out.shape}")
-    return out
-
-
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.outer(a, b)`` of two vectors, bit for bit (each entry is one
     product), at about two thirds of its cost on a 300 x 32 matrix."""
@@ -188,7 +181,9 @@ def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
     Serves as the independent oracle against which hand-derived gradients
     are checked; it never shares code with the analytic paths it verifies.
     """
-    x = as_vector(x).copy()
+    x = np.array(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ContractViolation(f"expected a 1-D vector, got shape {x.shape}")
     grad = np.zeros_like(x)
     for i in range(x.size):
         orig = x[i]

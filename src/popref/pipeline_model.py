@@ -21,16 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import POINT
+from .embeddings import EncodedSplit
 from .errors import ConfigError, NumericError
 from .numerics import Rng, derive_seed, outer, require_finite
-from .pop_model import (
-    CHUNK,
-    Prediction,
-    act_label,
-    as_predictions,
-    padded,
-    stack,
-)
+from .pop_model import CHUNK, Prediction, act_label, as_predictions, padded
 from .training import (
     GradcheckReport,
     Params,
@@ -99,16 +93,17 @@ def init_pipeline_params(config: PipelineConfig, rng: Rng) -> PipelineParams:
     return PipelineParams.init(config, rng)
 
 
-def extract_pairs(encoded_acts):
+def extract_pairs(split: EncodedSplit):
     """Training triples (query, positive, negative) from successful acts only.
 
     The positive is the gold candidate; every other candidate in the same
-    act yields one triple.
+    act yields one triple.  Each vector is a view of a row of the split.
     """
+    off, rows, table = split.offsets, split.rows, split.table
     return [
-        (act.query_vec, act.candidate_vecs[act.gold.index], candidate)
-        for act in encoded_acts if act.gold.kind == POINT
-        for k, candidate in enumerate(act.candidate_vecs) if k != act.gold.index
+        (split.queries[i], table[rows[off[i] + gold.index]], table[row])
+        for i, gold in enumerate(split.golds) if gold.kind == POINT
+        for k, row in enumerate(rows[off[i]:off[i + 1]]) if k != gold.index
     ]
 
 
@@ -173,7 +168,7 @@ class PipelineTrainable(Trainable):
 
 
 def train_pipeline(
-    encoded_acts,
+    encoded_acts: EncodedSplit,
     config: PipelineConfig,
     train_config: TrainConfig,
 ) -> tuple[PipelineParams, TrainLog]:
@@ -186,7 +181,7 @@ def train_pipeline(
     return params, log
 
 
-def chunk_cosines(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray]:
+def chunk_cosines(params: PipelineParams, chunk: EncodedSplit) -> tuple[np.ndarray, np.ndarray]:
     """(cosine of every candidate of a chunk in order, lengths).
 
     Each map is applied to the whole chunk in one matmul.  The dot products
@@ -195,8 +190,9 @@ def chunk_cosines(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray]
     A non-finite query or candidate is a :class:`NumericError` naming its act.
     """
     cfg = params.config
-    queries, candidates, lengths = stack(acts, cfg.d_query, cfg.d_cand)
-    rows = np.repeat(np.arange(len(acts)), lengths)
+    chunk.require_dims(cfg.d_query, cfg.d_cand)
+    queries, candidates, lengths = chunk.queries, chunk.candidates, np.diff(chunk.offsets)
+    rows = np.repeat(np.arange(len(chunk)), lengths)
     # A non-finite act is reported below as a NumericError, not as warnings.
     with np.errstate(invalid="ignore", over="ignore"):
         query_vecs = queries @ params.query_map.T
@@ -208,12 +204,12 @@ def chunk_cosines(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray]
         finite = np.isfinite(dots) & np.isfinite(query_norms * object_norms)
     if not finite.all():
         i = int(rows[np.argmin(finite)])
-        raise NumericError(f"act {act_label(acts[i])!r}: non-finite mapped vectors")
+        raise NumericError(f"act {act_label(chunk[i])!r}: non-finite mapped vectors")
     zero = (query_norms == 0.0) | (object_norms == 0.0)
     if zero.any():
         for i in sorted(set(rows[zero].tolist())):
             logger.warning("zero-norm mapped vector (act %r); cosine defined as 0",
-                           act_label(acts[i]))
+                           act_label(chunk[i]))
     cosines = np.divide(dots, query_norms * object_norms,
                         out=np.zeros_like(dots), where=~zero)
     return cosines, lengths
@@ -221,21 +217,21 @@ def chunk_cosines(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray]
 
 def similarity_profile(params: PipelineParams, act) -> np.ndarray:
     """Cosine similarity of the mapped query against each mapped candidate."""
-    return chunk_cosines(params, [act])[0]
+    return chunk_cosines(params, EncodedSplit.of([act]))[0]
 
 
-def protest_profiles(params: PipelineParams, acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(best similarity, gap between the top two, argmax) of every act, as
-    three arrays, :data:`~popref.pop_model.CHUNK` acts per matmul.
+def protest_profiles(params: PipelineParams, split: EncodedSplit) -> tuple[np.ndarray, ...]:
+    """(best similarity, gap between the top two, argmax) of every act of a
+    split, as three arrays, :data:`~popref.pop_model.CHUNK` acts per matmul.
 
     The gap is inf for a single candidate, so the gap rule never fires
     there.  Ties in the argmax break toward the lowest index.
     """
-    n = len(acts)
+    n = len(split)
     max_sims, gaps = np.empty(n), np.empty(n)
     best = np.empty(n, dtype=np.intp)
     for lo in range(0, n, CHUNK):
-        cosines, lengths = chunk_cosines(params, acts[lo:lo + CHUNK])
+        cosines, lengths = chunk_cosines(params, split[lo:lo + CHUNK])
         # At least two columns: a lone candidate's runner-up is -inf.
         rows = padded(cosines, lengths, max(2, int(lengths.max())))
         top_two = np.sort(rows, axis=1)[:, -2:]
@@ -252,10 +248,10 @@ def _protests(max_sim, gap, min_similarity, min_gap):
 
 
 def pipeline_predict_batch(params: PipelineParams, thresholds: Thresholds,
-                           acts) -> list[Prediction]:
-    """:func:`pipeline_predict` for every act, from one
+                           split: EncodedSplit) -> list[Prediction]:
+    """:func:`pipeline_predict` for every act of a split, from one
     :func:`protest_profiles` call."""
-    max_sims, gaps, best = protest_profiles(params, acts)
+    max_sims, gaps, best = protest_profiles(params, split)
     protest = _protests(max_sims, gaps, thresholds.min_similarity,
                         thresholds.min_gap)
     return as_predictions(protest, best)
@@ -269,27 +265,26 @@ def pipeline_predict(params: PipelineParams, thresholds: Thresholds, act) -> Pre
     similarities differ by less than ``min_gap`` (two things match equally
     well).  See :func:`protest_profiles`.
     """
-    return pipeline_predict_batch(params, thresholds, [act])[0]
+    return pipeline_predict_batch(params, thresholds, EncodedSplit.of([act]))[0]
 
 
 def tune_thresholds(
     params: PipelineParams,
-    encoded_val_acts,
+    val: EncodedSplit,
     miss_grid=MISS_GRID,
     gap_grid=GAP_GRID,
 ) -> Thresholds:
-    """Grid-search both thresholds for maximum overall validation accuracy.
+    """Grid-search both thresholds for maximum overall accuracy on ``val``.
 
     Ties resolve to the smaller thresholds (lexicographically, the
     minimum-similarity floor first): the grids are scanned in ascending
     order and only strictly better accuracy replaces the incumbent.
     """
-    acts = list(encoded_val_acts)
-    if not acts:
+    if not len(val):
         raise ConfigError("threshold tuning needs a nonempty validation set")
-    max_sims, gaps, argmaxes = protest_profiles(params, acts)
-    gold_index = np.array([act.gold.index if act.gold.kind == POINT else -1
-                           for act in acts])
+    max_sims, gaps, argmaxes = protest_profiles(params, val)
+    gold_index = np.array([gold.index if gold.kind == POINT else -1
+                           for gold in val.golds])
     is_anomaly = gold_index < 0
     point_correct = argmaxes == gold_index
 

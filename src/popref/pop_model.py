@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ANOMALY, Gold
-from .embeddings import EncodedAct
+from .embeddings import EncodedAct, EncodedSplit
 from .errors import ConfigError, ContractViolation, NumericError
 from .numerics import Rng, outer
 from .training import ColumnSparse, GradcheckReport, Params, Trainable, gradcheck
@@ -202,39 +202,11 @@ def act_label(act) -> str:
     return getattr(act, "act_id", "") or "<unnamed>"
 
 
-def _lineup(act, d_query: int, d_cand: int) -> tuple[np.ndarray, np.ndarray]:
-    """(query vector, n x d_cand candidate matrix) of one act, as float64.
-
-    An empty or ragged lineup, or a query or candidate of the wrong
-    dimension, is a :class:`ContractViolation` naming the act.
-    """
-    query_in = np.asarray(act.query_vec, dtype=np.float64)
-    try:
-        candidates = np.array(act.candidate_vecs, dtype=np.float64)
-    except ValueError:
-        candidates = None  # ragged: vectors of different lengths
-    if query_in.shape != (d_query,):
-        raise ContractViolation(
-            f"act {act_label(act)!r}: query vector has shape {query_in.shape}, "
-            f"expected ({d_query},)"
-        )
-    if candidates is None or candidates.ndim != 2 or candidates.shape[0] == 0:
-        raise ContractViolation(
-            f"act {act_label(act)!r}: the lineup must be one or more candidate "
-            f"vectors of one length"
-        )
-    if candidates.shape[1] != d_cand:
-        raise ContractViolation(
-            f"act {act_label(act)!r}: candidate vectors have dim "
-            f"{candidates.shape[1]}, expected {d_cand}"
-        )
-    return query_in, candidates
-
-
 def forward(params: PopParams, act) -> ForwardTrace:
     """Run the network over one encoded act; returns the full trace."""
     cfg = params.config
-    query_in, candidates = _lineup(act, cfg.d_query, cfg.d_cand)
+    act.require_dims(cfg.d_query, cfg.d_cand)
+    query_in, candidates = act.query_vec, act.candidates
     n = candidates.shape[0]
 
     entity_vecs = candidates @ params.entity_map.T
@@ -405,27 +377,11 @@ class Prediction:
         return self.kind == PROTEST
 
 
-# Acts per batched inference call: enough that the matmuls outweigh the
-# per-act Python, few enough that a chunk's arrays stay small.
-CHUNK = 32
-
-
-def stack(acts, d_query: int, d_cand: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B x d_query queries, N x d_cand candidates of all acts in order,
-    B lengths) of a chunk of acts, with :func:`_lineup`'s checks."""
-    lengths = np.array([len(act.candidate_vecs) for act in acts])
-    try:
-        queries = np.array([act.query_vec for act in acts], dtype=np.float64)
-        candidates = np.array([vec for act in acts for vec in act.candidate_vecs],
-                              dtype=np.float64)
-    except ValueError:
-        queries = candidates = None  # ragged
-    if (queries is None or queries.shape != (len(acts), d_query)
-            or candidates.shape != (lengths.sum(), d_cand) or not lengths.all()):
-        for act in acts:
-            _lineup(act, d_query, d_cand)  # raises for the first bad act
-        raise ContractViolation("acts do not stack into one chunk")
-    return queries, candidates, lengths
+# Acts per batched inference call, a slice of the split: enough that the
+# matmuls outweigh the per-chunk Python, few enough that a chunk's
+# temporaries (about 0.5 MB) stay below glibc's trim threshold.  At 128 the
+# pop-objonly evaluate page-faulted its temporaries afresh on every chunk.
+CHUNK = 64
 
 
 def padded(values: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
@@ -436,17 +392,18 @@ def padded(values: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
-def chunk_logits(params: PopParams, acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def chunk_logits(params: PopParams, chunk: EncodedSplit) -> tuple[np.ndarray, ...]:
     """(similarities of all candidates in order, protest score per act,
-    lengths) of a chunk, as :func:`forward` computes them but reassociated:
-    ``sims = C @ (entity_map.T @ query_vec)``, so no entity vector is formed.
-    Agrees with :func:`forward`'s logits to rounding."""
+    lengths) of a chunk, a slice of a split, as :func:`forward` computes them
+    but reassociated: ``sims = C @ (entity_map.T @ query_vec)``, so no entity
+    vector is formed.  Agrees with :func:`forward`'s logits to rounding."""
     cfg = params.config
-    queries, candidates, lengths = stack(acts, cfg.d_query, cfg.d_cand)
-    rows = np.repeat(np.arange(len(acts)), lengths)
+    chunk.require_dims(cfg.d_query, cfg.d_cand)
+    queries, candidates, lengths = chunk.queries, chunk.candidates, np.diff(chunk.offsets)
+    rows = np.repeat(np.arange(len(chunk)), lengths)
     contrast, _ = NONLINEARITIES[cfg.contrast]
     squash, _ = NONLINEARITIES[cfg.score_squash]
-    starts = np.cumsum(lengths) - lengths
+    starts = chunk.offsets[:-1]
     # A non-finite act is reported below as a NumericError, not as warnings.
     with np.errstate(invalid="ignore", over="ignore"):
         query_vecs = queries @ params.query_map.T
@@ -471,7 +428,7 @@ def chunk_logits(params: PopParams, acts) -> tuple[np.ndarray, np.ndarray, np.nd
     if not finite.all():
         i = int(np.argmin(finite))
         logits = np.append(sims[starts[i]:starts[i] + lengths[i]], scores[i])
-        raise NumericError(f"act {act_label(acts[i])!r}: non-finite logits {logits}")
+        raise NumericError(f"act {act_label(chunk[i])!r}: non-finite logits {logits}")
     return sims, scores, lengths
 
 
@@ -484,17 +441,17 @@ def as_predictions(protest: np.ndarray, best: np.ndarray) -> list[Prediction]:
             for p, b in zip(protest.tolist(), best.tolist())]
 
 
-def predict_batch(params: PopParams, acts) -> list[Prediction]:
-    """:func:`predict` for every act, :data:`CHUNK` acts per call of
-    :func:`chunk_logits`.
+def predict_batch(params: PopParams, split: EncodedSplit) -> list[Prediction]:
+    """:func:`predict` for every act of a split, :data:`CHUNK` acts per
+    call of :func:`chunk_logits`.
 
     Protest iff the score exceeds every similarity, which is the argmax of
     the output distribution landing on the last cell; otherwise point at the
     first maximal similarity.
     """
     predictions = []
-    for lo in range(0, len(acts), CHUNK):
-        sims, scores, lengths = chunk_logits(params, acts[lo:lo + CHUNK])
+    for lo in range(0, len(split), CHUNK):
+        sims, scores, lengths = chunk_logits(params, split[lo:lo + CHUNK])
         rows = padded(sims, lengths, int(lengths.max()))
         best = rows.argmax(axis=1)  # argmax returns the first maximum
         protest = scores > rows[np.arange(lengths.size), best]
@@ -505,7 +462,7 @@ def predict_batch(params: PopParams, acts) -> list[Prediction]:
 def predict(params: PopParams, act) -> Prediction:
     """:func:`predict_batch` of one act: the argmax over the output
     distribution, ties broken toward the lowest index."""
-    return predict_batch(params, [act])[0]
+    return predict_batch(params, EncodedSplit.of([act]))[0]
 
 
 class PopTrainable(Trainable):
@@ -533,7 +490,7 @@ def _random_act(rng: Rng, d_query: int, d_cand: int, n: int, gold: Gold,
         query[rng.sample(range(d_query), 1 if query_kind == "one-hot" else 2)] = 1.0
     return EncodedAct(
         query_vec=query,
-        candidate_vecs=[rng.normals(d_cand) for _ in range(n)],
+        candidates=np.array([rng.normals(d_cand) for _ in range(n)]),
         gold=gold,
         act_id="gradcheck",
     )

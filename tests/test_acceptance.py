@@ -34,7 +34,7 @@ from popref.datagen import (
     generate_splits,
     validate_act,
 )
-from popref.embeddings import EncodedAct, WorldConfig, build_synthetic_world
+from popref.embeddings import EncodedAct, EncodedSplit, WorldConfig, build_synthetic_world
 from popref.harness import (
     encode_split,
     evaluate,
@@ -211,10 +211,9 @@ def test_05_gradient_checks():
 
 
 def _encoded(query, candidates):
-    vecs = [np.asarray(c, dtype=np.float64) for c in candidates]
     return EncodedAct(
         query_vec=np.asarray(query, dtype=np.float64),
-        candidate_vecs=vecs,
+        candidates=np.array(candidates, dtype=np.float64),
         gold=Gold.point(0),
         act_id="perm",
     )
@@ -253,13 +252,14 @@ def test_06_permutation_equivariance():
             abs(float(moved.probs[n]) - float(base.probs[n])),
         )
         # The batched inference path: both acts in one chunk.
-        sims, scores, _ = chunk_logits(params, [base_act, moved_act])
+        both = EncodedSplit.of([base_act, moved_act])
+        sims, scores, _ = chunk_logits(params, both)
         worst_batch = max(
             worst_batch,
             float(np.max(np.abs(sims[n:] - sims[:n][perm]))),
             abs(float(scores[1] - scores[0])),
         )
-        base_pred, moved_pred = predict_batch(params, [base_act, moved_act])
+        base_pred, moved_pred = predict_batch(params, both)
         consistent += (base_pred.is_protest == moved_pred.is_protest
                        and (base_pred.is_protest
                             or perm[moved_pred.index] == base_pred.index))
@@ -345,8 +345,8 @@ def test_09_learning_sanity(world):
     onehot_train = encode_split(world, splits["train"], "one-hot")
     onehot_test = encode_split(world, splits["test"], "one-hot")
     tr_config = PopConfig(
-        d_query=onehot_train[0].query_vec.size,
-        d_cand=onehot_train[0].candidate_vecs[0].size,
+        d_query=onehot_train.d_query,
+        d_cand=onehot_train.d_cand,
         d_ent=300,
         n_sensors=100,
     )
@@ -378,10 +378,9 @@ def test_09_learning_sanity(world):
 
 
 def _exact_cos_act(sims):
-    vecs = [np.array([s, math.sqrt(1.0 - s * s)]) for s in sims]
     return EncodedAct(
         query_vec=np.array([1.0, 0.0]),
-        candidate_vecs=vecs,
+        candidates=np.array([[s, math.sqrt(1.0 - s * s)] for s in sims]),
         gold=Gold.point(0),
         act_id="micro",
     )

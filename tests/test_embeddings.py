@@ -1,19 +1,20 @@
 """Tests for synthetic worlds, vector tables, and act encoding."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from popref.datagen import DatasetSpec, gen_object_only, generate_splits
 from popref.embeddings import (
-    EmbeddingTable,
-    EncodedAct,
+    EncodedSplit,
+    Table,
     WorldConfig,
     build_synthetic_world,
     encode_act,
+    encode_split,
     nearest_centroid_accuracy,
-    one_hot,
     shuffle_images,
 )
 from popref.errors import ConfigError, EncodingError, ValidationError
@@ -21,41 +22,21 @@ from popref.numerics import Rng
 
 
 # ---------------------------------------------------------------------------
-# EmbeddingTable
+# Table
 # ---------------------------------------------------------------------------
 
 
-def test_table_add_get_contains():
-    table = EmbeddingTable(3)
-    table.add("cat", [1.0, 2.0, 3.0])
-    assert "cat" in table
-    assert "dog" not in table
-    np.testing.assert_allclose(table["cat"], [1.0, 2.0, 3.0])
-    assert len(table) == 1
-
-
-def test_table_rejects_duplicates_and_bad_shapes():
-    table = EmbeddingTable(2)
-    table.add("a", [0.0, 1.0])
-    with pytest.raises(ValidationError):
-        table.add("a", [2.0, 3.0])
-    with pytest.raises(ValidationError):
-        table.add("b", [1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError):
-        table.add("", [0.0, 0.0])
+def test_table_looks_tokens_up_by_row():
+    table = Table.of(["zebra", "apple", "mouse"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], 2)
+    np.testing.assert_array_equal(table["apple"], [3.0, 4.0])
+    assert list(table.index) == ["zebra", "apple", "mouse"]  # the one-hot order
+    assert table.vecs.shape == (3, 2)
 
 
 def test_table_unknown_token_is_encoding_error():
-    table = EmbeddingTable(2)
+    table = Table.of(["a"], [[0.0, 1.0]], 2)
     with pytest.raises(EncodingError):
         table["ghost"]
-
-
-def test_table_tokens_keep_insertion_order():
-    table = EmbeddingTable(1)
-    for token in ["zebra", "apple", "mouse"]:
-        table.add(token, [0.0])
-    assert table.tokens == ["zebra", "apple", "mouse"]
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +153,23 @@ def _some_acts(world, task, count, seed=31):
     return generate_splits(world, spec, task)["train"][:count]
 
 
-def test_one_hot_basic():
-    vec = one_hot("b", ["a", "b", "c"])
-    np.testing.assert_array_equal(vec, [0.0, 1.0, 0.0])
-    with pytest.raises(EncodingError):
-        one_hot("z", ["a", "b"])
+def test_one_hot_rows_follow_the_table_order(small_world):
+    act = _some_acts(small_world, "object-attr", 1)[0]
+    enc = encode_act(act, small_world, "one-hot")
+    n_objects = len(small_world.objects)
+    assert np.flatnonzero(enc.query_vec).tolist() == [
+        small_world.word_vecs.index[act.query.noun],
+        n_objects + small_world.attr_vecs.index[act.query.attribute],
+    ]
+    assert list(small_world.word_vecs.index) == small_world.objects
 
 
 def test_encode_object_only_dense(small_world):
     act = _some_acts(small_world, "object-only", 1)[0]
     enc = encode_act(act, small_world, "dense")
     np.testing.assert_array_equal(enc.query_vec, small_world.word_vecs[act.query.noun])
-    assert len(enc.candidate_vecs) == len(act.items)
-    for vec, item in zip(enc.candidate_vecs, act.items):
+    assert len(enc.candidates) == len(act.items)
+    for vec, item in zip(enc.candidates, act.items):
         np.testing.assert_array_equal(vec, small_world.image_vecs[item.image_id])
     assert enc.gold == act.gold
     assert enc.act_id == act.id
@@ -202,37 +187,44 @@ def test_encode_object_attribute_dense_concatenates(small_world):
     np.testing.assert_array_equal(
         enc.query_vec[d_word:], small_world.attr_vecs[act.query.attribute]
     )
-    for vec, item in zip(enc.candidate_vecs, act.items):
+    for vec, item in zip(enc.candidates, act.items):
         assert vec.shape == (d_img + d_word,)
         np.testing.assert_array_equal(vec[:d_img], small_world.image_vecs[item.image_id])
         np.testing.assert_array_equal(vec[d_img:], small_world.attr_vecs[item.attribute])
 
 
-@pytest.mark.parametrize("where", ["query", "candidate"])
+def _with_bad_row(world, table_name, token, bad):
+    table = getattr(world, table_name)
+    vecs = table.vecs.copy()
+    vecs[table.index[token], 1] = bad
+    return dataclasses.replace(world, **{table_name: Table(vecs, table.index)})
+
+
+def _tokens(act):
+    return {act.query.noun, act.query.attribute,
+            *(item.image_id for item in act.items),
+            *(item.attribute for item in act.items)}
+
+
+@pytest.mark.parametrize("where", ["query", "candidate", "attribute"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_encoded_act_validate_rejects_nonfinite_vectors(where, bad):
-    query, cand = np.ones(3), np.ones(4)
-    if where == "query":
-        query[1] = bad
-    else:
-        cand[2] = bad
-    act = EncodedAct(query_vec=query, candidate_vecs=[np.ones(4), cand],
-                     gold=None, act_id="t-bad")
-    with pytest.raises(ValidationError, match="non-finite"):
-        act.validate()
-
-
-def test_encode_act_rejects_a_nonfinite_table_vector(small_world):
-    act = _some_acts(small_world, "object-only", 1)[0]
-    table = EmbeddingTable(small_world.image_vecs.dim)
-    for image_id in small_world.all_image_ids():
-        vec = small_world.image_vecs[image_id].copy()
-        if image_id == act.items[0].image_id:
-            vec[0] = np.nan
-        table.add(image_id, vec)
-    world = dataclasses.replace(small_world, image_vecs=table)
-    with pytest.raises(ValidationError, match="non-finite"):
-        encode_act(act, world, "dense")
+@pytest.mark.parametrize("normalize_blocks", [False, True])
+def test_encode_split_rejects_a_nonfinite_table_row_naming_the_act(
+        small_world, where, bad, normalize_blocks):
+    acts = _some_acts(small_world, "object-attr", 6)
+    culprit = acts[4]
+    table_name, token = {
+        "query": ("word_vecs", culprit.query.noun),
+        "candidate": ("image_vecs", culprit.items[-1].image_id),
+        "attribute": ("attr_vecs", culprit.items[-1].attribute),
+    }[where]
+    world = _with_bad_row(small_world, table_name, token, bad)
+    users = "|".join(re.escape(act.id) for act in acts if token in _tokens(act))
+    with pytest.raises(ValidationError, match=f"act '({users})': non-finite"):
+        encode_split(world, acts, "dense", normalize_blocks)
+    # A split that never looks the row up encodes.
+    others = [act for act in acts if token not in _tokens(act)]
+    assert len(encode_split(world, others, "dense", normalize_blocks)) == len(others)
 
 
 def test_encode_one_hot_dimensions(small_world):
@@ -241,23 +233,20 @@ def test_encode_one_hot_dimensions(small_world):
     enc = encode_act(oo, small_world, "one-hot")
     assert enc.query_vec.shape == (config.n_classes,)
     assert enc.query_vec.sum() == 1.0
-    assert enc.candidate_vecs[0].shape == (config.d_img,)
+    assert enc.candidates.shape[1:] == (config.d_img,)
 
     oa = _some_acts(small_world, "object-attr", 1)[0]
     enc = encode_act(oa, small_world, "one-hot")
     assert enc.query_vec.shape == (config.n_classes + config.n_attributes,)
     assert enc.query_vec.sum() == 2.0
-    assert enc.candidate_vecs[0].shape == (config.d_img + config.n_attributes,)
+    assert enc.candidates.shape[1:] == (config.d_img + config.n_attributes,)
 
 
 def test_one_hot_equals_dense_with_indicator_tables(small_world):
     """Indicator encoding is dense encoding under identity word/attr tables."""
-    indicator_words = EmbeddingTable(len(small_world.objects))
-    for obj in small_world.objects:
-        indicator_words.add(obj, one_hot(obj, small_world.objects))
-    indicator_attrs = EmbeddingTable(len(small_world.attributes))
-    for attr in small_world.attributes:
-        indicator_attrs.add(attr, one_hot(attr, small_world.attributes))
+    n_objects, n_attributes = len(small_world.objects), len(small_world.attributes)
+    indicator_words = Table.of(small_world.objects, np.eye(n_objects), n_objects)
+    indicator_attrs = Table.of(small_world.attributes, np.eye(n_attributes), n_attributes)
     indicator_world = dataclasses.replace(
         small_world, word_vecs=indicator_words, attr_vecs=indicator_attrs
     )
@@ -266,8 +255,7 @@ def test_one_hot_equals_dense_with_indicator_tables(small_world):
             direct = encode_act(act, small_world, "one-hot")
             via_tables = encode_act(act, indicator_world, "dense")
             np.testing.assert_array_equal(direct.query_vec, via_tables.query_vec)
-            for a, b in zip(direct.candidate_vecs, via_tables.candidate_vecs):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(direct.candidates, via_tables.candidates)
 
 
 def test_encode_unknown_token_policies(small_world):
@@ -313,9 +301,197 @@ def test_encode_normalize_blocks_gives_unit_blocks(small_world):
     d_img = small_world.config.d_img
     assert np.linalg.norm(enc.query_vec[:d_word]) == pytest.approx(1.0)
     assert np.linalg.norm(enc.query_vec[d_word:]) == pytest.approx(1.0)
-    for vec in enc.candidate_vecs:
+    for vec in enc.candidates:
         assert np.linalg.norm(vec[:d_img]) == pytest.approx(1.0)
         assert np.linalg.norm(vec[d_img:]) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The split encoder against the per-act encoder it replaced
+# ---------------------------------------------------------------------------
+
+
+def _parent_one_hot(token: str, vocab: list[str]) -> np.ndarray:
+    """Indicator vector of ``token`` within an ordered vocabulary."""
+    try:
+        index = vocab.index(token)
+    except ValueError:
+        raise EncodingError(
+            f"token {token!r} is not in the one-hot vocabulary"
+        ) from None
+    vec = np.zeros(len(vocab), dtype=np.float64)
+    vec[index] = 1.0
+    return vec
+
+
+def _parent_dense_lookup(table, token: str, kind: str, allow_unknown: bool) -> np.ndarray:
+    if token in table:
+        return table[token]
+    if allow_unknown:
+        return np.zeros(table.vecs.shape[1], dtype=np.float64)
+    raise EncodingError(f"unknown {kind} {token!r}")
+
+
+def _parent_encode_act(act, world, mode="dense", *, allow_unknown=False,
+                       normalize_blocks=False):
+    """The per-act encoder the split encoder replaced, kept verbatim as the
+    reference (it returns the query vector and the list of candidate
+    vectors; only the table width is read as ``vecs.shape[1]``)."""
+    has_attr = act.query.attribute is not None
+    for item in act.items:
+        if (item.attribute is not None) != has_attr:
+            raise EncodingError(
+                f"act {act.id!r}: attribute fields must be all-present or all-absent"
+            )
+
+    def maybe_unit(vec: np.ndarray) -> np.ndarray:
+        if not normalize_blocks:
+            return vec
+        norm = float(np.linalg.norm(vec))
+        return vec if norm == 0.0 else vec / norm
+
+    if mode == "dense":
+        noun_vec = maybe_unit(
+            _parent_dense_lookup(world.word_vecs, act.query.noun, "object noun",
+                                 allow_unknown)
+        )
+
+        def attr_of(name: str) -> np.ndarray:
+            return maybe_unit(
+                _parent_dense_lookup(world.attr_vecs, name, "attribute", allow_unknown)
+            )
+
+    else:
+        noun_vec = maybe_unit(_parent_one_hot(act.query.noun, world.objects))
+
+        def attr_of(name: str) -> np.ndarray:
+            return maybe_unit(_parent_one_hot(name, world.attributes))
+
+    if has_attr:
+        query_vec = np.concatenate([noun_vec, attr_of(act.query.attribute)])
+    else:
+        query_vec = noun_vec
+
+    candidates = []
+    for item in act.items:
+        img = maybe_unit(
+            _parent_dense_lookup(world.image_vecs, item.image_id, "image id",
+                                 allow_unknown)
+        )
+        if has_attr:
+            candidates.append(np.concatenate([img, attr_of(item.attribute)]))
+        else:
+            candidates.append(img)
+    return query_vec, candidates
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["dense", "one-hot"])
+@pytest.mark.parametrize("task", ["object-only", "object-attr"])
+@pytest.mark.parametrize("normalize_blocks", [False, True])
+def test_split_rows_equal_the_per_act_encoding_bit_for_bit(
+        small_world, mode, task, normalize_blocks):
+    acts = _some_acts(small_world, task, 40)
+    split = encode_split(small_world, acts, mode, normalize_blocks)
+    assert len(split) == len(acts)
+    assert split.ids == [act.id for act in acts]
+    assert split.golds == [act.gold for act in acts]
+    assert np.diff(split.offsets).tolist() == [len(act.items) for act in acts]
+    for i, act in enumerate(acts):
+        query, candidates = _parent_encode_act(act, small_world, mode,
+                                               normalize_blocks=normalize_blocks)
+        assert _bits(split.queries[i]) == _bits(query)
+        rows = split.candidates[split.offsets[i]:split.offsets[i + 1]]
+        assert [_bits(row) for row in rows] == [_bits(vec) for vec in candidates]
+        one = encode_act(act, small_world, mode, normalize_blocks=normalize_blocks)
+        assert _bits(one.query_vec) == _bits(query)
+        assert _bits(one.candidates) == _bits(np.array(candidates))
+
+
+def _ghost(act, noun=None, image_id=None, attribute=None):
+    """``act`` with its query noun, its first image id or its first item's
+    attribute replaced."""
+    items = list(act.items)
+    items[0] = dataclasses.replace(
+        items[0], image_id=image_id or items[0].image_id,
+        attribute=attribute or items[0].attribute)
+    return dataclasses.replace(
+        act, query=dataclasses.replace(act.query, noun=noun or act.query.noun),
+        items=tuple(items))
+
+
+@pytest.mark.parametrize("field", ["noun", "image_id", "attribute"])
+@pytest.mark.parametrize("normalize_blocks", [False, True])
+def test_allow_unknown_gives_zero_rows_in_dense_mode_only(
+        small_world, field, normalize_blocks):
+    acts = _some_acts(small_world, "object-attr", 5)
+    acts[2] = _ghost(acts[2], **{field: "nosuch"})
+    split = encode_split(small_world, acts, "dense", normalize_blocks,
+                         allow_unknown=True)
+    for i, act in enumerate(acts):
+        query, candidates = _parent_encode_act(act, small_world, "dense",
+                                               allow_unknown=True,
+                                               normalize_blocks=normalize_blocks)
+        assert _bits(split[i].query_vec) == _bits(query)
+        assert _bits(split[i].candidates) == _bits(np.array(candidates))
+    d_word, d_img = small_world.config.d_word, small_world.config.d_img
+    zero_block = {"noun": split[2].query_vec[:d_word],
+                  "image_id": split[2].candidates[0, :d_img],
+                  "attribute": split[2].candidates[0, d_img:]}[field]
+    assert not zero_block.any()
+    with pytest.raises(EncodingError, match=f"act {acts[2].id!r}: unknown"):
+        encode_split(small_world, acts, "dense", normalize_blocks)
+    if field != "image_id":  # image vectors stay dense in one-hot mode
+        with pytest.raises(EncodingError, match=f"act {acts[2].id!r}: unknown"):
+            encode_split(small_world, acts, "one-hot", normalize_blocks,
+                         allow_unknown=True)
+
+
+def test_encode_split_rejects_an_empty_lineup_naming_the_act(small_world):
+    acts = _some_acts(small_world, "object-only", 4)
+    acts[3] = dataclasses.replace(acts[3], items=())
+    with pytest.raises(ValidationError, match=f"act {acts[3].id!r}: no candidate"):
+        encode_split(small_world, acts, "dense")
+
+
+@pytest.mark.parametrize("part", ["item", "query"])
+def test_encode_split_rejects_mixed_attributes_naming_the_act(small_world, part):
+    acts = _some_acts(small_world, "object-attr", 4)
+    if part == "item":
+        acts[2] = _ghost(acts[2])
+        items = list(acts[2].items)
+        items[-1] = dataclasses.replace(items[-1], attribute=None)
+        acts[2] = dataclasses.replace(acts[2], items=tuple(items))
+    else:
+        acts[2] = dataclasses.replace(
+            acts[2], query=dataclasses.replace(acts[2].query, attribute=None))
+    with pytest.raises(EncodingError, match=f"act {acts[2].id!r}: attribute fields"):
+        encode_split(small_world, acts, "dense")
+
+
+@pytest.mark.parametrize("task", ["object-only", "object-attr"])
+def test_split_slices_share_the_table(small_world, task):
+    split = encode_split(small_world, _some_acts(small_world, task, 9))
+    if task == "object-only":  # candidates are rows of the world's image table
+        assert split.table is small_world.image_vecs.vecs
+    else:
+        assert split.rows.tolist() == list(range(len(split.candidates)))
+    part = split[3:7]
+    assert isinstance(part, EncodedSplit) and len(part) == 4
+    assert part.ids == split.ids[3:7]
+    assert part.table is split.table
+    assert np.shares_memory(part.queries, split.queries)
+    assert part.offsets[0] == 0
+    np.testing.assert_array_equal(
+        part.candidates, split.candidates[split.offsets[3]:split.offsets[7]])
+    act = part[1]
+    assert act.act_id == split.ids[4]
+    np.testing.assert_array_equal(act.candidates, split[4].candidates)
+    assert [a.act_id for a in split] == split.ids
+    assert len(split[7:3]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,4 +549,4 @@ def test_generated_acts_encode_after_shuffle(small_world):
     shuffled = shuffle_images(small_world, seed=1)
     for act in acts:
         enc = encode_act(act, shuffled, "dense")
-        assert len(enc.candidate_vecs) == len(act.items)
+        assert len(enc.candidates) == len(act.items)

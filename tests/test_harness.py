@@ -314,8 +314,7 @@ def test_encode_split_matches_per_act_encoding(small_world):
     for enc, act in zip(encoded, acts):
         direct = encode_act(act, small_world, "dense")
         np.testing.assert_array_equal(enc.query_vec, direct.query_vec)
-        for got, want in zip(enc.candidate_vecs, direct.candidate_vecs):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(enc.candidates, direct.candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +440,27 @@ def test_run_experiment_reports_failures_instead_of_raising(tmp_path):
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["status"] == "failed"
     assert not (out / "checkpoint.json").exists()
+    # Bad input is not a programming error: meta.json holds just the time.
+    assert set(json.loads((out / "meta.json").read_text())) == {"timestamp"}
+
+
+def test_a_programming_error_leaves_its_stage_and_traceback_in_meta(
+        tmp_path, monkeypatch):
+    def broken_encoder(*args, **kwargs):
+        raise RuntimeError("a bug, not bad input")
+
+    monkeypatch.setattr(harness, "encode_split", broken_encoder)
+    report = run_experiment(dict(_TINY_POP), out_dir=tmp_path)
+    assert report["status"] == "failed"
+    assert report["stage"] == "encode"
+    assert report["error"] == "RuntimeError: a bug, not bad input"
+    assert (tmp_path / "report.json").read_text() == report_to_json(report)
+    assert "traceback" not in report
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["stage"] == "encode"
+    assert "broken_encoder" in meta["traceback"]
+    assert meta["traceback"].rstrip().endswith("RuntimeError: a bug, not bad input")
+    datetime.datetime.fromisoformat(meta["timestamp"])
 
 
 @pytest.mark.parametrize("key, value, stage", [

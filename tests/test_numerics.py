@@ -8,7 +8,6 @@ import pytest
 from popref.errors import ContractViolation
 from popref.numerics import (
     Rng,
-    as_vector,
     derive_seed,
     finite_diff_grad,
     flatten_arrays,
@@ -222,9 +221,9 @@ def test_fork_yields_distinct_deterministic_children():
 # ---------------------------------------------------------------------------
 
 
-def test_as_vector_rejects_matrices():
+def test_finite_diff_grad_rejects_matrices():
     with pytest.raises(ContractViolation):
-        as_vector(np.zeros((2, 2)))
+        finite_diff_grad(lambda x: float(x.sum()), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("rows, cols", [(300, 32), (3, 300), (100, 2), (300, 1)])

@@ -72,8 +72,8 @@ def test_tracer_reads_a_trpop_step(probes, small_world):
     inputs = harness.build_inputs(manifest, "trpop", "object-only")
     encoded = harness.encode_split(small_world, acts, inputs.encoding,
                                    inputs.normalize_blocks)
-    config = harness.build_model(manifest, "trpop", encoded[0].query_vec.size,
-                                 encoded[0].candidate_vecs[0].size)
+    config = harness.build_model(manifest, "trpop", encoded.d_query,
+                                 encoded.d_cand)
     trainable = PopTrainable(init_params(config, Rng(1)))
 
     tracer = probes.Tracer("guard")
@@ -119,10 +119,10 @@ def test_stage_clock_times_every_stage_and_all_scoring_in_its_stage(
     scorer = getattr(module, name)
     scored = []
 
-    def spy(params, acts):
-        scored.append((clock._stage, {act.act_id.split("-")[0] for act in acts},
-                       len(acts)))
-        return scorer(params, acts)
+    def spy(params, chunk):
+        scored.append((clock._stage, {act_id.split("-")[0] for act_id in chunk.ids},
+                       len(chunk)))
+        return scorer(params, chunk)
 
     monkeypatch.setattr(module, name, spy)
     manifest = _load("workloads").manifest_for(workload, 3, toy=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from popref.datagen import Gold
-from popref.embeddings import EncodedAct
+from popref.embeddings import EncodedAct, EncodedSplit
 from popref.errors import ConfigError, ContractViolation, NumericError
 from popref.numerics import Rng
 from popref.pipeline_model import (
@@ -46,10 +46,9 @@ def _unit_at(cosine: float) -> np.ndarray:
 
 def _act(sims, gold, act_id="p-0") -> EncodedAct:
     """Act whose identity-map similarity profile is exactly ``sims``."""
-    vecs = [_unit_at(s) for s in sims]
     return EncodedAct(
         query_vec=np.array([1.0, 0.0]),
-        candidate_vecs=vecs,
+        candidates=np.array([_unit_at(s) for s in sims]),
         gold=gold,
         act_id=act_id,
     )
@@ -119,13 +118,18 @@ def test_extract_pairs_from_success_acts_only():
         _act([0.9, 0.9], Gold.mult(), "c"),
         _act([0.8], Gold.point(0), "d"),  # no in-act negatives available
     ]
-    triples = extract_pairs(acts)
+    split = EncodedSplit.of(acts)
+    triples = extract_pairs(split)
     assert len(triples) == 2
     query, positive, negative0 = triples[0]
     np.testing.assert_array_equal(query, acts[0].query_vec)
-    np.testing.assert_array_equal(positive, acts[0].candidate_vecs[1])
-    np.testing.assert_array_equal(negative0, acts[0].candidate_vecs[0])
-    np.testing.assert_array_equal(triples[1][2], acts[0].candidate_vecs[2])
+    np.testing.assert_array_equal(positive, acts[0].candidates[1])
+    np.testing.assert_array_equal(negative0, acts[0].candidates[0])
+    np.testing.assert_array_equal(triples[1][2], acts[0].candidates[2])
+    # Every vector is a view of a row of the split, never a copy.
+    for triple in triples:
+        assert np.shares_memory(triple[0], split.queries)
+        assert all(np.shares_memory(v, split.table) for v in triple[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,7 @@ def test_cosine_is_scale_invariant():
     act = _act([0.9, 0.3], Gold.point(0))
     scaled = EncodedAct(
         query_vec=act.query_vec * 7.0,
-        candidate_vecs=[v * 0.01 for v in act.candidate_vecs],
+        candidates=act.candidates * 0.01,
         gold=act.gold,
         act_id=act.act_id,
     )
@@ -320,7 +324,7 @@ def test_tuning_with_no_anomalies_keeps_smallest_thresholds():
     acts = [
         _act([0.9, 0.2, 0.1], Gold.point(0), f"v-{i}") for i in range(20)
     ]
-    thresholds = tune_thresholds(params, acts)
+    thresholds = tune_thresholds(params, EncodedSplit.of(acts))
     assert thresholds == Thresholds(min_similarity=-1.0, min_gap=0.0)
 
 
@@ -330,7 +334,7 @@ def test_tuning_finds_separating_floor():
     # the similarity floor can separate the two populations.
     acts = [_act([0.9, 0.3], Gold.point(0), f"s-{i}") for i in range(10)]
     acts += [_act([0.2, -0.5], Gold.miss(), f"m-{i}") for i in range(10)]
-    thresholds = tune_thresholds(params, acts)
+    thresholds = tune_thresholds(params, EncodedSplit.of(acts))
     # Any floor in (0.2, 0.9] separates perfectly; the scan keeps the
     # smallest grid value that does, and the gap threshold stays at zero.
     assert thresholds.min_similarity == pytest.approx(0.25)
@@ -341,7 +345,7 @@ def test_tuning_finds_separating_gap():
     params = _identity_params()
     acts = [_act([0.9, 0.5], Gold.point(0), f"s-{i}") for i in range(10)]
     acts += [_act([0.9, 0.88], Gold.mult(), f"d-{i}") for i in range(10)]
-    thresholds = tune_thresholds(params, acts)
+    thresholds = tune_thresholds(params, EncodedSplit.of(acts))
     assert thresholds.min_similarity == -1.0
     assert thresholds.min_gap == pytest.approx(0.03)
 
@@ -354,21 +358,21 @@ def test_tuning_results_lie_on_the_grids():
         sims = sorted((rng.uniform(-0.8, 0.9) for _ in range(3)), reverse=True)
         gold = Gold.point(0) if i % 3 else Gold.miss()
         acts.append(_act(sims, gold, f"g-{i}"))
-    thresholds = tune_thresholds(params, acts)
+    thresholds = tune_thresholds(params, EncodedSplit.of(acts))
     assert thresholds.min_similarity in MISS_GRID
     assert thresholds.min_gap in GAP_GRID
 
 
 def test_tuning_rejects_empty_validation():
     with pytest.raises(ConfigError):
-        tune_thresholds(_identity_params(), [])
+        tune_thresholds(_identity_params(), EncodedSplit.of([]))
 
 
 def test_tuning_handles_single_candidate_acts():
     params = _identity_params()
     acts = [_act([0.9], Gold.point(0), "one-0"),
             _act([0.1], Gold.miss(), "one-1")]
-    thresholds = tune_thresholds(params, acts)
+    thresholds = tune_thresholds(params, EncodedSplit.of(acts))
     pred = pipeline_predict(params, thresholds, acts[0])
     assert pred.kind == "point"
     assert pipeline_predict(params, thresholds, acts[1]).is_protest
@@ -381,16 +385,16 @@ def test_tuning_handles_single_candidate_acts():
 
 def _random_acts(rng, config, size):
     """Acts of 1-7 candidates, so every chunk mixes lengths and lone candidates."""
-    return [
+    return EncodedSplit.of([
         EncodedAct(
             query_vec=rng.normals(config.d_query),
-            candidate_vecs=[rng.normals(config.d_cand)
-                            for _ in range(1 + rng.randrange(7))],
+            candidates=np.array([rng.normals(config.d_cand)
+                                 for _ in range(1 + rng.randrange(7))]),
             gold=Gold.point(0),
             act_id=f"r-{i}",
         )
         for i in range(size)
-    ]
+    ])
 
 
 def _cosine_of(u, v):
@@ -407,7 +411,7 @@ def test_batched_profiles_match_per_candidate_cosines(size):
     expected = [
         np.array([_cosine_of(params.query_map @ act.query_vec,
                              params.object_map @ vec)
-                  for vec in act.candidate_vecs])
+                  for vec in act.candidates])
         for act in acts
     ]
     for act, cosines in zip(acts, expected):
@@ -430,10 +434,10 @@ def test_batched_profiles_warn_on_a_zero_norm_act_mid_chunk(caplog):
     params = _identity_params()
     acts = [_act([0.9, 0.2], Gold.point(0), f"p-{i}") for i in range(CHUNK + 8)]
     acts[CHUNK + 3] = EncodedAct(query_vec=np.array([1.0, 0.0]),
-                                 candidate_vecs=[np.zeros(2), _unit_at(0.5)],
+                                 candidates=np.array([np.zeros(2), _unit_at(0.5)]),
                                  gold=Gold.point(1), act_id="zero")
     with caplog.at_level(logging.WARNING, logger="popref.pipeline_model"):
-        max_sims, gaps, best = protest_profiles(params, acts)
+        max_sims, gaps, best = protest_profiles(params, EncodedSplit.of(acts))
     warned = [r.getMessage() for r in caplog.records]
     assert len(warned) == 1 and "zero-norm" in warned[0] and "'zero'" in warned[0]
     assert (max_sims[CHUNK + 3], best[CHUNK + 3]) == (pytest.approx(0.5), 1)
@@ -441,19 +445,25 @@ def test_batched_profiles_warn_on_a_zero_norm_act_mid_chunk(caplog):
 
 
 @pytest.mark.parametrize("candidates, query", [
-    ([], [1.0, 0.0]),                                   # empty lineup
-    ([[1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 0.0]),        # ragged
+    (np.zeros((0, 2)), [1.0, 0.0]),                     # empty lineup
     ([[1.0, 0.0, 0.0]], [1.0, 0.0]),                    # wrong candidate dim
     ([[1.0, 0.0]], [1.0, 0.0, 0.0]),                    # wrong query dim
-], ids=["empty", "ragged", "candidate-dim", "query-dim"])
+], ids=["empty", "candidate-dim", "query-dim"])
 def test_batched_profiles_reject_a_bad_act_mid_chunk(candidates, query):
     acts = [_act([0.9, 0.2], Gold.point(0), f"p-{i}") for i in range(CHUNK + 8)]
     acts[CHUNK + 3] = EncodedAct(
         query_vec=np.array(query),
-        candidate_vecs=[np.array(c) for c in candidates],
+        candidates=np.array(candidates),
         gold=Gold.miss(), act_id="bad")
     with pytest.raises(ContractViolation, match="act 'bad'"):
-        protest_profiles(_identity_params(), acts)
+        protest_profiles(_identity_params(), EncodedSplit.of(acts))
+
+
+def test_batched_profiles_reject_a_split_of_other_dims():
+    acts = EncodedSplit.of([_act([0.9, 0.2], Gold.point(0), f"p-{i}")
+                            for i in range(3)])
+    with pytest.raises(ContractViolation, match="act 'p-0'"):
+        protest_profiles(_identity_params(dim=3), acts)
 
 
 @pytest.mark.parametrize("candidates, query", [
@@ -474,10 +484,10 @@ def test_batched_profiles_reject_a_non_finite_act_mid_chunk(candidates, query, c
     acts = [_act([0.9, 0.2], Gold.point(0), f"p-{i}") for i in range(CHUNK + 8)]
     acts[CHUNK + 3] = EncodedAct(
         query_vec=np.array(query),
-        candidate_vecs=[np.array(c) for c in candidates],
+        candidates=np.array(candidates),
         gold=Gold.point(0), act_id="bad")
     with pytest.raises(NumericError, match="act 'bad'"):
-        call(_identity_params(), acts)
+        call(_identity_params(), EncodedSplit.of(acts))
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +507,12 @@ def _separable_acts(rng, count=40):
         acts.append(
             EncodedAct(
                 query_vec=query,
-                candidate_vecs=[pos, neg],
+                candidates=np.array([pos, neg]),
                 gold=Gold.point(0),
                 act_id=f"sep-{i}",
             )
         )
-    return acts
+    return EncodedSplit.of(acts)
 
 
 def test_train_pipeline_reduces_hinge_loss():

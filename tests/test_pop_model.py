@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from popref.datagen import Gold
-from popref.embeddings import EncodedAct
+from popref.embeddings import EncodedAct, EncodedSplit
 from popref.errors import ConfigError, ContractViolation, NumericError
 from popref.numerics import Rng
-from popref.embeddings import WorldConfig, build_synthetic_world, encode_act
+from popref.embeddings import WorldConfig, build_synthetic_world, encode_split
 from popref.datagen import DatasetSpec, generate_splits
 from popref.pop_model import (
     CHUNK,
@@ -26,6 +26,14 @@ from popref.pop_model import (
     loss,
     predict,
     predict_batch,
+)
+from popref import pipeline_model, pop_model
+from popref.harness import report_to_json, run_experiment
+from popref.pipeline_model import (
+    PipelineConfig,
+    Thresholds,
+    init_pipeline_params,
+    pipeline_predict_batch,
 )
 from popref.training import ColumnSparse
 
@@ -59,10 +67,9 @@ def _scalar_params(sensor_in, sensor_out, n_sensors=2) -> PopParams:
 
 
 def _act(query, candidates, gold=None, act_id="t-0") -> EncodedAct:
-    vecs = [np.asarray(c, dtype=np.float64) for c in candidates]
     return EncodedAct(
         query_vec=np.asarray(query, dtype=np.float64),
-        candidate_vecs=vecs,
+        candidates=np.array(candidates, dtype=np.float64),
         gold=gold or Gold.point(0),
         act_id=act_id,
     )
@@ -219,14 +226,14 @@ def _direct_trace(params, act):
     cfg = params.config
     contrast, _ = NONLINEARITIES[cfg.contrast]
     squash, _ = NONLINEARITIES[cfg.score_squash]
-    C = np.stack(act.candidate_vecs)
+    C = act.candidates
     ent = C @ params.entity_map.T
     q = params.query_map @ np.asarray(act.query_vec)
     if cfg.use_bias:
         ent = ent + params.entity_bias
         q = q + params.query_bias
     sims = ent @ q
-    pooled = np.array([contrast(sims).sum(), float(len(act.candidate_vecs))])
+    pooled = np.array([contrast(sims).sum(), float(len(act.candidates))])
     pre = params.sensor_in @ pooled
     if cfg.use_bias:
         pre = pre + params.sensor_in_bias
@@ -275,13 +282,15 @@ def test_forward_rejects_wrong_dimensions():
         forward(params, _act([1.0, 2.0], [[1.0, 2.0]]))
 
 
-def test_forward_rejects_empty_and_ragged_lineups():
+def test_forward_rejects_an_empty_or_flat_lineup():
     params = _zero_params(PopConfig(d_query=2, d_cand=3, d_ent=2, n_sensors=2))
-    empty = EncodedAct(query_vec=np.ones(2), candidate_vecs=[], gold=Gold.miss())
+    empty = EncodedAct(query_vec=np.ones(2), candidates=np.zeros((0, 3)),
+                       gold=Gold.miss())
     with pytest.raises(ContractViolation, match="lineup"):
         forward(params, empty)
+    flat = EncodedAct(query_vec=np.ones(2), candidates=np.ones(3), gold=Gold.miss())
     with pytest.raises(ContractViolation, match="lineup"):
-        forward(params, _act([1.0, 2.0], [[1.0, 2.0, 3.0], [1.0, 2.0]]))
+        forward(params, flat)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -436,8 +445,8 @@ def test_predict_breaks_ties_toward_lowest_index():
     # Zero sensors score sigmoid(0) = 0.5: a tie with the best candidate
     # points, since the protest cell comes last.
     assert predict(params, _act([1.0], [[0.5], [0.2]])) == Prediction.point(0)
-    assert predict_batch(params, [_act([1.0], [[0.2], [0.5001]]),
-                                  _act([1.0], [[0.2], [0.4999]])]) == \
+    assert predict_batch(params, EncodedSplit.of([_act([1.0], [[0.2], [0.5001]]),
+                                                  _act([1.0], [[0.2], [0.4999]])])) == \
         [Prediction.point(1), Prediction.protest()]
 
 
@@ -461,7 +470,7 @@ def _random_split(rng: Rng, config: PopConfig, size: int, query_kind: str):
         n = 1 + rng.randrange(6)  # lengths mix within every chunk
         acts.append(_act(query, [rng.normals(config.d_cand) for _ in range(n)],
                          act_id=f"b-{i}"))
-    return acts
+    return EncodedSplit.of(acts)
 
 
 def _reference_prediction(trace) -> Prediction:
@@ -489,7 +498,7 @@ def test_batch_path_matches_forward(use_bias, query_kind):
         traces = [forward(params, act) for act in acts]
 
         sims, scores, lengths = chunk_logits(params, acts)
-        assert lengths.tolist() == [len(act.candidate_vecs) for act in acts]
+        assert lengths.tolist() == [len(act.candidates) for act in acts]
         np.testing.assert_allclose(sims, np.concatenate([t.sims for t in traces]),
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(scores, [t.anomaly_score for t in traces],
@@ -499,8 +508,18 @@ def test_batch_path_matches_forward(use_bias, query_kind):
         assert [predict(params, act) for act in acts] == expected
 
 
-def test_batch_path_splits_into_chunks_of_CHUNK_acts():
-    assert CHUNK == 32
+_TOY_WORLD = {"world.n_classes": "12", "world.images_per_class": "3",
+              "world.n_attributes": "10", "world.d_img": "16", "world.d_word": "8",
+              "world.attrs_per_object": "4", "world.seed": "5"}
+_TOY_RUNS = {
+    "pop": {"task": "object-only", "model.d_ent": "12", "model.n_sensors": "5"},
+    "trpop": {"task": "object-only", "model.d_ent": "12", "model.n_sensors": "5"},
+    "pipeline": {"task": "object-attr", "model.d_shared": "10"},
+}
+
+
+def test_batch_path_splits_into_chunks_of_CHUNK_acts(monkeypatch):
+    assert CHUNK == 64
     config = PopConfig(d_query=3, d_cand=4, d_ent=5, n_sensors=3, use_bias=True)
     params = init_params(config, Rng(11))
     acts = _random_split(Rng(12), config, 2 * CHUNK + 1, "dense")
@@ -508,15 +527,39 @@ def test_batch_path_splits_into_chunks_of_CHUNK_acts():
     assert len(whole) == len(acts)
     assert whole == [p for lo in range(0, len(acts), 7)
                      for p in predict_batch(params, acts[lo:lo + 7])]
-    assert predict_batch(params, []) == []
+    assert predict_batch(params, EncodedSplit.of([])) == []
+
+    # Predictions, the protest probe, tuned thresholds and every report byte
+    # are the same at any chunk size.
+    pipe_config = PipelineConfig(d_query=3, d_cand=4, d_shared=5)
+    pipe_params = init_pipeline_params(pipe_config, Rng(13))
+    pipe_acts = _random_split(Rng(14), PopConfig(d_query=3, d_cand=4),
+                              2 * CHUNK + 1, "dense")
+    thresholds = Thresholds(min_similarity=-0.2, min_gap=0.05)
+    outcomes = []
+    for size in (1, 7, CHUNK):
+        monkeypatch.setattr(pop_model, "CHUNK", size)
+        monkeypatch.setattr(pipeline_model, "CHUNK", size)
+        reports = {
+            model: report_to_json(run_experiment({
+                **_TOY_WORLD, **settings, "model": model, "data.n_train": "40",
+                "data.n_val": "140", "data.n_test": "150", "train.epochs": "1"}))
+            for model, settings in _TOY_RUNS.items()
+        }
+        outcomes.append((predict_batch(params, acts), reports,
+                         pipeline_predict_batch(pipe_params, thresholds, pipe_acts)))
+    assert outcomes[0][0] == whole
+    assert all('"status": "ok"' in report for report in outcomes[0][1].values())
+    assert {p.is_protest for p in outcomes[0][2]} == {True, False}
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 def _bad_acts():
     good = [1.0, 2.0, 3.0]
     return {
-        "empty": (ContractViolation, EncodedAct(query_vec=np.ones(2), candidate_vecs=[],
+        "empty": (ContractViolation, EncodedAct(query_vec=np.ones(2),
+                                                candidates=np.zeros((0, 3)),
                                                 gold=Gold.miss(), act_id="bad")),
-        "ragged": (ContractViolation, _act([1.0, 2.0], [good, [1.0, 2.0]], act_id="bad")),
         "query-dim": (ContractViolation, _act([1.0, 2.0, 3.0], [good], act_id="bad")),
         "candidate-dim": (ContractViolation, _act([1.0, 2.0], [[1.0, 2.0]], act_id="bad")),
         "nan": (NumericError, _act([1.0, 2.0], [good, [math.nan, 0.0, 1.0]], act_id="bad")),
@@ -533,7 +576,7 @@ def test_batch_path_names_a_bad_act_mid_chunk(kind):
                  act_id=f"good-{i}") for i in range(CHUNK + 8)]
     acts[CHUNK + 3] = bad  # the middle of the second chunk
     with pytest.raises(error, match="act 'bad'"):
-        predict_batch(params, acts)
+        predict_batch(params, EncodedSplit.of(acts))
     with pytest.raises(error, match="act 'bad'"), np.errstate(invalid="ignore"):
         forward(params, bad)
 
@@ -544,12 +587,10 @@ def test_hot_query_slice_equals_the_dense_product_bit_for_bit(task, normalize_bl
     world = build_synthetic_world(WorldConfig(), 0)
     acts = generate_splits(world, DatasetSpec(n_train=60, n_val=0, n_test=0, seed=3),
                            task)["train"]
-    encoded = [encode_act(act, world, "one-hot", normalize_blocks=normalize_blocks)
-               for act in acts]
+    encoded = encode_split(world, acts, "one-hot", normalize_blocks)
     assert {int(np.count_nonzero(e.query_vec)) for e in encoded} == \
         {1 if task == "object-only" else 2}
-    config = PopConfig(d_query=encoded[0].query_vec.size,
-                       d_cand=encoded[0].candidate_vecs[0].size)
+    config = PopConfig(d_query=encoded.d_query, d_cand=encoded.d_cand)
     rng = Rng(17)
     for _ in range(5):
         params = init_params(config, rng.fork())

@@ -241,7 +241,8 @@ def _random_acts(n_acts, d_query, d_cand, seed, one_hot=True):
             query = rng.normals(d_query)
         acts.append(EncodedAct(
             query_vec=query,
-            candidate_vecs=[rng.normals(d_cand) for _ in range(2 + rng.randrange(3))],
+            candidates=np.array([rng.normals(d_cand)
+                                 for _ in range(2 + rng.randrange(3))]),
             gold=golds[i % len(golds)],
             act_id=f"oh-{i}",
         ))
