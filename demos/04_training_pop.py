@@ -11,8 +11,10 @@ successful acts without giving up anomaly detection entirely.
 
 import time
 
+import numpy as np
+
 from popref.baselines import majority_predict
-from popref.datagen import DatasetSpec, generate_splits
+from popref.datagen import PROTEST, DatasetSpec, generate_splits
 from popref.embeddings import WorldConfig, build_synthetic_world
 from popref.harness import encode_split, evaluate, per_act
 from popref.numerics import Rng, derive_seed
@@ -41,10 +43,9 @@ def main() -> None:
     train_config = TrainConfig(epochs=EPOCHS, seed=0)
 
     def protest_rate(model_params):
-        protests = sum(
-            p.is_protest for p in predict_batch(model_params, val_acts)
-        )
-        return protests / len(val_acts)
+        # A batch prediction is one int per act: a candidate index, or PROTEST.
+        choices = predict_batch(model_params, val_acts)
+        return np.count_nonzero(choices == PROTEST) / len(val_acts)
 
     print(f"training on {N_TRAIN} acts for {EPOCHS} epochs "
           f"(lr0={train_config.lr0}, momentum={train_config.momentum}, "

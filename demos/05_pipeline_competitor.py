@@ -13,13 +13,12 @@ rather than a trained pathway inside one network.
 
 import numpy as np
 
-from popref.datagen import DatasetSpec, generate_splits
+from popref.datagen import PROTEST, DatasetSpec, generate_splits
 from popref.embeddings import WorldConfig, build_synthetic_world
 from popref.harness import encode_split, evaluate
 from popref.pipeline_model import (
     PipelineConfig,
     extract_pairs,
-    pipeline_predict,
     pipeline_predict_batch,
     similarity_profile,
     train_pipeline,
@@ -71,10 +70,14 @@ def main() -> None:
           f"the gap rule {gap_hits}x")
     print()
 
+    # The whole split's answers in one array: a candidate index per act, or
+    # PROTEST; evaluate scores such arrays against the golds.
+    choices = pipeline_predict_batch(params, thresholds, test_acts)
+    print(f"the pipeline protests on {np.count_nonzero(choices == PROTEST)} "
+          f"of {len(choices)} test acts")
     sample = test_acts[0]
     sims = similarity_profile(params, sample)
-    pred = pipeline_predict(params, thresholds, sample)
-    outcome = "protest" if pred.is_protest else f"point at #{pred.index}"
+    outcome = "protest" if choices[0] == PROTEST else f"point at #{choices[0]}"
     print(f"example act {sample.act_id}: cosines {sims} -> {outcome}")
     print()
 

@@ -28,6 +28,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .datagen import (
+    PROTEST,
     DatasetSpec,
     Gold,
     Item,
@@ -39,6 +40,7 @@ from .datagen import (
     generate_splits,
     matches,
     read_jsonl,
+    scored,
     validate_act,
     write_jsonl,
 )

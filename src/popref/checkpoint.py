@@ -85,6 +85,9 @@ def load_checkpoint(path) -> dict:
     for key in ("config", "arrays"):
         if key not in record:
             raise ParseError(f"checkpoint missing {key!r}")
+    unknown = sorted(set(record) - {"kind", "config", "arrays", "extra", "thresholds"})
+    if unknown:
+        raise ParseError(f"checkpoint has unknown keys {unknown}")
     return record
 
 
@@ -100,12 +103,16 @@ def _restore(record: dict):
     """(params, thresholds or None) of a loaded record of a checked kind."""
     config_cls, params_cls = MODELS[record["kind"]]
     config = _validated(config_cls, record, "config")
+    shapes, stored = params_cls.shapes(config), record["arrays"]
+    if not isinstance(stored, dict):
+        raise ParseError(f"checkpoint arrays must be an object, got {stored!r:.40}")
+    if stored.keys() != shapes.keys():
+        raise ParseError(f"checkpoint arrays {sorted(stored)} are not the "
+                         f"{sorted(shapes)} of its config's model")
     arrays = {}
-    for name in params_cls.shapes(config):
-        if name not in record["arrays"]:
-            raise ParseError(f"checkpoint missing array {name!r}")
+    for name in shapes:
         try:
-            arrays[name] = np.array(record["arrays"][name], dtype=np.float64)
+            arrays[name] = np.array(stored[name], dtype=np.float64)
         except (TypeError, ValueError):
             raise ParseError(f"checkpoint array {name!r} is not numeric") from None
     params = params_cls(config=config, **arrays)

@@ -16,6 +16,8 @@ gold-consistency validator before it is emitted.
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, GenerationError, ParseError, ValidationError, checked
 from .numerics import Rng, derive_seed, require_finite
 
@@ -23,6 +25,9 @@ POINT = "point"
 ANOMALY = "anomaly"
 MISS = "miss"
 MULT = "mult"
+
+# An answer to an act is the index of the candidate it points at, or PROTEST.
+PROTEST = -1
 
 _MAX_CONSTRAINT_RETRIES = 1000
 
@@ -39,6 +44,11 @@ class Gold:
     kind: str
     index: int | None = None
     anomaly_kind: str | None = None
+
+    @property
+    def choice(self) -> int:
+        """The right answer: the gold index, or :data:`PROTEST` at an anomaly."""
+        return self.index if self.kind == POINT else PROTEST
 
     @staticmethod
     def point(index: int) -> "Gold":
@@ -63,6 +73,12 @@ class Gold:
                 raise ValidationError(f"inconsistent anomaly gold: {self}")
         else:
             raise ValidationError(f"unknown gold kind {self.kind!r}")
+
+
+def scored(choices, golds) -> np.ndarray:
+    """The one scoring rule: whether each answer in ``choices`` (one per
+    act, or one for all) is its gold's :attr:`Gold.choice`."""
+    return choices == np.array([gold.choice for gold in golds], dtype=np.intp)
 
 
 @dataclass(frozen=True)

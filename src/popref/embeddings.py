@@ -12,7 +12,7 @@ concurrent reads.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
 
@@ -525,17 +525,7 @@ def shuffle_images(world: SyntheticWorld, seed: int) -> SyntheticWorld:
         order[i], order[j] = order[j], order[i]
     permutation = {ids[k]: ids[order[k]] for k in range(len(ids))}
 
-    return SyntheticWorld(
-        objects=list(world.objects),
-        images={obj: list(ids_) for obj, ids_ in world.images.items()},
-        # ids are the table's rows in order, so id k's vector is row order[k]
-        image_vecs=Table(world.image_vecs.vecs[order], world.image_vecs.index),
-        word_vecs=world.word_vecs,
-        attr_vecs=world.attr_vecs,
-        compat=dict(world.compat),
-        config=world.config,
-        seed=world.seed,
-        class_centroids=dict(world.class_centroids),
-        inverse_compat=dict(world.inverse_compat),
-        image_permutation=permutation,
-    )
+    # ids are the table's rows in order, so id k's vector is row order[k]
+    return replace(world,
+                   image_vecs=Table(world.image_vecs.vecs[order], world.image_vecs.index),
+                   image_permutation=permutation)

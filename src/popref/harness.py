@@ -24,20 +24,24 @@ import traceback
 import typing
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
+
+import numpy as np
 
 from .checkpoint import MODELS, pipeline_record, pop_record, save_checkpoint
 from .datagen import (
-    ANOMALY,
     GENERATORS,
     MISS,
     MULT,
     POINT,
+    PROTEST,
     DatasetSpec,
     dataset_stats,
     generate_splits,
+    scored,
 )
 from .embeddings import EncodedSplit, Inputs, WorldConfig, build_synthetic_world, encode_split
-from .errors import ConfigError, ParseError, PopRefError
+from .errors import ConfigError, ContractViolation, ParseError, PopRefError
 from .numerics import Rng, derive_seed
 from .pipeline_model import (
     PipelineConfig,
@@ -61,52 +65,47 @@ MODEL_KINDS = tuple(MODELS)
 TASKS = tuple(GENERATORS)
 
 
-@dataclass
-class CategoryCount:
-    correct: int = 0
-    n: int = 0
-
-    @property
-    def percentage(self) -> float | None:
-        return None if self.n == 0 else 100.0 * self.correct / self.n
+def _percentage(correct: int, n: int) -> float | None:
+    return None if n == 0 else 100.0 * correct / n
 
 
 @dataclass
 class Metrics:
-    """Itemized accuracies with raw counts and the full confusion table."""
+    """Itemized accuracies, all read off one confusion table: gold category
+    -> predicted bucket -> acts.  A point is in ``point_correct`` only at
+    the gold index, so an anomaly's right answers are its protests."""
 
-    counts: dict[str, CategoryCount] = field(
-        default_factory=lambda: {cat: CategoryCount() for cat in GOLD_CATEGORIES}
-    )
-    confusion: dict[str, dict[str, int]] = field(
-        default_factory=lambda: {
-            cat: {bucket: 0 for bucket in PREDICTED_BUCKETS}
-            for cat in GOLD_CATEGORIES
+    confusion: dict[str, dict[str, int]] = field(default_factory=lambda: {
+        cat: dict.fromkeys(PREDICTED_BUCKETS, 0) for cat in GOLD_CATEGORIES})
+
+    @property
+    def counts(self) -> dict[str, dict[str, int]]:
+        """Per gold category: right answers and acts."""
+        return {
+            cat: {"correct": row["point_correct"] + (row["protest"] if cat != POINT else 0),
+                  "n": sum(row.values())}
+            for cat, row in self.confusion.items()
         }
-    )
 
     @property
     def n_total(self) -> int:
-        return sum(c.n for c in self.counts.values())
+        return sum(c["n"] for c in self.counts.values())
 
     @property
     def total(self) -> float | None:
-        n = self.n_total
-        if n == 0:
-            return None
-        return 100.0 * sum(c.correct for c in self.counts.values()) / n
+        return _percentage(sum(c["correct"] for c in self.counts.values()), self.n_total)
 
     @property
     def pointing(self) -> float | None:
-        return self.counts[POINT].percentage
+        return _percentage(**self.counts[POINT])
 
     @property
     def missref(self) -> float | None:
-        return self.counts[MISS].percentage
+        return _percentage(**self.counts[MISS])
 
     @property
     def multref(self) -> float | None:
-        return self.counts[MULT].percentage
+        return _percentage(**self.counts[MULT])
 
     def to_dict(self) -> dict:
         return {
@@ -114,10 +113,7 @@ class Metrics:
             "pointing": self.pointing,
             "missref": self.missref,
             "multref": self.multref,
-            "counts": {
-                cat: {"correct": c.correct, "n": c.n}
-                for cat, c in self.counts.items()
-            },
+            "counts": self.counts,
             "confusion": {cat: dict(row) for cat, row in self.confusion.items()},
         }
 
@@ -125,12 +121,12 @@ class Metrics:
         def fmt(value: float | None) -> str:
             return "--" if value is None else f"{value:.1f}"
 
+        n = {cat: count["n"] for cat, count in self.counts.items()}
         lines = [
             "        Total  Pointing  MissRef  MultRef",
             f"acc %   {fmt(self.total):>5}  {fmt(self.pointing):>8}  "
             f"{fmt(self.missref):>7}  {fmt(self.multref):>7}",
-            f"n       {self.n_total:>5}  {self.counts[POINT].n:>8}  "
-            f"{self.counts[MISS].n:>7}  {self.counts[MULT].n:>7}",
+            f"n       {self.n_total:>5}  {n[POINT]:>8}  {n[MISS]:>7}  {n[MULT]:>7}",
         ]
         return "\n".join(lines)
 
@@ -138,34 +134,32 @@ class Metrics:
 def evaluate(predict_acts, acts) -> Metrics:
     """Score a batch predictor over gold-bearing acts (a split or a list).
 
-    ``predict_acts`` maps ``acts`` to one Prediction per act; it is called
-    here, so the time it takes is the evaluation's (wrap a one-act
-    predictor with :func:`per_act`).  A prediction is correct iff it points
-    at the gold index, or protests on an anomalous act.  The result is
-    independent of act order.
+    ``predict_acts`` maps ``acts`` to an int array of choices, one per act
+    (see :class:`~popref.pop_model.Prediction`); it is called here, so the
+    time it takes is the evaluation's (wrap a one-act predictor with
+    :func:`per_act`).  Each answer is scored by
+    :func:`~popref.datagen.scored` and tallied into one confusion table.
+    The result is independent of act order.
     """
     acts = acts if isinstance(acts, EncodedSplit) else list(acts)
     golds = acts.golds if isinstance(acts, EncodedSplit) else [act.gold for act in acts]
-    metrics = Metrics()
-    for gold, prediction in zip(golds, predict_acts(acts), strict=True):
-        category = POINT if gold.kind == POINT else gold.anomaly_kind
-        if prediction.is_protest:
-            correct = gold.kind == ANOMALY
-            metrics.confusion[category]["protest"] += 1
-        else:
-            correct = gold.kind == POINT and prediction.index == gold.index
-            bucket = "point_correct" if correct else "point_wrong"
-            metrics.confusion[category][bucket] += 1
-        cell = metrics.counts[category]
-        cell.n += 1
-        cell.correct += int(correct)
-    return metrics
+    choices = np.asarray(predict_acts(acts))
+    if choices.shape != (len(golds),):
+        raise ContractViolation(
+            f"a predictor gave answers of shape {choices.shape} for {len(golds)} acts")
+    rows = np.array([GOLD_CATEGORIES.index(POINT if gold.kind == POINT else gold.anomaly_kind)
+                     for gold in golds], dtype=np.intp)
+    # Columns in PREDICTED_BUCKETS order: point_correct, point_wrong, protest.
+    columns = np.where(choices == PROTEST, 2, np.where(scored(choices, golds), 0, 1))
+    table = np.bincount(3 * rows + columns, minlength=9).reshape(3, 3).tolist()
+    return Metrics({cat: dict(zip(PREDICTED_BUCKETS, row))
+                    for cat, row in zip(GOLD_CATEGORIES, table)})
 
 
 def per_act(predictor):
     """The batch form of a one-act predictor (act -> Prediction), for
     :func:`evaluate`."""
-    return lambda acts: [predictor(act) for act in acts]
+    return lambda acts: np.array([predictor(act).choice for act in acts], dtype=np.intp)
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -312,7 +306,7 @@ def infer_task(acts) -> str:
 
 
 def _protest_rate(params, acts) -> float:
-    protests = sum(p.is_protest for p in predict_batch(params, acts))
+    protests = np.count_nonzero(predict_batch(params, acts) == PROTEST)
     return protests / len(acts) if acts else 0.0
 
 
@@ -394,6 +388,8 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
         val_sample = _as_int(
             manifest.get("diagnostic.val_sample", "500"), "diagnostic.val_sample"
         )
+        if val_sample < 0:
+            raise ConfigError(f"key 'diagnostic.val_sample': expected >= 0, got {val_sample}")
         report["manifest"] = dict(manifest)
         report["task"] = inputs.task
         report["model"] = model
@@ -435,17 +431,13 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
             stage = "tune"
             thresholds = tune_thresholds(params, encoded["val"])
             report["thresholds"] = asdict(thresholds)
-            stage = "evaluate"
-            metrics = evaluate(
-                lambda acts: pipeline_predict_batch(params, thresholds, acts),
-                encoded["test"],
-            )
+            predict_acts = partial(pipeline_predict_batch, params, thresholds)
         else:
             if probe:
                 report["diagnostics"] = {"val_protest_rate": fitted.protest_rates}
-            stage = "evaluate"
-            metrics = evaluate(lambda acts: predict_batch(params, acts),
-                               encoded["test"])
+            predict_acts = partial(predict_batch, params)
+        stage = "evaluate"
+        metrics = evaluate(predict_acts, encoded["test"])
         checkpoint = fitted.record(thresholds)
 
         stage = "report"

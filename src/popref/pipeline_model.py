@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import POINT
+from .datagen import POINT, PROTEST, scored
 from .embeddings import EncodedSplit
 from .errors import ConfigError, NumericError
 from .numerics import Rng, derive_seed, outer, require_finite
-from .pop_model import CHUNK, Prediction, act_label, as_predictions, padded
+from .pop_model import CHUNK, Prediction, act_label, padded
 from .training import (
     GradcheckReport,
     Params,
@@ -248,13 +248,14 @@ def _protests(max_sim, gap, min_similarity, min_gap):
 
 
 def pipeline_predict_batch(params: PipelineParams, thresholds: Thresholds,
-                           split: EncodedSplit) -> list[Prediction]:
+                           split: EncodedSplit) -> np.ndarray:
     """:func:`pipeline_predict` for every act of a split, from one
-    :func:`protest_profiles` call."""
+    :func:`protest_profiles` call: an int array of choices (see
+    :class:`~popref.pop_model.Prediction`)."""
     max_sims, gaps, best = protest_profiles(params, split)
     protest = _protests(max_sims, gaps, thresholds.min_similarity,
                         thresholds.min_gap)
-    return as_predictions(protest, best)
+    return np.where(protest, PROTEST, best)
 
 
 def pipeline_predict(params: PipelineParams, thresholds: Thresholds, act) -> Prediction:
@@ -265,16 +266,13 @@ def pipeline_predict(params: PipelineParams, thresholds: Thresholds, act) -> Pre
     similarities differ by less than ``min_gap`` (two things match equally
     well).  See :func:`protest_profiles`.
     """
-    return pipeline_predict_batch(params, thresholds, EncodedSplit.of([act]))[0]
+    return Prediction(int(pipeline_predict_batch(params, thresholds,
+                                                 EncodedSplit.of([act]))[0]))
 
 
-def tune_thresholds(
-    params: PipelineParams,
-    val: EncodedSplit,
-    miss_grid=MISS_GRID,
-    gap_grid=GAP_GRID,
-) -> Thresholds:
-    """Grid-search both thresholds for maximum overall accuracy on ``val``.
+def tune_thresholds(params: PipelineParams, val: EncodedSplit) -> Thresholds:
+    """Grid-search both thresholds over :data:`MISS_GRID` x :data:`GAP_GRID`
+    for maximum overall accuracy on ``val``.
 
     Ties resolve to the smaller thresholds (lexicographically, the
     minimum-similarity floor first): the grids are scanned in ascending
@@ -283,16 +281,16 @@ def tune_thresholds(
     if not len(val):
         raise ConfigError("threshold tuning needs a nonempty validation set")
     max_sims, gaps, argmaxes = protest_profiles(params, val)
-    gold_index = np.array([gold.index if gold.kind == POINT else -1
-                           for gold in val.golds])
-    is_anomaly = gold_index < 0
-    point_correct = argmaxes == gold_index
+    # An act's two possible answers are scored once; a grid cell picks one.
+    right_if_point = scored(argmaxes, val.golds)
+    right_if_protest = scored(PROTEST, val.golds)
 
-    best = (-1, Thresholds(min_similarity=miss_grid[0], min_gap=gap_grid[0]))
-    for theta_miss in miss_grid:
-        for theta_gap in gap_grid:
+    best = (-1, Thresholds(min_similarity=MISS_GRID[0], min_gap=GAP_GRID[0]))
+    for theta_miss in MISS_GRID:
+        for theta_gap in GAP_GRID:
             protest = _protests(max_sims, gaps, theta_miss, theta_gap)
-            correct = int(np.sum(np.where(protest, is_anomaly, point_correct)))
+            correct = np.count_nonzero(np.where(protest, right_if_protest,
+                                                right_if_point))
             if correct > best[0]:
                 best = (correct, Thresholds(min_similarity=theta_miss,
                                             min_gap=theta_gap))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import ANOMALY, Gold
+from .datagen import ANOMALY, PROTEST, Gold
 from .embeddings import EncodedAct, EncodedSplit
 from .errors import ConfigError, ContractViolation, NumericError
 from .numerics import Rng, outer
@@ -354,27 +354,29 @@ def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np
     return grads
 
 
-PROTEST = "protest"
-
-
 @dataclass(frozen=True)
 class Prediction:
-    """A model's answer: point at candidate ``index``, or protest."""
+    """A model's answer about one act: the index of the candidate it points
+    at, or :data:`~popref.datagen.PROTEST`.  Batch predictors answer a whole
+    split with an int array of such choices."""
 
-    kind: str
-    index: int | None = None
+    choice: int
 
     @staticmethod
     def point(index: int) -> "Prediction":
-        return Prediction(kind="point", index=int(index))
+        return Prediction(int(index))
 
     @staticmethod
     def protest() -> "Prediction":
-        return Prediction(kind=PROTEST)
+        return Prediction(PROTEST)
 
     @property
     def is_protest(self) -> bool:
-        return self.kind == PROTEST
+        return self.choice == PROTEST
+
+    @property
+    def index(self) -> int | None:
+        return None if self.is_protest else self.choice
 
 
 # Acts per batched inference call, a slice of the split: enough that the
@@ -432,37 +434,29 @@ def chunk_logits(params: PopParams, chunk: EncodedSplit) -> tuple[np.ndarray, ..
     return sims, scores, lengths
 
 
-def as_predictions(protest: np.ndarray, best: np.ndarray) -> list[Prediction]:
-    """Per act: protest where ``protest``, else point at ``best``.  Equal
-    predictions share one (frozen) instance."""
-    protest_once = Prediction.protest()
-    points = [Prediction.point(i) for i in range(int(best.max(initial=0)) + 1)]
-    return [protest_once if p else points[b]
-            for p, b in zip(protest.tolist(), best.tolist())]
-
-
-def predict_batch(params: PopParams, split: EncodedSplit) -> list[Prediction]:
+def predict_batch(params: PopParams, split: EncodedSplit) -> np.ndarray:
     """:func:`predict` for every act of a split, :data:`CHUNK` acts per
-    call of :func:`chunk_logits`.
+    call of :func:`chunk_logits`: an int array of choices (see
+    :class:`Prediction`).
 
     Protest iff the score exceeds every similarity, which is the argmax of
     the output distribution landing on the last cell; otherwise point at the
     first maximal similarity.
     """
-    predictions = []
+    choices = np.empty(len(split), dtype=np.intp)
     for lo in range(0, len(split), CHUNK):
         sims, scores, lengths = chunk_logits(params, split[lo:lo + CHUNK])
         rows = padded(sims, lengths, int(lengths.max()))
         best = rows.argmax(axis=1)  # argmax returns the first maximum
         protest = scores > rows[np.arange(lengths.size), best]
-        predictions += as_predictions(protest, best)
-    return predictions
+        choices[lo:lo + lengths.size] = np.where(protest, PROTEST, best)
+    return choices
 
 
 def predict(params: PopParams, act) -> Prediction:
     """:func:`predict_batch` of one act: the argmax over the output
     distribution, ties broken toward the lowest index."""
-    return predict_batch(params, EncodedSplit.of([act]))[0]
+    return Prediction(int(predict_batch(params, EncodedSplit.of([act]))[0]))
 
 
 class PopTrainable(Trainable):

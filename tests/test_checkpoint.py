@@ -97,6 +97,9 @@ def test_load_rejects_malformed_files(tmp_path):
     path.write_text(json.dumps(["not", "an", "object"]))
     with pytest.raises(ParseError):
         load_checkpoint(path)
+    path.write_text(json.dumps({**pop_record(_pop_params()), "notes": 1}))
+    with pytest.raises(ParseError, match=r"unknown keys \['notes'\]"):
+        load_checkpoint(path)
 
 
 def test_restore_dispatch_guards(tmp_path):
@@ -121,6 +124,26 @@ def test_restore_pop_missing_array(tmp_path):
     del record["arrays"]["sensor_out"]
     with pytest.raises(ParseError):
         restore_pop(record)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda r: r.update(arrays=5), "arrays must be an object", id="number"),
+    pytest.param(lambda r: r.update(arrays=None), "arrays must be an object", id="null"),
+    pytest.param(lambda r: r.update(arrays=[]), "arrays must be an object", id="list"),
+    pytest.param(lambda r: r["arrays"].update(entity_bias=[0.125] * 5),
+                 "'entity_bias'.* are not the", id="bias-without-use-bias"),
+    pytest.param(lambda r: r["arrays"].update(bogus=[1.0]), "'bogus'.* are not the",
+                 id="unknown-array"),
+])
+def test_restore_rejects_arrays_that_do_not_fit(tmp_path, edit, message):
+    record = pop_record(_pop_params())
+    edit(record)
+    with pytest.raises(ParseError, match=message):
+        restore_pop(record)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ParseError, match=message):
+        restore_pop(load_checkpoint(path))
 
 
 @pytest.mark.parametrize("key, fields", [

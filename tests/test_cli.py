@@ -303,6 +303,26 @@ def test_eval_rejects_a_tampered_act_naming_its_line(tmp_path, trained, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda r: r.update(arrays=None), "arrays", id="null-arrays"),
+    pytest.param(lambda r: r["arrays"].update(entity_bias=[0.0] * 4), "entity_bias",
+                 id="array-outside-the-config"),
+    pytest.param(lambda r: r.update(notes="hand-edited"), "notes", id="unknown-key"),
+])
+def test_eval_rejects_a_malformed_checkpoint_container(tmp_path, trained, capsys,
+                                                       edit, named):
+    record = json.loads((trained / "pop.json").read_text())
+    edit(record)
+    ckpt = tmp_path / "edited.json"
+    ckpt.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--test", str(trained / "data" / "test.jsonl")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

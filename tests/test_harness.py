@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from popref.datagen import (
+    ANOMALY,
     MISS,
     MULT,
     POINT,
+    PROTEST,
     DatasetSpec,
     Gold,
     Item,
@@ -21,13 +23,20 @@ from popref.datagen import (
     ReferenceAct,
     generate_splits,
 )
-from popref.embeddings import WorldConfig, build_synthetic_world, encode_act
-from popref.errors import ConfigError, ParseError
+from popref.embeddings import (
+    EncodedAct,
+    EncodedSplit,
+    WorldConfig,
+    build_synthetic_world,
+    encode_act,
+)
+from popref.errors import ConfigError, ContractViolation, ParseError
 from popref import harness
 from popref.harness import (
     DEFAULT_EPOCHS,
     GOLD_CATEGORIES,
     KNOWN_MANIFEST_KEYS,
+    PREDICTED_BUCKETS,
     Metrics,
     build_dataset_spec,
     build_inputs,
@@ -146,7 +155,7 @@ def test_evaluate_total_weights_categories_by_count():
     # 8/8 pointing, 0/1 missref: the total is count-weighted, not a mean of
     # the category percentages.
     assert metrics.total == pytest.approx(100.0 * 8 / 9)
-    total_correct = sum(c.correct for c in metrics.counts.values())
+    total_correct = sum(c["correct"] for c in metrics.counts.values())
     assert metrics.total == pytest.approx(100.0 * total_correct / metrics.n_total)
 
 
@@ -176,6 +185,88 @@ def test_metrics_to_dict_round_trips_through_json():
     assert set(d) == {"total", "pointing", "missref", "multref", "counts", "confusion"}
     assert set(d["counts"]) == set(GOLD_CATEGORIES)
     assert json.loads(json.dumps(d)) == d
+
+
+def _tally_before_choice_arrays(golds, predictions) -> dict:
+    """The reference: evaluate's per-act tally as it was when predictors
+    returned one Prediction per act, kept verbatim, with the CategoryCount
+    cells and the Metrics.to_dict it filled."""
+
+    @dataclass
+    class CategoryCount:
+        correct: int = 0
+        n: int = 0
+
+        @property
+        def percentage(self) -> float | None:
+            return None if self.n == 0 else 100.0 * self.correct / self.n
+
+    counts = {cat: CategoryCount() for cat in GOLD_CATEGORIES}
+    confusion = {cat: {bucket: 0 for bucket in PREDICTED_BUCKETS}
+                 for cat in GOLD_CATEGORIES}
+    for gold, prediction in zip(golds, predictions, strict=True):
+        category = POINT if gold.kind == POINT else gold.anomaly_kind
+        if prediction.is_protest:
+            correct = gold.kind == ANOMALY
+            confusion[category]["protest"] += 1
+        else:
+            correct = gold.kind == POINT and prediction.index == gold.index
+            bucket = "point_correct" if correct else "point_wrong"
+            confusion[category][bucket] += 1
+        cell = counts[category]
+        cell.n += 1
+        cell.correct += int(correct)
+    n = sum(c.n for c in counts.values())
+    return {
+        "total": None if n == 0 else 100.0 * sum(c.correct for c in counts.values()) / n,
+        "pointing": counts[POINT].percentage,
+        "missref": counts[MISS].percentage,
+        "multref": counts[MULT].percentage,
+        "counts": {cat: {"correct": c.correct, "n": c.n} for cat, c in counts.items()},
+        "confusion": {cat: dict(row) for cat, row in confusion.items()},
+    }
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 9, 200])
+def test_evaluate_equals_the_per_act_tally(size):
+    rng = Rng(31 + size)
+    for trial in range(20):
+        lengths = [2 + rng.randrange(4) for _ in range(size)]
+        golds = [[Gold.miss(), Gold.mult(), Gold.point(rng.randrange(n))][rng.randrange(3)]
+                 for n in lengths]
+        # Protests and points at every index of the lineup and beyond it;
+        # some trials only protest, some only point inside the lineup.
+        choices = [PROTEST if rng.random() < 0.3 else rng.randrange(n + 3)
+                   for n in lengths]
+        if trial % 4 == 1:
+            choices = [PROTEST] * size
+        elif trial % 4 == 2:
+            choices = [rng.randrange(n) for n in lengths]
+        predictions = [Prediction(choice) for choice in choices]
+        expected = _tally_before_choice_arrays(golds, predictions)
+
+        acts = [ReferenceAct(id=f"a{i}", query=Query(noun="obj000"),
+                             items=(Item(object="obj000", image_id="obj000-i00"),) * n,
+                             gold=gold)
+                for i, (n, gold) in enumerate(zip(lengths, golds))]
+        by_id = {act.id: prediction for act, prediction in zip(acts, predictions)}
+        as_list = evaluate(per_act(lambda act: by_id[act.id]), acts).to_dict()
+        split = EncodedSplit.of([
+            EncodedAct(query_vec=np.ones(1), candidates=np.zeros((n, 1)), gold=gold,
+                       act_id=f"a{i}")
+            for i, (n, gold) in enumerate(zip(lengths, golds))])
+        as_split = evaluate(lambda s: np.array(choices, dtype=np.intp), split).to_dict()
+        assert as_list == expected
+        assert as_split == expected
+        # Plain ints: json writes them, and writes them as the reference does.
+        assert json.dumps(as_split, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("answers", [0, 1, 3, 5], ids=lambda n: f"{n}-answers")
+def test_evaluate_rejects_a_wrong_number_of_answers(answers):
+    acts = [_act(i, Gold.point(0)) for i in range(4)]
+    with pytest.raises(ContractViolation, match="4 acts"):
+        evaluate(lambda _: np.zeros(answers, dtype=np.intp), acts)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +559,7 @@ def test_a_programming_error_leaves_its_stage_and_traceback_in_meta(
     ("data.p_miss", "-inf", "manifest"),
     ("world.sigma", "NaN", "manifest"),
     ("model.margin", "inf", "init"),
+    ("diagnostic.val_sample", "-5", "manifest"),  # finite, but below 0
 ])
 def test_run_experiment_rejects_a_nonfinite_number_naming_the_key(key, value, stage):
     manifest = {**_TINY_POP, key: value}

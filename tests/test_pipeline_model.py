@@ -240,7 +240,7 @@ def test_predict_points_when_clear():
     pred = pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.05), act
     )
-    assert pred.kind == "point"
+    assert not pred.is_protest
     assert pred.index == 0
 
 
@@ -264,7 +264,7 @@ def test_predict_single_candidate_skips_gap_rule():
     pred = pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.5), lone
     )
-    assert pred.kind == "point"
+    assert not pred.is_protest
     low = _act([0.05], Gold.miss())
     assert pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.5), low
@@ -374,7 +374,7 @@ def test_tuning_handles_single_candidate_acts():
             _act([0.1], Gold.miss(), "one-1")]
     thresholds = tune_thresholds(params, EncodedSplit.of(acts))
     pred = pipeline_predict(params, thresholds, acts[0])
-    assert pred.kind == "point"
+    assert not pred.is_protest
     assert pipeline_predict(params, thresholds, acts[1]).is_protest
 
 
@@ -426,8 +426,10 @@ def test_batched_profiles_match_per_candidate_cosines(size):
     assert best.tolist() == [int(np.argmax(c)) for c in expected]
 
     thresholds = Thresholds(min_similarity=-0.2, min_gap=0.1)
-    assert pipeline_predict_batch(params, thresholds, acts) == \
-        [pipeline_predict(params, thresholds, act) for act in acts]
+    choices = pipeline_predict_batch(params, thresholds, acts)
+    assert choices.dtype == np.intp
+    assert choices.tolist() == \
+        [pipeline_predict(params, thresholds, act).choice for act in acts]
 
 
 def test_batched_profiles_warn_on_a_zero_norm_act_mid_chunk(caplog):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from popref.datagen import Gold
+from popref.datagen import PROTEST, Gold
 from popref.embeddings import EncodedAct, EncodedSplit
 from popref.errors import ConfigError, ContractViolation, NumericError
 from popref.numerics import Rng
@@ -445,9 +445,9 @@ def test_predict_breaks_ties_toward_lowest_index():
     # Zero sensors score sigmoid(0) = 0.5: a tie with the best candidate
     # points, since the protest cell comes last.
     assert predict(params, _act([1.0], [[0.5], [0.2]])) == Prediction.point(0)
-    assert predict_batch(params, EncodedSplit.of([_act([1.0], [[0.2], [0.5001]]),
-                                                  _act([1.0], [[0.2], [0.4999]])])) == \
-        [Prediction.point(1), Prediction.protest()]
+    choices = predict_batch(params, EncodedSplit.of([_act([1.0], [[0.2], [0.5001]]),
+                                                     _act([1.0], [[0.2], [0.4999]])]))
+    assert choices.tolist() == [1, PROTEST]
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +473,11 @@ def _random_split(rng: Rng, config: PopConfig, size: int, query_kind: str):
     return EncodedSplit.of(acts)
 
 
-def _reference_prediction(trace) -> Prediction:
-    """The argmax over forward's output distribution."""
+def _reference_choice(trace) -> int:
+    """The argmax over forward's output distribution, as a choice."""
     best = int(np.argmax(trace.probs))
     n = trace.sims.shape[0]
-    return Prediction.protest() if best == n else Prediction.point(best)
+    return PROTEST if best == n else best
 
 
 @pytest.mark.parametrize("use_bias", [False, True])
@@ -503,9 +503,11 @@ def test_batch_path_matches_forward(use_bias, query_kind):
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(scores, [t.anomaly_score for t in traces],
                                    rtol=0, atol=1e-9)
-        expected = [_reference_prediction(t) for t in traces]
-        assert predict_batch(params, acts) == expected
-        assert [predict(params, act) for act in acts] == expected
+        expected = [_reference_choice(t) for t in traces]
+        choices = predict_batch(params, acts)
+        assert choices.dtype == np.intp and choices.tolist() == expected
+        assert [predict(params, act) for act in acts] == \
+            [Prediction(choice) for choice in expected]
 
 
 _TOY_WORLD = {"world.n_classes": "12", "world.images_per_class": "3",
@@ -523,11 +525,12 @@ def test_batch_path_splits_into_chunks_of_CHUNK_acts(monkeypatch):
     config = PopConfig(d_query=3, d_cand=4, d_ent=5, n_sensors=3, use_bias=True)
     params = init_params(config, Rng(11))
     acts = _random_split(Rng(12), config, 2 * CHUNK + 1, "dense")
-    whole = predict_batch(params, acts)
+    whole = predict_batch(params, acts).tolist()
     assert len(whole) == len(acts)
-    assert whole == [p for lo in range(0, len(acts), 7)
-                     for p in predict_batch(params, acts[lo:lo + 7])]
-    assert predict_batch(params, EncodedSplit.of([])) == []
+    assert whole == [c for lo in range(0, len(acts), 7)
+                     for c in predict_batch(params, acts[lo:lo + 7]).tolist()]
+    empty = predict_batch(params, EncodedSplit.of([]))
+    assert empty.dtype == np.intp and empty.shape == (0,)
 
     # Predictions, the protest probe, tuned thresholds and every report byte
     # are the same at any chunk size.
@@ -546,11 +549,12 @@ def test_batch_path_splits_into_chunks_of_CHUNK_acts(monkeypatch):
                 "data.n_val": "140", "data.n_test": "150", "train.epochs": "1"}))
             for model, settings in _TOY_RUNS.items()
         }
-        outcomes.append((predict_batch(params, acts), reports,
-                         pipeline_predict_batch(pipe_params, thresholds, pipe_acts)))
+        outcomes.append((predict_batch(params, acts).tolist(), reports,
+                         pipeline_predict_batch(pipe_params, thresholds,
+                                                pipe_acts).tolist()))
     assert outcomes[0][0] == whole
     assert all('"status": "ok"' in report for report in outcomes[0][1].values())
-    assert {p.is_protest for p in outcomes[0][2]} == {True, False}
+    assert {c == PROTEST for c in outcomes[0][2]} == {True, False}
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
