@@ -32,10 +32,9 @@ class Table:
     index: dict[str, int]
 
     @staticmethod
-    def of(tokens: list[str], vecs, dim: int) -> "Table":
-        """``tokens`` and their ``dim``-float vectors, copied in one pass."""
-        return Table(np.fromiter(vecs, np.dtype((np.float64, dim)), len(tokens)),
-                     {token: row for row, token in enumerate(tokens)})
+    def of(tokens: list[str], vecs: np.ndarray) -> "Table":
+        """``tokens`` and their vectors, row ``i`` of ``vecs`` for token ``i``."""
+        return Table(vecs, {token: row for row, token in enumerate(tokens)})
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
@@ -207,25 +206,27 @@ def build_synthetic_world(config: WorldConfig, seed: int) -> SyntheticWorld:
     rng_attrs = Rng(derive_seed(seed, "attributes"))
     rng_compat = Rng(derive_seed(seed, "compat"))
 
-    centroids = {
-        obj: _unit(rng_centroids.normals(config.d_img)) for obj in objects
-    }
+    def rows(rng: Rng, count: int, dim: int, sigma: float = 1.0) -> np.ndarray:
+        return rng.normals(count * dim, sigma=sigma).reshape(count, dim)
+
+    centroid_rows = np.array([_unit(row) for row in
+                              rows(rng_centroids, config.n_classes, config.d_img)])
+    centroids = dict(zip(objects, centroid_rows))
 
     images = {obj: [f"{obj}-i{k:0{img_width}d}" for k in range(config.images_per_class)]
               for obj in objects}
-    image_vecs = Table.of(
-        [image_id for obj in objects for image_id in images[obj]],
-        (centroids[obj] + rng_images.normals(config.d_img, sigma=config.sigma)
-         for obj in objects for _ in images[obj]), config.d_img)
+    image_rows = rows(rng_images, config.n_classes * config.images_per_class,
+                      config.d_img, config.sigma)
+    per_class = image_rows.reshape(config.n_classes, config.images_per_class, config.d_img)
+    per_class += centroid_rows[:, None]  # each image: its centroid plus noise
+    image_vecs = Table.of([image_id for obj in objects for image_id in images[obj]],
+                          image_rows)
 
-    cross_modal = np.array(
-        [rng_map.normals(config.d_img) for _ in range(config.d_word)]
-    )
-    word_vecs = Table.of(objects, (
-        cross_modal @ centroids[obj] + rng_words.normals(config.d_word, sigma=config.sigma_word)
-        for obj in objects), config.d_word)
-    attr_vecs = Table.of(attr_names, (_unit(rng_attrs.normals(config.d_word))
-                                      for _ in attr_names), config.d_word)
+    cross_modal = rows(rng_map, config.d_word, config.d_img)
+    word_vecs = Table.of(objects, np.array([cross_modal @ c for c in centroid_rows])
+                         + rows(rng_words, config.n_classes, config.d_word, config.sigma_word))
+    attr_vecs = Table.of(attr_names, np.array([
+        _unit(row) for row in rows(rng_attrs, config.n_attributes, config.d_word)]))
 
     compat_sets = {
         obj: set(rng_compat.sample(attr_names, config.attrs_per_object))

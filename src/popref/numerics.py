@@ -17,11 +17,21 @@ library versions:
 * bounded integers: rejection sampling, so there is no modulo bias;
 * normal deviates: Box-Muller transform with the spare value cached.
 
+The bulk draws (:meth:`Rng.u64s`, :meth:`Rng.randoms`, :meth:`Rng.uniforms`,
+:meth:`Rng.normals`) give exactly the values of the one-draw methods and
+leave the same state.  The xoshiro256** transition is linear over GF(2), so
+a jump table (built once per process) moves a state a fixed lane length
+ahead; the starts of consecutive lanes come from repeated jumps, and numpy
+steps all lanes together.  Box-Muller keeps ``math.log``/``cos``/``sin`` per
+pair, since numpy's vectorised transcendentals are not promised to match
+libm bit for bit.
+
 Two generators built from equal seeds produce equal output streams.  An
 ``Rng`` must never be shared across concurrent tasks; derive children with
 :meth:`Rng.fork` or :func:`derive_seed` instead.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -68,6 +78,95 @@ def derive_seed(master: int, *parts: int | str) -> int:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _require_count(n: int) -> None:
+    if n < 0:
+        raise ContractViolation(f"draw count must be >= 0, got {n}")
+
+
+# Bulk draws: lanes of _LANE consecutive outputs step together, at most
+# _BLOCK outputs at a time so that temporaries stay near 1 MB.  With fewer
+# than about a dozen lanes the per-draw loop is faster (measured on x86-64).
+_LANE = 128
+_BLOCK = 128 * _LANE
+_BULK_CUTOFF = 12 * _LANE
+_U64 = np.uint64
+
+
+def _step_lanes(s: np.ndarray, out: np.ndarray | None, steps: int) -> None:
+    """Step each column of the 4 x K xoshiro256** state ``s`` ``steps``
+    times in place (the arithmetic of :meth:`Rng.next_u64`); the outputs
+    of step i go to column ``out[:, i]`` when ``out`` is given."""
+    s0, s1, s2, s3 = s
+    r, t = np.empty_like(s1), np.empty_like(s1)
+    for i in range(steps):
+        if out is not None:
+            np.multiply(s1, _U64(5), out=r)
+            np.left_shift(r, _U64(7), out=t)
+            r >>= _U64(57)
+            r |= t
+            np.multiply(r, _U64(9), out=out[:, i])
+        np.left_shift(s1, _U64(17), out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, _U64(45), out=t)
+        s3 >>= _U64(19)
+        s3 |= t
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """``T^_LANE`` over GF(2), T the xoshiro256** state transition, as a
+    32 x 256 x 4 table: entry [p, v] is the image of the state whose only
+    set bits are byte ``v`` at byte ``p`` (bits 8p..8p+7, words
+    little-endian).
+
+    T is linear, so the image of a basis state is found by stepping it,
+    and the image of any state is the XOR of its bytes' entries.
+    """
+    basis = np.zeros((4, 256), dtype=np.uint64)
+    bit = np.arange(256)
+    basis[bit // 64, bit] = np.left_shift(_U64(1), (bit % 64).astype(np.uint64))
+    _step_lanes(basis, None, _LANE)
+    images = basis.T.reshape(32, 8, 4)
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for k in range(8):
+        np.bitwise_xor(table[:, :1 << k], images[:, k, None, :],
+                       out=table[:, 1 << k:2 << k])
+    table.flags.writeable = False
+    return table
+
+
+_BYTES = np.arange(32)
+
+
+def _jump(state: np.ndarray) -> np.ndarray:
+    """The 4-word state ``_LANE`` steps after ``state``."""
+    octets = state.astype("<u8").view(np.uint8)
+    return np.bitwise_xor.reduce(_jump_table()[_BYTES, octets], axis=0)
+
+
+def _lane_block(state: list[int], out: np.ndarray, last: int) -> list[int]:
+    """Fill ``out`` (lanes x _LANE, at most _BLOCK outputs) row by row with
+    the stream at ``state``, the last row only up to column ``last``, and
+    return the state after that output.
+
+    Row j starts ``j * _LANE`` steps in, by repeated jumps, and all rows
+    step together.
+    """
+    lanes = len(out)
+    s = np.empty((4, lanes), dtype=np.uint64)
+    s[:, 0] = state
+    for j in range(1, lanes):
+        s[:, j] = _jump(s[:, j - 1])
+    _step_lanes(s, out, last)
+    after = [int(word) for word in s[:, -1]]
+    _step_lanes(s[:, :-1], out[:-1, last:], _LANE - last)
+    return after
 
 
 class Rng:
@@ -122,6 +221,8 @@ class Rng:
     def sample(self, seq, k: int) -> list:
         """k distinct elements, drawn without replacement."""
         xs = list(seq)
+        if k < 0:
+            raise ContractViolation(f"sample size must be >= 0, got {k}")
         if k > len(xs):
             raise ContractViolation(f"cannot sample {k} from {len(xs)} elements")
         for i in range(k):
@@ -147,19 +248,80 @@ class Rng:
             self._gauss_spare = r * math.sin(2.0 * math.pi * u2)
         return mu + sigma * z
 
+    def u64s(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs of :meth:`next_u64` as a ``uint64`` array,
+        leaving the generator where ``n`` calls would."""
+        _require_count(n)
+        if n < _BULK_CUTOFF:
+            return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+        lanes = -(-n // _LANE)
+        out = np.empty((lanes, _LANE), dtype=np.uint64)
+        for row in range(0, lanes, _BLOCK // _LANE):
+            block = out[row:row + _BLOCK // _LANE]
+            last = min(_LANE, n - (row + len(block) - 1) * _LANE)
+            self._s = _lane_block(self._s, block, last)
+        return out.ravel()[:n]
+
+    def randoms(self, n: int) -> np.ndarray:
+        """The next ``n`` values of :meth:`random`, bit for bit."""
+        bits = self.u64s(n)
+        bits >>= _U64(11)
+        out = bits.astype(np.float64)
+        out *= 2.0 ** -53
+        return out
+
+    def uniforms(self, n: int, low: float, high: float) -> np.ndarray:
+        """The next ``n`` values of :meth:`uniform`, bit for bit."""
+        out = self.randoms(n)
+        out *= high - low
+        out += low
+        return out
+
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        return np.array([self.normal(mu, sigma) for _ in range(n)], dtype=np.float64)
+        """The next ``n`` values of :meth:`normal`, bit for bit, spare included.
+
+        Box-Muller runs per pair through ``math.log``, ``math.cos`` and
+        ``math.sin``: numpy's vectorised transcendentals may differ from
+        libm in the last bit, while ``np.sqrt`` is correctly rounded.
+        """
+        _require_count(n)
+        z = np.empty(n, dtype=np.float64)
+        done = 0
+        if n and self._gauss_spare is not None:
+            z[0], self._gauss_spare, done = self._gauss_spare, None, 1
+        while done < n:
+            pairs = min((n - done + 1) // 2, _BLOCK // 2)
+            u = self.randoms(2 * pairs)
+            r = np.sqrt(-2.0 * _libm(math.log, 1.0 - u[0::2]))
+            theta = (2.0 * math.pi) * u[1::2]
+            u[0::2] = r * _libm(math.cos, theta)
+            u[1::2] = r * _libm(math.sin, theta)
+            take = min(2 * pairs, n - done)
+            z[done:done + take] = u[:take]
+            if take < 2 * pairs:
+                self._gauss_spare = float(u[-1])
+            done += take
+        z *= sigma
+        z += mu
+        return z
 
     def fork(self) -> "Rng":
         """Child generator seeded from this stream."""
         return Rng(self.next_u64())
 
 
+def _libm(fn, xs: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) of each element of ``xs``."""
+    return np.fromiter(map(fn, xs.tolist()), np.float64, len(xs))
+
+
 def glorot_uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
     """Matrix with entries uniform in (-a, a), a = sqrt(6 / (rows + cols))."""
+    if rows < 0 or cols < 0 or rows + cols == 0:
+        raise ContractViolation(
+            f"matrix shape must be >= 0 and not 0 x 0, got ({rows}, {cols})")
     bound = math.sqrt(6.0 / (rows + cols))
-    flat = np.array([rng.uniform(-bound, bound) for _ in range(rows * cols)])
-    return flat.reshape(rows, cols)
+    return rng.uniforms(rows * cols, -bound, bound).reshape(rows, cols)
 
 
 def require_finite(**values: float) -> None:

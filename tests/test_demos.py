@@ -1,7 +1,4 @@
-"""Smoke test: the quick demo scripts run to completion.
-
-``demos/04_training_pop.py`` trains for minutes and is left out.
-"""
+"""Smoke test: the demo scripts run to completion."""
 
 import os
 import subprocess
@@ -20,6 +17,7 @@ SRC = Path(popref.__file__).resolve().parents[1]
     "01_synthetic_world.py",
     "02_reference_act_datasets.py --n-train 300",
     "03_pointing_network_anatomy.py",
+    "04_training_pop.py",
     "05_pipeline_competitor.py",
     "06_baseline_suite.py",
 ])

@@ -1,6 +1,7 @@
 """Tests for synthetic worlds, vector tables, and act encoding."""
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -27,14 +28,15 @@ from popref.numerics import Rng
 
 
 def test_table_looks_tokens_up_by_row():
-    table = Table.of(["zebra", "apple", "mouse"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], 2)
+    table = Table.of(["zebra", "apple", "mouse"],
+                     np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     np.testing.assert_array_equal(table["apple"], [3.0, 4.0])
     assert list(table.index) == ["zebra", "apple", "mouse"]  # the one-hot order
     assert table.vecs.shape == (3, 2)
 
 
 def test_table_unknown_token_is_encoding_error():
-    table = Table.of(["a"], [[0.0, 1.0]], 2)
+    table = Table.of(["a"], np.array([[0.0, 1.0]]))
     with pytest.raises(EncodingError):
         table["ghost"]
 
@@ -107,6 +109,26 @@ def test_world_same_seed_is_byte_identical(small_world):
             again.attr_vecs[attr], small_world.attr_vecs[attr]
         )
     assert again.compat == small_world.compat
+
+
+# sha256 of image_vecs, word_vecs and attr_vecs as little-endian float64,
+# recorded from the per-draw world builder.
+WORLD_SHA256 = {
+    1: ("ac82599d869d520b40790c65367799573ba56be5b8d3a14b6a4fbfcff64bbda7",
+        "9f8247451e2a7726af158b8be58305d740f3ae74ffbd942b6f6e664f8962e6be",
+        "5a7f5bb9b3f62fdaa9321139fa3fb256884a6069acca85c2c29d5a746d9ecf5e"),
+    7919: ("94bc85ffa0acbf0528828172fb26f743055a68432c4473f466196f1f9a200893",
+           "b6b466b6375af66c3ca2756c6926e721d5613a6bf5f8c1e0461327da471fd85b",
+           "2dca905c6a5b53220e54ea0ff6bc7f28252a6f415d14f02f398edd56d3acaf25"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WORLD_SHA256))
+def test_default_world_vectors_are_pinned(seed):
+    world = build_synthetic_world(WorldConfig(), seed)
+    digests = tuple(hashlib.sha256(table.vecs.astype("<f8").tobytes()).hexdigest()
+                    for table in (world.image_vecs, world.word_vecs, world.attr_vecs))
+    assert digests == WORLD_SHA256[seed]
 
 
 def test_world_different_seed_differs(small_world):
@@ -245,8 +267,8 @@ def test_encode_one_hot_dimensions(small_world):
 def test_one_hot_equals_dense_with_indicator_tables(small_world):
     """Indicator encoding is dense encoding under identity word/attr tables."""
     n_objects, n_attributes = len(small_world.objects), len(small_world.attributes)
-    indicator_words = Table.of(small_world.objects, np.eye(n_objects), n_objects)
-    indicator_attrs = Table.of(small_world.attributes, np.eye(n_attributes), n_attributes)
+    indicator_words = Table.of(small_world.objects, np.eye(n_objects))
+    indicator_attrs = Table.of(small_world.attributes, np.eye(n_attributes))
     indicator_world = dataclasses.replace(
         small_world, word_vecs=indicator_words, attr_vecs=indicator_attrs
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from popref import numerics
 from popref.errors import ContractViolation
 from popref.numerics import (
     Rng,
@@ -214,6 +215,98 @@ def test_fork_yields_distinct_deterministic_children():
     parent2 = Rng(99)
     child2 = parent2.fork()
     assert [child2.next_u64() for _ in range(10)] == child_stream
+
+
+# ---------------------------------------------------------------------------
+# The pinned stream and the bulk draws
+# ---------------------------------------------------------------------------
+
+
+def test_stream_golden_values():
+    # Recorded from the per-draw generator; any change to the stream, bulk
+    # or per-draw, fails here before it shifts a report.
+    rng = Rng(0)
+    assert [rng.next_u64() for _ in range(8)] == [
+        0x99EC5F36CB75F2B4, 0xBF6E1F784956452A, 0x1A5F849D4933E6E0, 0x6AA594F1262D2D2C,
+        0xBBA5AD4A1F842E59, 0xFFEF8375D9EBCACA, 0x6C160DEED2F54C98, 0x8920AD648FC30A3F,
+    ]
+    rng = Rng(2**64 - 1)
+    assert [rng.next_u64() for _ in range(8)] == [
+        0x8F5520D52A7EAD08, 0xC476A018CAA1802D, 0x81DE31C0D260469E, 0xBF658D7E065F3C2F,
+        0x913593FDA1BCA32A, 0xBB535E93941BA525, 0x5ECDA415C3C6DFDE, 0xC487398FC9DE9AE2,
+    ]
+    rng = Rng(0)
+    assert [rng.normal() for _ in range(5)] == [  # the 2nd and 4th are spares
+        -0.01896499060631051, -1.3559302271143727, -0.40372109705088766,
+        0.23335097938940202, 1.6251100012755157,
+    ]
+    assert glorot_uniform(Rng(0), 3, 4).tolist() == [
+        [0.18750264044870502, 0.4587884701662779, -0.735064146051992, -0.15444701657175608],
+        [0.43142620246645147, 0.9253542941902813, -0.14403626954640214, 0.06601998369005058],
+        [0.6582898496874925, 0.7755743342297896, -0.7141823199714232, -0.8013308276806578],
+    ]
+
+
+# Counts on both sides of the per-draw cutoff, a lane and a block.
+BULK_COUNTS = [
+    0, 1, numerics._LANE - 1, numerics._LANE + 1,
+    numerics._BULK_CUTOFF - 1, numerics._BULK_CUTOFF, numerics._BULK_CUTOFF + 1,
+    numerics._BLOCK - 1, numerics._BLOCK + 1, 3 * numerics._BLOCK + 7,
+]
+
+
+def _twins(seed: int) -> tuple[Rng, Rng]:
+    """Two equal generators, already used by the per-draw methods."""
+    pair = Rng(seed), Rng(seed)
+    for rng in pair:
+        rng.next_u64(), rng.random(), rng.randrange(10)
+    return pair
+
+
+def _same_state(a: Rng, b: Rng) -> bool:
+    return a._gauss_spare == b._gauss_spare and a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("n", BULK_COUNTS)
+def test_bulk_u64s_randoms_uniforms_match_per_draw(n):
+    bulk, single = _twins(n)
+    got = bulk.u64s(n)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [single.next_u64() for _ in range(n)]
+    assert bulk.randoms(n).tobytes() == np.array(
+        [single.random() for _ in range(n)]).tobytes()
+    assert bulk.uniforms(n, -0.3, 1.7).tobytes() == np.array(
+        [single.uniform(-0.3, 1.7) for _ in range(n)]).tobytes()
+    assert _same_state(bulk, single)
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("n", BULK_COUNTS)
+def test_bulk_normals_match_per_draw(n, spare):
+    bulk, single = _twins(n + 1)
+    if spare:
+        bulk.normal(), single.normal()
+    assert bulk.normals(n).tobytes() == np.array(
+        [single.normal() for _ in range(n)]).tobytes()
+    assert bulk.normals(n + 3, mu=-1.5, sigma=0.3).tobytes() == np.array(
+        [single.normal(-1.5, 0.3) for _ in range(n + 3)]).tobytes()
+    assert _same_state(bulk, single)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.sample([1, 2, 3], -1),
+    lambda rng: rng.normals(-3),
+    lambda rng: glorot_uniform(rng, -2, 3),
+    lambda rng: glorot_uniform(rng, -2, -3),
+    lambda rng: glorot_uniform(rng, 0, 0),
+    lambda rng: rng.u64s(-1),
+    lambda rng: rng.randoms(-1),
+    lambda rng: rng.uniforms(-1, 0.0, 1.0),
+], ids=["sample", "normals", "glorot", "glorot-both", "glorot-empty", "u64s", "randoms",
+         "uniforms"])
+def test_negative_counts_and_empty_glorot_raise(draw):
+    with pytest.raises(ContractViolation):
+        draw(Rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the pointing network: forward semantics, gradients, prediction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from popref.datagen import PROTEST, Gold
 from popref.embeddings import EncodedAct, EncodedSplit
 from popref.errors import ConfigError, ContractViolation, NumericError
-from popref.numerics import Rng
+from popref.numerics import Rng, derive_seed
 from popref.embeddings import WorldConfig, build_synthetic_world, encode_split
 from popref.datagen import DatasetSpec, generate_splits
 from popref.pop_model import (
@@ -107,6 +108,25 @@ def test_init_params_shapes_and_determinism():
     again = init_params(config, Rng(1))
     for name, arr in params.named_arrays().items():
         np.testing.assert_array_equal(arr, again.named_arrays()[name])
+
+
+# sha256 of trpop's initial arrays on the default object-only world (one-hot
+# queries over 200 objects, 64-float image candidates), concatenated in table
+# order as little-endian float64; recorded from the per-draw Glorot draw.
+TRPOP_INIT_SHA256 = {
+    1: "1ab6d22ea3ebeab0d09d67538e3fcf8571b12347e2ef16bcf2585b379e9cec9b",
+    7919: "9d47084aacb975cfac0aeb09b9bb1d2968adae234f8b03c8d7ff7bad961f88bd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRPOP_INIT_SHA256))
+def test_trpop_initial_params_are_pinned(seed):
+    params = init_params(PopConfig(d_query=200, d_cand=64),
+                         Rng(derive_seed(seed, "init", "trpop")))
+    digest = hashlib.sha256()
+    for arr in params.named_arrays().values():
+        digest.update(arr.astype("<f8").tobytes())
+    assert digest.hexdigest() == TRPOP_INIT_SHA256[seed]
 
 
 def test_init_params_biases_start_at_zero():
