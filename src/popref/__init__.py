@@ -38,6 +38,7 @@ from .datagen import (
     gen_object_attribute,
     gen_object_only,
     generate_splits,
+    gold_arrays,
     matches,
     read_jsonl,
     scored,

@@ -9,8 +9,12 @@ with attributes, built around a pool of one-coordinate confounders).
 
 Both generators draw every act from its own child seed derived from the
 master seed and the act's index, so a split can be sharded into ranges and
-generated in parallel with byte-identical results.  Every act passes the
-gold-consistency validator before it is emitted.
+generated in parallel with byte-identical results.  The act streams of a
+block of consecutive indices are seeded together and their first draws made
+ahead as numpy lanes (:func:`~popref.numerics.lane_rngs`), as many as the
+act can use without a rejection or retry; the draws themselves are the
+plain :class:`~popref.numerics.Rng` methods, act by act.  Every act passes
+the gold-consistency validator before it is emitted.
 """
 
 import json
@@ -18,8 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError, ParseError, ValidationError, checked
-from .numerics import Rng, derive_seed, require_finite
+from .errors import (
+    ConfigError,
+    ContractViolation,
+    GenerationError,
+    ParseError,
+    ValidationError,
+    checked,
+)
+from .numerics import Rng, derive_seed, derive_seeds, lane_rngs, require_finite
 
 POINT = "point"
 ANOMALY = "anomaly"
@@ -29,7 +40,13 @@ MULT = "mult"
 # An answer to an act is the index of the candidate it points at, or PROTEST.
 PROTEST = -1
 
+# Gold categories, in the order of the rows of an evaluation's confusion table.
+GOLD_CATEGORIES = (POINT, MISS, MULT)
+
 _MAX_CONSTRAINT_RETRIES = 1000
+# Acts whose streams are seeded and drawn ahead together.  Blocks, not whole
+# splits, keep memory flat: a block's outputs drawn ahead take under 1 MB.
+_LANE_ACTS = 256
 
 
 @dataclass(frozen=True)
@@ -75,10 +92,20 @@ class Gold:
             raise ValidationError(f"unknown gold kind {self.kind!r}")
 
 
-def scored(choices, golds) -> np.ndarray:
+def gold_arrays(golds: list[Gold]) -> tuple[np.ndarray, np.ndarray]:
+    """Each gold's :attr:`Gold.choice` and its row in :data:`GOLD_CATEGORIES`,
+    as two int arrays."""
+    row = {cat: i for i, cat in enumerate(GOLD_CATEGORIES)}
+    return (np.fromiter([gold.choice for gold in golds], np.intp, len(golds)),
+            np.fromiter([row[gold.anomaly_kind or gold.kind] for gold in golds], np.intp,
+                        len(golds)))
+
+
+def scored(choices, right: np.ndarray) -> np.ndarray:
     """The one scoring rule: whether each answer in ``choices`` (one per
-    act, or one for all) is its gold's :attr:`Gold.choice`."""
-    return choices == np.array([gold.choice for gold in golds], dtype=np.intp)
+    act, or one for all) is its act's right answer in ``right``, the gold
+    choices of :func:`gold_arrays`."""
+    return choices == right
 
 
 @dataclass(frozen=True)
@@ -212,27 +239,35 @@ def _fresh_image(rng: Rng, images: list[str], avoid: str) -> str:
     return rng.choice(pool) if pool else avoid
 
 
-def _generate(draw, label: str, world, spec: DatasetSpec, rng: Rng, count: int,
-              start: int, id_prefix: str):
+def _generate(draw, draws: int, label: str, world, spec: DatasetSpec, rng: Rng,
+              count: int, start: int, id_prefix: str):
     """Yield ``count`` acts; act ``i`` is drawn from
-    ``derive_seed(rng.seed, label, start + i)``.
+    ``Rng(derive_seed(rng.seed, label, start + i))``.
 
     ``draw`` returns the query, the candidates (slot 0 holds the query's own
     item unless a missing-referent edit replaced it) and the anomaly kind or
     None.  The candidates are then shuffled uniformly, a point gold names
-    where slot 0 landed, and the act must pass :func:`validate_act`.
+    where slot 0 landed, and the act must pass :func:`validate_act`.  The
+    streams of :data:`_LANE_ACTS` acts at a time come from
+    :func:`~popref.numerics.lane_rngs` with ``draws`` outputs ahead: the
+    most that ``draw`` and the shuffle use when no draw is rejected.
     """
-    for index in range(start, start + count):
-        act_rng = Rng(derive_seed(rng.seed, label, index))
-        query, items, anomaly = draw(world, spec, act_rng)
-        perm = list(range(len(items)))
-        act_rng.shuffle(perm)
-        gold = (Gold.point(perm.index(0)) if anomaly is None
-                else Gold(kind=ANOMALY, anomaly_kind=anomaly))
-        act = ReferenceAct(id=f"{id_prefix}-{index:06d}", query=query,
-                           items=tuple(items[p] for p in perm), gold=gold)
-        validate_act(act, spec.min_len, spec.max_len)
-        yield act
+    if start < 0 or count < 0:
+        raise ContractViolation(f"need start >= 0 and count >= 0, got {start} and {count}")
+    end = start + count
+    for lo in range(start, end, _LANE_ACTS):
+        hi = min(lo + _LANE_ACTS, end)
+        seeds = derive_seeds(rng.seed, label, indices=np.arange(lo, hi, dtype=np.uint64))
+        for index, act_rng in zip(range(lo, hi), lane_rngs(seeds, draws)):
+            query, items, anomaly = draw(world, spec, act_rng)
+            perm = list(range(len(items)))
+            act_rng.shuffle(perm)
+            gold = (Gold.point(perm.index(0)) if anomaly is None
+                    else Gold(kind=ANOMALY, anomaly_kind=anomaly))
+            act = ReferenceAct(id=f"{id_prefix}-{index:06d}", query=query,
+                               items=tuple(items[p] for p in perm), gold=gold)
+            validate_act(act, spec.min_len, spec.max_len)
+            yield act
 
 
 def _draw_object_only(world, spec: DatasetSpec, rng: Rng) -> tuple[Query, list[Item], str | None]:
@@ -274,7 +309,9 @@ def gen_object_only(world, spec: DatasetSpec, rng: Rng, count: int,
             f"world has {len(world.objects)} objects; object-only generation "
             f"needs at least max_len + 1 = {spec.max_len + 1}"
         )
-    yield from _generate(_draw_object_only, "object-only", world, spec, rng,
+    # length, sample, images, anomaly, its edit (2), shuffle (length - 1)
+    draws = 3 * spec.max_len + 3
+    yield from _generate(_draw_object_only, draws, "object-only", world, spec, rng,
                          count, start, id_prefix)
 
 
@@ -358,8 +395,11 @@ def gen_object_attribute(world, spec: DatasetSpec, rng: Rng, count: int,
             f"attribute-bearing acts draw non-query items from a 6-confounder "
             f"pool, so max_len must be <= 7, got {spec.max_len}"
         )
-    yield from _generate(_draw_object_attribute, "object-attribute", world, spec,
-                         rng, count, start, id_prefix)
+    # length, query pair (2), two attributes, two partners, image, pool (6),
+    # sample (length - 1), anomaly, its edit (3), shuffle (length - 1)
+    draws = 2 * spec.max_len + 16
+    yield from _generate(_draw_object_attribute, draws, "object-attribute", world,
+                         spec, rng, count, start, id_prefix)
 
 
 GENERATORS = {

@@ -13,12 +13,12 @@ concurrent reads.
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
 
-from .datagen import check_task
+from .datagen import check_task, gold_arrays
 from .errors import ConfigError, ContractViolation, EncodingError, ValidationError
 from .numerics import Rng, derive_seed, require_finite
 
@@ -305,7 +305,8 @@ class EncodedSplit(Sequence):
     """A split's acts as network-ready arrays, stored once.
 
     Act ``i`` is the query ``queries[i]`` against candidates ``offsets[i]``
-    up to ``offsets[i + 1]``, with gold ``golds[i]`` and id ``ids[i]``.
+    up to ``offsets[i + 1]``, with gold ``golds[i]`` and id ``ids[i]``;
+    :attr:`gold_arrays` holds the golds as int arrays.
     Candidate ``k`` is row ``rows[k]`` of ``table``: an object-only split's
     table is its world's image table, an attribute split's its own N x d_cand
     matrix.  Indexing gives an act, slicing a sub-split sharing the table.
@@ -317,6 +318,12 @@ class EncodedSplit(Sequence):
     offsets: np.ndarray  # B + 1, from 0 to N
     golds: list
     ids: list[str]
+
+    @cached_property
+    def gold_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~popref.datagen.gold_arrays` of :attr:`golds` (each act's
+        right answer and gold category row), built on first read."""
+        return gold_arrays(self.golds)
 
     @property
     def candidates(self) -> np.ndarray:

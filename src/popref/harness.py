@@ -31,6 +31,7 @@ import numpy as np
 from .checkpoint import MODELS, pipeline_record, pop_record, save_checkpoint
 from .datagen import (
     GENERATORS,
+    GOLD_CATEGORIES,
     MISS,
     MULT,
     POINT,
@@ -38,6 +39,7 @@ from .datagen import (
     DatasetSpec,
     dataset_stats,
     generate_splits,
+    gold_arrays,
     scored,
 )
 from .embeddings import EncodedSplit, Inputs, WorldConfig, build_synthetic_world, encode_split
@@ -54,7 +56,6 @@ from .pipeline_model import (
 from .pop_model import PopConfig, PopParams, PopTrainable, init_params, predict_batch
 from .training import TrainConfig, TrainLog, train
 
-GOLD_CATEGORIES = (POINT, MISS, MULT)
 PREDICTED_BUCKETS = ("point_correct", "point_wrong", "protest")
 
 # Fixed per-model pass counts; the pointing network's one-hot variant needs
@@ -141,16 +142,17 @@ def evaluate(predict_acts, acts) -> Metrics:
     :func:`~popref.datagen.scored` and tallied into one confusion table.
     The result is independent of act order.
     """
-    acts = acts if isinstance(acts, EncodedSplit) else list(acts)
-    golds = acts.golds if isinstance(acts, EncodedSplit) else [act.gold for act in acts]
+    if isinstance(acts, EncodedSplit):
+        right, rows = acts.gold_arrays
+    else:
+        acts = list(acts)
+        right, rows = gold_arrays([act.gold for act in acts])
     choices = np.asarray(predict_acts(acts))
-    if choices.shape != (len(golds),):
+    if choices.shape != (len(acts),):
         raise ContractViolation(
-            f"a predictor gave answers of shape {choices.shape} for {len(golds)} acts")
-    rows = np.array([GOLD_CATEGORIES.index(POINT if gold.kind == POINT else gold.anomaly_kind)
-                     for gold in golds], dtype=np.intp)
+            f"a predictor gave answers of shape {choices.shape} for {len(acts)} acts")
     # Columns in PREDICTED_BUCKETS order: point_correct, point_wrong, protest.
-    columns = np.where(choices == PROTEST, 2, np.where(scored(choices, golds), 0, 1))
+    columns = np.where(choices == PROTEST, 2, np.where(scored(choices, right), 0, 1))
     table = np.bincount(3 * rows + columns, minlength=9).reshape(3, 3).tolist()
     return Metrics({cat: dict(zip(PREDICTED_BUCKETS, row))
                     for cat, row in zip(GOLD_CATEGORIES, table)})

@@ -26,6 +26,12 @@ steps all lanes together.  Box-Muller keeps ``math.log``/``cos``/``sin`` per
 pair, since numpy's vectorised transcendentals are not promised to match
 libm bit for bit.
 
+:func:`lane_rngs` builds many generators at once: a numpy twin of
+splitmix64 seeds them as lanes, which step together to draw each
+generator's first outputs ahead of use.  Every draw method and
+:meth:`Rng.fork` serve those outputs first, so such a generator is
+``Rng(seed)`` value for value.
+
 Two generators built from equal seeds produce equal output streams.  An
 ``Rng`` must never be shared across concurrent tasks; derive children with
 :meth:`Rng.fork` or :func:`derive_seed` instead.
@@ -39,6 +45,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation
 
 _MASK64 = (1 << 64) - 1
+_U64 = np.uint64
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -53,6 +60,17 @@ def splitmix64(state: int) -> tuple[int, int]:
 def _scramble64(x: int) -> int:
     out, _ = splitmix64(x & _MASK64)
     return out
+
+
+def splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`splitmix64` of each ``uint64`` in ``state``: (outputs, next states)."""
+    state = state + _U64(0x9E3779B97F4A7C15)
+    z = state ^ (state >> _U64(30))
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    return z, state
 
 
 def fnv1a64(text: str) -> int:
@@ -76,6 +94,14 @@ def derive_seed(master: int, *parts: int | str) -> int:
     return h
 
 
+def derive_seeds(master: int, *parts: int | str, indices) -> np.ndarray:
+    """``derive_seed(master, *parts, i)`` for each ``i`` of the ``uint64``
+    array ``indices``: the prefix is hashed once, the last step in numpy."""
+    prefix = _U64(derive_seed(master, *parts))
+    out, _ = splitmix64_lanes(np.asarray(indices, dtype=np.uint64) ^ prefix)
+    return out
+
+
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
@@ -91,7 +117,6 @@ def _require_count(n: int) -> None:
 _LANE = 128
 _BLOCK = 128 * _LANE
 _BULK_CUTOFF = 12 * _LANE
-_U64 = np.uint64
 
 
 def _step_lanes(s: np.ndarray, out: np.ndarray | None, steps: int) -> None:
@@ -181,9 +206,12 @@ class Rng:
             state.append(out)
         # splitmix64 is a bijection per step, so the state is never all-zero
         self._s = state
+        self._ahead: list[int] = []  # outputs drawn ahead of _s, next last
         self._gauss_spare = None
 
     def next_u64(self) -> int:
+        if self._ahead:
+            return self._ahead.pop()
         s0, s1, s2, s3 = self._s
         result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
         t = (s1 << 17) & _MASK64
@@ -254,6 +282,11 @@ class Rng:
         _require_count(n)
         if n < _BULK_CUTOFF:
             return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+        if self._ahead:
+            k = min(n, len(self._ahead))
+            head = np.array(self._ahead[:-k - 1:-1], dtype=np.uint64)
+            del self._ahead[-k:]
+            return np.concatenate((head, self.u64s(n - k)))
         lanes = -(-n // _LANE)
         out = np.empty((lanes, _LANE), dtype=np.uint64)
         for row in range(0, lanes, _BLOCK // _LANE):
@@ -308,6 +341,25 @@ class Rng:
     def fork(self) -> "Rng":
         """Child generator seeded from this stream."""
         return Rng(self.next_u64())
+
+
+def lane_rngs(seeds: np.ndarray, ahead: int) -> list[Rng]:
+    """``[Rng(seed) for seed in seeds]``, each with its first ``ahead``
+    outputs already drawn: the 4 x len(seeds) states are seeded by
+    :func:`splitmix64_lanes` and stepped together by :func:`_step_lanes`."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    s = np.empty((4, len(seeds)), dtype=np.uint64)
+    x = seeds
+    for word in s:
+        word[:], x = splitmix64_lanes(x)
+    out = np.empty((len(seeds), ahead), dtype=np.uint64)
+    _step_lanes(s, out, ahead)
+    rngs = []
+    for seed, state, row in zip(seeds.tolist(), s.T.tolist(), out[:, ::-1].tolist()):
+        rng = Rng.__new__(Rng)
+        rng.seed, rng._s, rng._ahead, rng._gauss_spare = seed, state, row, None
+        rngs.append(rng)
+    return rngs
 
 
 def _libm(fn, xs: np.ndarray) -> np.ndarray:

@@ -282,8 +282,9 @@ def tune_thresholds(params: PipelineParams, val: EncodedSplit) -> Thresholds:
         raise ConfigError("threshold tuning needs a nonempty validation set")
     max_sims, gaps, argmaxes = protest_profiles(params, val)
     # An act's two possible answers are scored once; a grid cell picks one.
-    right_if_point = scored(argmaxes, val.golds)
-    right_if_protest = scored(PROTEST, val.golds)
+    right, _ = val.gold_arrays
+    right_if_point = scored(argmaxes, right)
+    right_if_protest = scored(PROTEST, right)
 
     best = (-1, Thresholds(min_similarity=MISS_GRID[0], min_gap=GAP_GRID[0]))
     for theta_miss in MISS_GRID:

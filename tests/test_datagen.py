@@ -6,7 +6,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from popref import datagen
 from popref.datagen import (
+    ANOMALY,
     GENERATORS,
     MISS,
     MULT,
@@ -26,8 +28,8 @@ from popref.datagen import (
     write_jsonl,
 )
 from popref.embeddings import WorldConfig, build_synthetic_world
-from popref.errors import ConfigError, ParseError, ValidationError
-from popref.numerics import Rng
+from popref.errors import ConfigError, ContractViolation, ParseError, ValidationError
+from popref.numerics import Rng, derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +346,63 @@ def test_object_only_with_exactly_max_len_plus_one_classes(max_len):
     for act in acts:
         if act.gold.anomaly_kind == MISS:
             assert act.query.noun not in {item.object for item in act.items}
+
+
+def _reference_generate(draw, label, world, spec, rng, count, start, id_prefix):
+    """The generation loop as it was before the act streams were seeded and
+    drawn ahead as lanes: one ``Rng(derive_seed(...))`` per act."""
+    for index in range(start, start + count):
+        act_rng = Rng(derive_seed(rng.seed, label, index))
+        query, items, anomaly = draw(world, spec, act_rng)
+        perm = list(range(len(items)))
+        act_rng.shuffle(perm)
+        gold = (Gold.point(perm.index(0)) if anomaly is None
+                else Gold(kind=ANOMALY, anomaly_kind=anomaly))
+        act = ReferenceAct(id=f"{id_prefix}-{index:06d}", query=query,
+                           items=tuple(items[p] for p in perm), gold=gold)
+        validate_act(act, spec.min_len, spec.max_len)
+        yield act
+
+
+_DRAWS = {"object-only": (datagen._draw_object_only, "object-only"),
+          "object-attr": (datagen._draw_object_attribute, "object-attribute")}
+_BLOCK = datagen._LANE_ACTS
+# (count, start): a block less one, a block, a block and one, offset starts.
+_RANGES = [(_BLOCK - 1, 0), (_BLOCK, 0), (_BLOCK + 1, 0), (40, 3), (_BLOCK + 2, _BLOCK - 1)]
+
+
+def _assert_generated_as_reference(world, task, spec, count, start):
+    rng = Rng(spec.seed)
+    got = list(GENERATORS[task](world, spec, rng, count, start=start, id_prefix="x"))
+    draw, label = _DRAWS[task]
+    assert got == list(_reference_generate(draw, label, world, spec, rng, count, start, "x"))
+    assert len(got) == count
+
+
+@pytest.mark.parametrize("count, start", _RANGES)
+@pytest.mark.parametrize("task", GENERATORS)
+def test_generators_match_the_per_act_reference_across_blocks(small_world, task,
+                                                              count, start):
+    _assert_generated_as_reference(small_world, task, DatasetSpec(seed=41), count, start)
+
+
+@pytest.mark.parametrize("p_miss, p_mult", [(0.0, 0.0), (0.15, 0.15), (0.5, 0.4999)])
+@pytest.mark.parametrize("task, length", [
+    ("object-only", None), ("object-only", 2), ("object-only", 11),
+    ("object-attr", None), ("object-attr", 2), ("object-attr", 7),
+])
+def test_generators_match_the_per_act_reference(small_world, task, length, p_miss, p_mult):
+    # small_world has 12 classes, so object-only acts reach length 11.
+    lengths = {} if length is None else {"min_len": length, "max_len": length}
+    spec = DatasetSpec(p_miss=p_miss, p_mult=p_mult, seed=42, **lengths)
+    _assert_generated_as_reference(small_world, task, spec, 150, 7)
+
+
+@pytest.mark.parametrize("count, start", [(2, -1), (-3, 0), (-1, 4)])
+@pytest.mark.parametrize("task", GENERATORS)
+def test_generators_reject_a_negative_start_or_count(small_world, task, count, start):
+    with pytest.raises(ContractViolation, match="start >= 0 and count >= 0"):
+        list(GENERATORS[task](small_world, DatasetSpec(), Rng(0), count, start=start))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from popref.datagen import DatasetSpec, gen_object_only, generate_splits
+from popref.datagen import (
+    GOLD_CATEGORIES,
+    POINT,
+    PROTEST,
+    DatasetSpec,
+    gen_object_only,
+    generate_splits,
+)
 from popref.embeddings import (
     EncodedSplit,
     Table,
@@ -431,6 +438,26 @@ def test_split_rows_equal_the_per_act_encoding_bit_for_bit(
         one = encode_act(act, small_world, mode, normalize_blocks=normalize_blocks)
         assert _bits(one.query_vec) == _bits(query)
         assert _bits(one.candidates) == _bits(np.array(candidates))
+
+
+@pytest.mark.parametrize("task", ["object-only", "object-attr"])
+def test_split_gold_arrays_are_built_once_on_first_read(small_world, task):
+    acts = _some_acts(small_world, task, 60)
+    split = encode_split(small_world, acts, "dense")
+    assert "gold_arrays" not in vars(split)
+    right, rows = split.gold_arrays
+    assert split.gold_arrays is split.gold_arrays
+    assert right.dtype == rows.dtype == np.intp
+    assert right.tolist() == [act.gold.index if act.gold.kind == POINT else PROTEST
+                              for act in acts]
+    assert [GOLD_CATEGORIES[row] for row in rows] == \
+        [act.gold.anomaly_kind or POINT for act in acts]
+    assert set(rows.tolist()) == {0, 1, 2}
+    part_right, part_rows = split[7:19].gold_arrays
+    assert part_right.tolist() == right[7:19].tolist()
+    assert part_rows.tolist() == rows[7:19].tolist()
+    empty_right, empty_rows = split[:0].gold_arrays
+    assert empty_right.shape == empty_rows.shape == (0,)
 
 
 def _ghost(act, noun=None, image_id=None, attribute=None):

@@ -10,13 +10,16 @@ from popref.errors import ContractViolation
 from popref.numerics import (
     Rng,
     derive_seed,
+    derive_seeds,
     finite_diff_grad,
     flatten_arrays,
     fnv1a64,
     glorot_uniform,
+    lane_rngs,
     outer,
     rel_error,
     splitmix64,
+    splitmix64_lanes,
     unflatten_into,
 )
 
@@ -76,6 +79,23 @@ def test_derive_seed_separates_streams():
         derive_seed(0, 0, "alpha"),
     }
     assert len(seen) == 6
+
+
+EDGE_INDICES = [0, 1, 1 << 32, 1 << 63, (1 << 64) - 1]
+
+
+def test_splitmix64_lanes_match_the_scalar_steps():
+    outputs, states = splitmix64_lanes(np.array(EDGE_INDICES, dtype=np.uint64))
+    assert list(zip(outputs.tolist(), states.tolist())) == \
+        [splitmix64(i) for i in EDGE_INDICES]
+
+
+@pytest.mark.parametrize("master, parts", [(0, ()), (7, ("object-only",)),
+                                           ((1 << 64) - 1, ("object-attribute", 3))])
+def test_derive_seeds_match_derive_seed(master, parts):
+    got = derive_seeds(master, *parts, indices=np.array(EDGE_INDICES, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [derive_seed(master, *parts, i) for i in EDGE_INDICES]
 
 
 def test_derive_seed_order_sensitivity():
@@ -291,6 +311,47 @@ def test_bulk_normals_match_per_draw(n, spare):
     assert bulk.normals(n + 3, mu=-1.5, sigma=0.3).tobytes() == np.array(
         [single.normal(-1.5, 0.3) for _ in range(n + 3)]).tobytes()
     assert _same_state(bulk, single)
+
+
+AHEAD = 9
+# Each method's draws from a generator, one call per draw for the per-draw
+# methods; the counts straddle AHEAD and the bulk cutoff.
+DRAWS = {
+    "next_u64": lambda rng, n: [rng.next_u64() for _ in range(n)],
+    "random": lambda rng, n: [rng.random() for _ in range(n)],
+    "uniform": lambda rng, n: [rng.uniform(-2.0, 3.0) for _ in range(n)],
+    "randrange": lambda rng, n: [rng.randrange(3 + i) for i in range(n)],
+    "choice": lambda rng, n: [rng.choice("abcdefg") for _ in range(n)],
+    "sample": lambda rng, n: rng.sample(range(n + 4), n),
+    "shuffle": lambda rng, n: (xs := list(range(n + 1)), rng.shuffle(xs), xs)[2],
+    "normal": lambda rng, n: [rng.normal(0.5, 2.0) for _ in range(n)],
+    "fork": lambda rng, n: [rng.fork().next_u64() for _ in range(n)],
+    "u64s": lambda rng, n: rng.u64s(n).tolist(),
+    "randoms": lambda rng, n: rng.randoms(n).tolist(),
+    "uniforms": lambda rng, n: rng.uniforms(n, -1.0, 4.0).tolist(),
+    "normals": lambda rng, n: rng.normals(n, 1.0, 0.5).tolist(),
+}
+CUTOFF = numerics._BULK_CUTOFF
+
+
+@pytest.mark.parametrize("n", [AHEAD - 1, AHEAD, AHEAD + 1, CUTOFF - 1, CUTOFF, CUTOFF + 1])
+@pytest.mark.parametrize("method", DRAWS)
+def test_lane_rngs_are_the_plain_generators(method, n):
+    seeds = derive_seeds(11, "lanes", indices=np.arange(3, dtype=np.uint64))
+    for lane, seed in zip(lane_rngs(seeds, AHEAD), seeds.tolist()):
+        plain = Rng(seed)
+        assert lane.seed == plain.seed
+        assert DRAWS[method](lane, n) == DRAWS[method](plain, n)
+        # Equal state: the same spare and the same stream from here on.
+        assert lane._gauss_spare == plain._gauss_spare
+        assert lane.u64s(AHEAD + 2).tolist() == plain.u64s(AHEAD + 2).tolist()
+        assert lane._s == plain._s and not lane._ahead
+
+
+def test_lane_rngs_of_no_seeds_or_no_draws_ahead():
+    assert lane_rngs(np.array([], dtype=np.uint64), AHEAD) == []
+    (lane,) = lane_rngs(np.array([5], dtype=np.uint64), 0)
+    assert lane._s == Rng(5)._s and lane.next_u64() == Rng(5).next_u64()
 
 
 @pytest.mark.parametrize("draw", [

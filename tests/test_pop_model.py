@@ -1,7 +1,12 @@
 """Tests for the pointing network: forward semantics, gradients, prediction."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from popref.pop_model import (
     predict,
     predict_batch,
 )
+import popref
 from popref import pipeline_model, pop_model
 from popref.harness import report_to_json, run_experiment
 from popref.pipeline_model import (
@@ -538,6 +544,12 @@ _TOY_RUNS = {
     "trpop": {"task": "object-only", "model.d_ent": "12", "model.n_sensors": "5"},
     "pipeline": {"task": "object-attr", "model.d_shared": "10"},
 }
+# One toy manifest per model: every stage runs in well under a second.
+_TOY_MANIFESTS = {
+    model: {**_TOY_WORLD, **settings, "model": model, "data.n_train": "40",
+            "data.n_val": "140", "data.n_test": "150", "train.epochs": "1"}
+    for model, settings in _TOY_RUNS.items()
+}
 
 
 def test_batch_path_splits_into_chunks_of_CHUNK_acts(monkeypatch):
@@ -563,12 +575,8 @@ def test_batch_path_splits_into_chunks_of_CHUNK_acts(monkeypatch):
     for size in (1, 7, CHUNK):
         monkeypatch.setattr(pop_model, "CHUNK", size)
         monkeypatch.setattr(pipeline_model, "CHUNK", size)
-        reports = {
-            model: report_to_json(run_experiment({
-                **_TOY_WORLD, **settings, "model": model, "data.n_train": "40",
-                "data.n_val": "140", "data.n_test": "150", "train.epochs": "1"}))
-            for model, settings in _TOY_RUNS.items()
-        }
+        reports = {model: report_to_json(run_experiment(manifest))
+                   for model, manifest in _TOY_MANIFESTS.items()}
         outcomes.append((predict_batch(params, acts).tolist(), reports,
                          pipeline_predict_batch(pipe_params, thresholds,
                                                 pipe_acts).tolist()))
@@ -576,6 +584,30 @@ def test_batch_path_splits_into_chunks_of_CHUNK_acts(monkeypatch):
     assert all('"status": "ok"' in report for report in outcomes[0][1].values())
     assert {c == PROTEST for c in outcomes[0][2]} == {True, False}
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+_RUN_TOYS = """
+import json, sys
+from popref.harness import run_experiment
+for model, manifest in json.loads(sys.argv[2]).items():
+    run_experiment(manifest, out_dir=f"{sys.argv[1]}/{model}")
+"""
+
+
+def test_blas_threads_do_not_move_a_report(tmp_path):
+    path = [str(Path(popref.__file__).resolve().parents[1])]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(path)}
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", _RUN_TOYS, str(out),
+                        json.dumps(_TOY_MANIFESTS)], env=env, check=True, timeout=120)
+        reports.append({model: (out / model / "report.json").read_bytes()
+                        for model in _TOY_MANIFESTS})
+    assert all(b'"status": "ok"' in report for report in reports[0].values())
+    assert reports[1] == reports[0]
 
 
 def _bad_acts():
