@@ -10,11 +10,9 @@ script prints every intermediate for a real act, shows that reordering the
 lineup just reorders the answer, and finishes with a gradient check.
 """
 
-import dataclasses
-
 import numpy as np
 
-from popref.datagen import ANOMALY, DatasetSpec, generate_splits
+from popref.datagen import ANOMALY, PROTEST, DatasetSpec, generate_splits
 from popref.embeddings import WorldConfig, build_synthetic_world, encode_act
 from popref.numerics import Rng
 from popref.pop_model import (
@@ -30,7 +28,7 @@ np.set_printoptions(precision=4, suppress=True)
 
 
 def show_trace(params, act, label):
-    trace = forward(params, act)
+    trace = forward(params, act.query_vec, act.candidates, act.act_id)
     n = len(act.candidates)
     print(f"{label} (lineup of {n}):")
     print(f"  similarities        {trace.sims}")
@@ -40,8 +38,8 @@ def show_trace(params, act, label):
     print(f"  protest logit       {trace.anomaly_raw:.4f} "
           f"-> squashed score {trace.anomaly_score:.4f}")
     print(f"  softmax probs       {trace.probs}  (last entry = protest)")
-    pred = predict(params, act)
-    outcome = "protest" if pred.is_protest else f"point at #{pred.index}"
+    choice = predict(params, act)
+    outcome = "protest" if choice == PROTEST else f"point at #{choice}"
     print(f"  decision: {outcome}")
     return trace
 
@@ -67,20 +65,21 @@ def main() -> None:
     trace = show_trace(params, encoded, f"successful act {point_act.id}")
     gold = point_act.gold
     print(f"  gold: point at #{gold.index}; "
-          f"loss = {loss(trace, gold):.4f}")
+          f"loss = {loss(trace, gold.index):.4f}")
     print()
 
     encoded_miss = encode_act(miss_act, world, "dense")
     miss_trace = show_trace(params, encoded_miss, f"missing-referent act {miss_act.id}")
-    print(f"  gold: protest; loss = {loss(miss_trace, miss_act.gold):.4f}")
+    # Both anomaly kinds target the protest cell, after the n candidates.
+    protest_cell = len(encoded_miss.candidates)
+    print(f"  gold: protest; loss = {loss(miss_trace, protest_cell):.4f}")
     print()
 
     print("reordering the lineup permutes the probabilities:")
-    base = forward(params, encoded)
     n = len(encoded.candidates)
     perm = list(reversed(range(n)))
-    flipped = dataclasses.replace(encoded, candidates=encoded.candidates[perm])
-    moved = forward(params, flipped)
+    base = forward(params, encoded.query_vec, encoded.candidates)
+    moved = forward(params, encoded.query_vec, encoded.candidates[perm])
     print(f"  original probs {base.probs}")
     print(f"  reversed probs {moved.probs}")
     print(f"  pointing entries reversed, protest entry untouched: "

@@ -57,7 +57,7 @@ def main() -> None:
     def on_epoch(epoch, mean_loss, trainable):
         print(f"{epoch:>5}  {mean_loss:>9.4f}  {protest_rate(trainable.params):>16.3f}")
 
-    train(PopTrainable(params), train_acts, train_config, epoch_callback=on_epoch)
+    train(PopTrainable(params, train_acts), train_config, epoch_callback=on_epoch)
     elapsed = time.monotonic() - start
     print(f"trained in {elapsed:.1f}s")
     print()

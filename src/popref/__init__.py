@@ -92,7 +92,6 @@ from .pipeline_model import (
 from .pop_model import (
     PopConfig,
     PopParams,
-    Prediction,
     backward,
     forward,
     gradcheck_pop,

@@ -20,7 +20,7 @@ Six predictors calibrate the evaluation scale:
 
 from dataclasses import dataclass, field
 
-from .datagen import POINT, ReferenceAct
+from .datagen import POINT, PROTEST, ReferenceAct
 from .embeddings import SyntheticWorld, shuffle_images
 from .errors import ConfigError, UnsupportedInputError
 from .harness import (
@@ -33,7 +33,7 @@ from .harness import (
     infer_task,
 )
 from .numerics import Rng, derive_seed
-from .pop_model import PopParams, Prediction, predict_batch
+from .pop_model import PopParams, predict_batch
 from .training import TrainLog
 
 
@@ -83,29 +83,27 @@ def estimate_label_distribution(acts, max_len: int) -> LabelDistribution:
     return dist
 
 
-def _label_to_prediction(label: int, max_len: int) -> Prediction:
-    return Prediction.protest() if label == max_len else Prediction.point(label)
+def random_predict(act, rng: Rng, max_len: int = 5) -> int:
+    """Uniform over the max_len + 1 fixed outcome labels: a candidate index,
+    or :data:`~popref.datagen.PROTEST` for the last."""
+    label = rng.randrange(max_len + 1)
+    return PROTEST if label == max_len else label
 
 
-def random_predict(act, rng: Rng, max_len: int = 5) -> Prediction:
-    """Uniform over the max_len + 1 fixed outcome labels."""
-    return _label_to_prediction(rng.randrange(max_len + 1), max_len)
-
-
-def majority_predict(act) -> Prediction:
+def majority_predict(act) -> int:
     """Always protest — the most frequent outcome label."""
-    return Prediction.protest()
+    return PROTEST
 
 
-def probability_predict(act, dist: LabelDistribution, rng: Rng) -> Prediction:
+def probability_predict(act, dist: LabelDistribution, rng: Rng) -> int:
     """Sample an outcome label from the training-split marginal."""
     u = rng.random()
     cumulative = 0.0
     for label, p in enumerate(dist.probabilities):
         cumulative += p
         if u < cumulative:
-            return _label_to_prediction(label, dist.max_len)
-    return _label_to_prediction(dist.max_len, dist.max_len)
+            return PROTEST if label == dist.max_len else label
+    return PROTEST
 
 
 def labels_match(query: str, label: str) -> bool:
@@ -141,7 +139,7 @@ class SyntheticLabeler:
         return rng.choice(others) if others else true_object
 
 
-def cnn_predict(act: ReferenceAct, labeler: SyntheticLabeler) -> Prediction:
+def cnn_predict(act: ReferenceAct, labeler: SyntheticLabeler) -> int:
     """Label every candidate image, then resolve by lax label matching.
 
     Exactly one label containing (or contained in) the query noun points at
@@ -157,10 +155,10 @@ def cnn_predict(act: ReferenceAct, labeler: SyntheticLabeler) -> Prediction:
         i for i, item in enumerate(act.items)
         if labels_match(act.query.noun, labeler.label(item.image_id, item.object))
     ]
-    return Prediction.point(hits[0]) if len(hits) == 1 else Prediction.protest()
+    return hits[0] if len(hits) == 1 else PROTEST
 
 
-def attr_random_predict(act: ReferenceAct, rng: Rng) -> Prediction:
+def attr_random_predict(act: ReferenceAct, rng: Rng) -> int:
     """Point uniformly among attribute matches; protest only when none exist.
 
     Because it always points whenever at least one candidate shares the
@@ -176,7 +174,7 @@ def attr_random_predict(act: ReferenceAct, rng: Rng) -> Prediction:
         i for i, item in enumerate(act.items)
         if item.attribute == act.query.attribute
     ]
-    return Prediction.point(rng.choice(hits)) if hits else Prediction.protest()
+    return rng.choice(hits) if hits else PROTEST
 
 
 @dataclass

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 
 from . import baselines
 from .checkpoint import (
@@ -160,8 +161,10 @@ def _cmd_tune_thresholds(args) -> int:
 
 def _cmd_eval(args) -> int:
     record = load_checkpoint(args.checkpoint)
-    encoded = _encode(restore_inputs(record), read_jsonl(args.test),
-                      args.allow_unknown)
+    acts = read_jsonl(args.test)
+    if not acts:
+        raise ConfigError(f"no test acts in {args.test}")
+    encoded = _encode(restore_inputs(record), acts, args.allow_unknown)
     if record["kind"] == "pipeline":
         params, thresholds = restore_pipeline(record)
         if thresholds is None:
@@ -185,11 +188,10 @@ def _cmd_baseline(args) -> int:
         raise ConfigError(f"no test acts in {args.test}")
 
     if args.kind == "random":
-        rng = Rng(args.seed)
-        metrics = evaluate(per_act(
-            lambda act: baselines.random_predict(act, rng, args.max_len)), acts)
+        predictor = partial(baselines.random_predict, rng=Rng(args.seed),
+                            max_len=args.max_len)
     elif args.kind == "majority":
-        metrics = evaluate(per_act(baselines.majority_predict), acts)
+        predictor = baselines.majority_predict
     elif args.kind == "probability":
         if not args.train:
             raise ConfigError(
@@ -198,9 +200,7 @@ def _cmd_baseline(args) -> int:
             )
         train_acts = read_jsonl(args.train)
         dist = baselines.estimate_label_distribution(train_acts, args.max_len)
-        rng = Rng(args.seed)
-        metrics = evaluate(per_act(
-            lambda act: baselines.probability_predict(act, dist, rng)), acts)
+        predictor = partial(baselines.probability_predict, dist=dist, rng=Rng(args.seed))
     elif args.kind == "cnn":
         if args.config:
             world = _world_from(_load_config(args.config))
@@ -210,12 +210,9 @@ def _cmd_baseline(args) -> int:
         labeler = baselines.SyntheticLabeler(
             vocabulary=vocabulary, p_true=args.p_true, seed=args.seed
         )
-        metrics = evaluate(per_act(
-            lambda act: baselines.cnn_predict(act, labeler)), acts)
+        predictor = partial(baselines.cnn_predict, labeler=labeler)
     elif args.kind == "attr-random":
-        rng = Rng(args.seed)
-        metrics = evaluate(per_act(
-            lambda act: baselines.attr_random_predict(act, rng)), acts)
+        predictor = partial(baselines.attr_random_predict, rng=Rng(args.seed))
     elif args.kind == "imgshuffle":
         if not args.train:
             raise ConfigError("the image-shuffle run needs --train acts")
@@ -226,11 +223,12 @@ def _cmd_baseline(args) -> int:
             shuffle_seed=args.shuffle_seed,
         )
         print(f"shuffle_seed={result.shuffle_seed}")
-        metrics = result.metrics
+        _print_metrics(result.metrics, args.report)
+        return EXIT_OK
     else:
         raise ConfigError(f"unknown baseline kind {args.kind!r}")
 
-    _print_metrics(metrics, args.report)
+    _print_metrics(evaluate(per_act(predictor), acts), args.report)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .datagen import check_task, gold_arrays
+from .datagen import PROTEST, check_task, gold_arrays
 from .errors import ConfigError, ContractViolation, EncodingError, ValidationError
 from .numerics import Rng, derive_seed, require_finite
 
@@ -284,19 +284,19 @@ def nearest_centroid_accuracy(world: SyntheticWorld) -> float:
 
 @dataclass
 class EncodedAct:
-    """One act as network-ready arrays: a query vector and its n x d_cand lineup."""
+    """A hand-made act for :meth:`EncodedSplit.of`: a query vector and its lineup."""
 
     query_vec: np.ndarray
     candidates: np.ndarray
     gold: object
-    act_id: str = ""
+    act_id: str = "<unnamed>"
 
     def require_dims(self, d_query: int, d_cand: int) -> None:
         """A query of ``d_query`` entries and 1+ candidates of ``d_cand``."""
         query, lineup = np.shape(self.query_vec), np.shape(self.candidates)
         if query != (d_query,) or lineup[1:] != (d_cand,) or not lineup[0]:
             raise ContractViolation(
-                f"act {self.act_id or '<unnamed>'!r}: a query of shape {query} and a "
+                f"act {self.act_id!r}: a query of shape {query} and a "
                 f"lineup of shape {lineup}, not ({d_query},) and (n >= 1, {d_cand})")
 
 
@@ -306,7 +306,7 @@ class EncodedSplit(Sequence):
 
     Act ``i`` is the query ``queries[i]`` against candidates ``offsets[i]``
     up to ``offsets[i + 1]``, with gold ``golds[i]`` and id ``ids[i]``;
-    :attr:`gold_arrays` holds the golds as int arrays.
+    :attr:`gold_arrays` and :attr:`gold_cells` hold the golds as int arrays.
     Candidate ``k`` is row ``rows[k]`` of ``table``: an object-only split's
     table is its world's image table, an attribute split's its own N x d_cand
     matrix.  Indexing gives an act, slicing a sub-split sharing the table.
@@ -324,6 +324,20 @@ class EncodedSplit(Sequence):
         """:func:`~popref.datagen.gold_arrays` of :attr:`golds` (each act's
         right answer and gold category row), built on first read."""
         return gold_arrays(self.golds)
+
+    @cached_property
+    def gold_cells(self) -> np.ndarray:
+        """Each act's gold cell among its n candidates and the protest cell
+        n, built on first read; a point gold outside its lineup is a
+        :class:`ContractViolation` naming the act."""
+        right, _ = self.gold_arrays
+        lengths = np.diff(self.offsets)
+        bad = right >= lengths
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ContractViolation(f"act {self.ids[i]!r}: gold index {right[i]} "
+                                    f"invalid for {lengths[i]} candidates")
+        return np.where(right == PROTEST, lengths, right)
 
     @property
     def candidates(self) -> np.ndarray:
@@ -364,7 +378,8 @@ class EncodedSplit(Sequence):
     @staticmethod
     def of(acts) -> "EncodedSplit":
         """The split of hand-made acts, in order.  Each must pass
-        :meth:`EncodedAct.require_dims` with the first act's dimensions."""
+        :meth:`EncodedAct.require_dims` with the first act's dimensions, and
+        its gold :meth:`~popref.datagen.Gold.validate`."""
         acts = list(acts)
         if not acts:
             return EncodedSplit(np.zeros((0, 0)), np.zeros((0, 0)),
@@ -373,6 +388,7 @@ class EncodedSplit(Sequence):
         dims = np.size(acts[0].query_vec), np.shape(acts[0].candidates)[-1]
         for act in acts:
             act.require_dims(*dims)
+            act.gold.validate()
         lengths = [len(act.candidates) for act in acts]
         return EncodedSplit(
             np.array([act.query_vec for act in acts], dtype=np.float64),

@@ -135,9 +135,10 @@ class Metrics:
 def evaluate(predict_acts, acts) -> Metrics:
     """Score a batch predictor over gold-bearing acts (a split or a list).
 
-    ``predict_acts`` maps ``acts`` to an int array of choices, one per act
-    (see :class:`~popref.pop_model.Prediction`); it is called here, so the
-    time it takes is the evaluation's (wrap a one-act predictor with
+    ``predict_acts`` maps ``acts`` to an int array of choices, one per act:
+    the index of the candidate it points at, or
+    :data:`~popref.datagen.PROTEST`.  It is called here, so the time it
+    takes is the evaluation's (wrap a one-act predictor with
     :func:`per_act`).  Each answer is scored by
     :func:`~popref.datagen.scored` and tallied into one confusion table.
     The result is independent of act order.
@@ -159,9 +160,9 @@ def evaluate(predict_acts, acts) -> Metrics:
 
 
 def per_act(predictor):
-    """The batch form of a one-act predictor (act -> Prediction), for
+    """The batch form of a one-act predictor (act -> choice), for
     :func:`evaluate`."""
-    return lambda acts: np.array([predictor(act).choice for act in acts], dtype=np.intp)
+    return lambda acts: np.fromiter(map(predictor, acts), np.intp, len(acts))
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -296,8 +297,15 @@ def build_inputs(manifest: dict[str, str], model: str, task: str) -> Inputs:
 def build_model(manifest: dict[str, str], model: str, d_query: int,
                 d_cand: int) -> PopConfig | PipelineConfig:
     """The validated config of ``model`` over the given input dims, from the
-    manifest's ``model.*`` keys (absent keys take the config defaults)."""
-    config = _build_from(manifest, "model", MODELS[model][0],
+    manifest's ``model.*`` keys (absent keys take the config defaults; a key
+    of another model is a :class:`ConfigError`)."""
+    config_cls = MODELS[model][0]
+    foreign = sorted({key for key in manifest if key.startswith("model.")}
+                     - set(_settings("model", config_cls)))
+    if foreign:
+        raise ConfigError(f"manifest keys {', '.join(foreign)} are not settings "
+                          f"of model {model!r}")
+    config = _build_from(manifest, "model", config_cls,
                          d_query=d_query, d_cand=d_cand)
     config.validate()
     return config
@@ -357,7 +365,7 @@ def fit(manifest: dict[str, str], model: str, config, encoded_train,
         if probe:
             protest_rates.append(_protest_rate(trainable.params, probe))
 
-    log = train(PopTrainable(params), encoded_train, train_config,
+    log = train(PopTrainable(params, encoded_train), train_config,
                 epoch_callback=on_epoch)
     return Fitted(model, params, log, inputs, protest_rates)
 

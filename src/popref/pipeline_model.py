@@ -12,7 +12,7 @@ the argmax.
 Similarities are cosines, not raw dot products — the tuned thresholds only
 make sense on a bounded scale.  Anomalous training acts contribute no
 triples: a missing-referent act has no positive and a multiple-referent act
-an ambiguous one.
+an ambiguous one.  A triple is three row indices into the encoded split.
 """
 
 import logging
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import POINT, PROTEST, scored
-from .embeddings import EncodedSplit
+from .datagen import PROTEST, Gold, scored
+from .embeddings import EncodedAct, EncodedSplit
 from .errors import ConfigError, NumericError
 from .numerics import Rng, derive_seed, outer, require_finite
-from .pop_model import CHUNK, Prediction, act_label, padded
+from .pop_model import CHUNK, padded
 from .training import (
     GradcheckReport,
     Params,
@@ -93,18 +93,20 @@ def init_pipeline_params(config: PipelineConfig, rng: Rng) -> PipelineParams:
     return PipelineParams.init(config, rng)
 
 
-def extract_pairs(split: EncodedSplit):
-    """Training triples (query, positive, negative) from successful acts only.
-
-    The positive is the gold candidate; every other candidate in the same
-    act yields one triple.  Each vector is a view of a row of the split.
+def extract_pairs(split: EncodedSplit) -> np.ndarray:
+    """Training triples from successful acts only, as a T x 3 int array:
+    the act (its query row), and the table rows of its gold candidate (the
+    positive) and of one other candidate (the negative), in act order, then
+    candidate order.
     """
-    off, rows, table = split.offsets, split.rows, split.table
-    return [
-        (split.queries[i], table[rows[off[i] + gold.index]], table[row])
-        for i, gold in enumerate(split.golds) if gold.kind == POINT
-        for k, row in enumerate(rows[off[i]:off[i + 1]]) if k != gold.index
-    ]
+    offsets, cells = split.offsets, split.gold_cells
+    lengths = np.diff(offsets)
+    owner = np.repeat(np.arange(len(split)), lengths)  # the act of each candidate
+    gold = cells[owner]
+    keep = (gold < lengths[owner]) & (np.arange(owner.size) - offsets[owner] != gold)
+    owner = owner[keep]
+    return np.column_stack([owner, split.rows[offsets[owner] + gold[keep]],
+                            split.rows[keep]])
 
 
 def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float,
@@ -135,9 +137,6 @@ def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[floa
     zero; otherwise the loss is margin - cos_pos + cos_neg and the chain
     rule runs through both cosines into the two linear maps.
     """
-    query = np.asarray(query, dtype=np.float64)
-    positive = np.asarray(positive, dtype=np.float64)
-    negative = np.asarray(negative, dtype=np.float64)
     qv = params.query_map @ query
     pv = params.object_map @ positive
     nv = params.object_map @ negative
@@ -160,11 +159,23 @@ def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[floa
 
 
 class PipelineTrainable(Trainable):
-    """Adapter over (query, positive, negative) triples for the generic trainer."""
+    """The hinge over an encoded split: example ``t`` is its triple ``t``."""
 
-    def loss_and_grads(self, triple) -> tuple[float, dict[str, np.ndarray]]:
-        query, positive, negative = triple
-        return hinge_grads(query, positive, negative, self.params)
+    def __init__(self, params: PipelineParams, split: EncodedSplit):
+        super().__init__(params, split)
+        self._triples = extract_pairs(split).tolist()
+
+    def __len__(self) -> int:
+        return len(self._triples)
+
+    def loss_and_grads(self, t: int) -> tuple[float, dict[str, np.ndarray]]:
+        act, positive, negative = self._triples[t]
+        split = self.split
+        return hinge_grads(split.queries[act], split.table[positive],
+                           split.table[negative], self.params)
+
+    def example_id(self, t: int) -> str:
+        return self.split.ids[self._triples[t][0]]
 
 
 def train_pipeline(
@@ -176,8 +187,7 @@ def train_pipeline(
     params = init_pipeline_params(
         config, Rng(derive_seed(train_config.seed, "pipeline-init"))
     )
-    triples = extract_pairs(encoded_acts)
-    log = train(PipelineTrainable(params), triples, train_config)
+    log = train(PipelineTrainable(params, encoded_acts), train_config)
     return params, log
 
 
@@ -204,19 +214,19 @@ def chunk_cosines(params: PipelineParams, chunk: EncodedSplit) -> tuple[np.ndarr
         finite = np.isfinite(dots) & np.isfinite(query_norms * object_norms)
     if not finite.all():
         i = int(rows[np.argmin(finite)])
-        raise NumericError(f"act {act_label(chunk[i])!r}: non-finite mapped vectors")
+        raise NumericError(f"act {chunk.ids[i]!r}: non-finite mapped vectors")
     zero = (query_norms == 0.0) | (object_norms == 0.0)
     if zero.any():
         for i in sorted(set(rows[zero].tolist())):
             logger.warning("zero-norm mapped vector (act %r); cosine defined as 0",
-                           act_label(chunk[i]))
+                           chunk.ids[i])
     cosines = np.divide(dots, query_norms * object_norms,
                         out=np.zeros_like(dots), where=~zero)
     return cosines, lengths
 
 
-def similarity_profile(params: PipelineParams, act) -> np.ndarray:
-    """Cosine similarity of the mapped query against each mapped candidate."""
+def similarity_profile(params: PipelineParams, act: EncodedAct) -> np.ndarray:
+    """Cosine similarity of a hand-made act's mapped query and candidates."""
     return chunk_cosines(params, EncodedSplit.of([act]))[0]
 
 
@@ -249,25 +259,20 @@ def _protests(max_sim, gap, min_similarity, min_gap):
 
 def pipeline_predict_batch(params: PipelineParams, thresholds: Thresholds,
                            split: EncodedSplit) -> np.ndarray:
-    """:func:`pipeline_predict` for every act of a split, from one
-    :func:`protest_profiles` call: an int array of choices (see
-    :class:`~popref.pop_model.Prediction`)."""
+    """Each act's choice, from one :func:`protest_profiles` call: protest
+    when the best similarity falls below ``min_similarity`` or, for two or
+    more candidates, the top two differ by less than ``min_gap``; else point
+    at the best candidate."""
     max_sims, gaps, best = protest_profiles(params, split)
     protest = _protests(max_sims, gaps, thresholds.min_similarity,
                         thresholds.min_gap)
     return np.where(protest, PROTEST, best)
 
 
-def pipeline_predict(params: PipelineParams, thresholds: Thresholds, act) -> Prediction:
-    """Apply the two protest heuristics, else point at the best candidate.
-
-    Protest when the best similarity falls below ``min_similarity`` (nothing
-    matches well enough), or — for two or more candidates — when the top two
-    similarities differ by less than ``min_gap`` (two things match equally
-    well).  See :func:`protest_profiles`.
-    """
-    return Prediction(int(pipeline_predict_batch(params, thresholds,
-                                                 EncodedSplit.of([act]))[0]))
+def pipeline_predict(params: PipelineParams, thresholds: Thresholds,
+                     act: EncodedAct) -> int:
+    """:func:`pipeline_predict_batch` of one hand-made act."""
+    return int(pipeline_predict_batch(params, thresholds, EncodedSplit.of([act]))[0])
 
 
 def tune_thresholds(params: PipelineParams, val: EncodedSplit) -> Thresholds:
@@ -306,8 +311,9 @@ def gradcheck_pipeline(
 ) -> GradcheckReport:
     """Finite-difference verification of the hinge-loss gradients.
 
-    Triples are resampled until the hinge is active with at least 1e-3 of
-    slack, so the finite-difference probe never straddles the max(0, .) kink.
+    Each trial's one triple is resampled until the hinge is active with at
+    least 1e-3 of slack, so the finite-difference probe never straddles the
+    max(0, .) kink.
     """
     rng = Rng(seed)
 
@@ -320,10 +326,11 @@ def gradcheck_pipeline(
         )
         for _ in range(200):
             params = init_pipeline_params(config, rng.fork())
-            triple = (rng.normals(config.d_query), rng.normals(config.d_cand),
-                      rng.normals(config.d_cand))
-            if hinge_grads(*triple, params)[0] > 1e-3:
-                return PipelineTrainable(params), triple, ""
+            act = EncodedAct(rng.normals(config.d_query), np.array(
+                [rng.normals(config.d_cand), rng.normals(config.d_cand)]), Gold.point(0))
+            trainable = PipelineTrainable(params, EncodedSplit.of([act]))
+            if trainable.loss_and_grads(0)[0] > 1e-3:
+                return trainable, ""
         return "could not activate the hinge"
 
     return gradcheck(sample, trials, tolerance, h)

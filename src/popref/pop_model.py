@@ -1,6 +1,6 @@
 """The pointing network: score candidates against a query, or protest.
 
-Architecture, per forward pass over one encoded act with n candidates:
+Architecture, per forward pass over one act's query and its n candidates:
 
 * a shared entity map turns every candidate vector into an entity vector;
 * a separate query map turns the query into the same space;
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import ANOMALY, PROTEST, Gold
+from .datagen import PROTEST, Gold
 from .embeddings import EncodedAct, EncodedSplit
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import ConfigError, NumericError
 from .numerics import Rng, outer
 from .training import ColumnSparse, GradcheckReport, Params, Trainable, gradcheck
 
@@ -198,15 +198,11 @@ class ForwardTrace:
     log_norm: float            # log of the softmax normaliser, logsumexp(logits)
 
 
-def act_label(act) -> str:
-    return getattr(act, "act_id", "") or "<unnamed>"
-
-
-def forward(params: PopParams, act) -> ForwardTrace:
-    """Run the network over one encoded act; returns the full trace."""
+def forward(params: PopParams, query_in: np.ndarray, candidates: np.ndarray,
+            act_id: str = "<unnamed>") -> ForwardTrace:
+    """Run the network over one act's query and n x d_cand candidates, of
+    dimensions the caller checked; returns the full trace."""
     cfg = params.config
-    act.require_dims(cfg.d_query, cfg.d_cand)
-    query_in, candidates = act.query_vec, act.candidates
     n = candidates.shape[0]
 
     entity_vecs = candidates @ params.entity_map.T
@@ -244,7 +240,7 @@ def forward(params: PopParams, act) -> ForwardTrace:
 
     logits = np.concatenate([sims, [anomaly_score]])
     if not np.isfinite(logits).all():
-        raise NumericError(f"act {act_label(act)!r}: non-finite logits {logits}")
+        raise NumericError(f"act {act_id!r}: non-finite logits {logits}")
     # Softmax and its log-normaliser from one max-shifted exp.
     top = logits.max()
     exps = np.exp(logits - top)
@@ -269,25 +265,12 @@ def forward(params: PopParams, act) -> ForwardTrace:
     )
 
 
-def _target_cell(gold: Gold, n: int) -> int:
-    """Point gold targets its index; both anomaly subtypes target cell n."""
-    if gold.kind == ANOMALY:
-        return n
-    if gold.index is None or not (0 <= gold.index < n):
-        raise ContractViolation(
-            f"gold index {gold.index} invalid for {n} candidates"
-        )
-    return gold.index
-
-
-def loss(trace: ForwardTrace, gold: Gold) -> float:
-    """Negative log-likelihood of the gold cell."""
-    n = trace.sims.shape[0]
-    target = _target_cell(gold, n)
+def loss(trace: ForwardTrace, target: int) -> float:
+    """Negative log-likelihood of the gold cell (``EncodedSplit.gold_cells``)."""
     return trace.log_norm - float(trace.logits[target])
 
 
-def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np.ndarray]:
+def backward(params: PopParams, trace: ForwardTrace, target: int) -> dict[str, np.ndarray]:
     """Exact gradient of :func:`loss` for every learned array.
 
     The query-map gradient is ``outer(dquery_vec, query_in)``.  When the
@@ -302,7 +285,6 @@ def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np
     """
     cfg = params.config
     n = trace.sims.shape[0]
-    target = _target_cell(gold, n)
 
     _, dcontrast = NONLINEARITIES[cfg.contrast]
     _, dsquash = NONLINEARITIES[cfg.score_squash]
@@ -352,31 +334,6 @@ def backward(params: PopParams, trace: ForwardTrace, gold: Gold) -> dict[str, np
         grads["sensor_in_bias"] = dsensor_pre
         grads["sensor_out_bias"] = np.array([danomaly_raw])
     return grads
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """A model's answer about one act: the index of the candidate it points
-    at, or :data:`~popref.datagen.PROTEST`.  Batch predictors answer a whole
-    split with an int array of such choices."""
-
-    choice: int
-
-    @staticmethod
-    def point(index: int) -> "Prediction":
-        return Prediction(int(index))
-
-    @staticmethod
-    def protest() -> "Prediction":
-        return Prediction(PROTEST)
-
-    @property
-    def is_protest(self) -> bool:
-        return self.choice == PROTEST
-
-    @property
-    def index(self) -> int | None:
-        return None if self.is_protest else self.choice
 
 
 # Acts per batched inference call, a slice of the split: enough that the
@@ -430,14 +387,14 @@ def chunk_logits(params: PopParams, chunk: EncodedSplit) -> tuple[np.ndarray, ..
     if not finite.all():
         i = int(np.argmin(finite))
         logits = np.append(sims[starts[i]:starts[i] + lengths[i]], scores[i])
-        raise NumericError(f"act {act_label(chunk[i])!r}: non-finite logits {logits}")
+        raise NumericError(f"act {chunk.ids[i]!r}: non-finite logits {logits}")
     return sims, scores, lengths
 
 
 def predict_batch(params: PopParams, split: EncodedSplit) -> np.ndarray:
-    """:func:`predict` for every act of a split, :data:`CHUNK` acts per
-    call of :func:`chunk_logits`: an int array of choices (see
-    :class:`Prediction`).
+    """The answer to every act of a split, :data:`CHUNK` acts per call of
+    :func:`chunk_logits`: an int array of choices, each the index of the
+    candidate it points at or :data:`~popref.datagen.PROTEST`.
 
     Protest iff the score exceeds every similarity, which is the argmax of
     the output distribution landing on the last cell; otherwise point at the
@@ -453,21 +410,29 @@ def predict_batch(params: PopParams, split: EncodedSplit) -> np.ndarray:
     return choices
 
 
-def predict(params: PopParams, act) -> Prediction:
-    """:func:`predict_batch` of one act: the argmax over the output
-    distribution, ties broken toward the lowest index."""
-    return Prediction(int(predict_batch(params, EncodedSplit.of([act]))[0]))
+def predict(params: PopParams, act: EncodedAct) -> int:
+    """:func:`predict_batch` of one hand-made act."""
+    return int(predict_batch(params, EncodedSplit.of([act]))[0])
 
 
 class PopTrainable(Trainable):
-    """Adapter giving the generic trainer a uniform handle on the network."""
+    """The network over an encoded split: example ``i`` is act ``i``, whose
+    gold cell is checked here, once (see ``EncodedSplit.gold_cells``)."""
 
-    def loss_and_grads(self, act) -> tuple[float, dict[str, np.ndarray]]:
-        trace = forward(self.params, act)
-        return loss(trace, act.gold), backward(self.params, trace, act.gold)
+    def __init__(self, params: PopParams, split: EncodedSplit):
+        super().__init__(params, split)
+        self._targets = split.gold_cells.tolist()
+        self._offsets = split.offsets.tolist()
 
-    def example_id(self, act) -> str:
-        return act_label(act)
+    def __len__(self) -> int:
+        return len(self.split)
+
+    def loss_and_grads(self, i: int) -> tuple[float, dict[str, np.ndarray]]:
+        split, target = self.split, self._targets[i]
+        candidates = np.take(split.table, split.rows[self._offsets[i]:self._offsets[i + 1]],
+                             axis=0)
+        trace = forward(self.params, split.queries[i], candidates, split.ids[i])
+        return loss(trace, target), backward(self.params, trace, target)
 
 
 # Every (contrast, score_squash) pair, and the query encodings trials cycle.
@@ -532,7 +497,7 @@ def gradcheck_pop(
             params = init_params(config, rng.fork())
             act = _random_act(rng, config.d_query, config.d_cand, n, gold,
                               query_kind)
-            trace = forward(params, act)
+            trace = forward(params, act.query_vec, act.candidates)
             margin = np.inf
             if contrast == "relu":
                 margin = float(np.min(np.abs(trace.sims)))
@@ -541,7 +506,7 @@ def gradcheck_pop(
             if squash == "relu":
                 margin = min(margin, abs(trace.anomaly_raw))
             if margin > 1e-3:
-                return PopTrainable(params), act, (
+                return PopTrainable(params, EncodedSplit.of([act])), (
                     f" (n={n}, gold={gold.kind}/{gold.anomaly_kind or gold.index}, "
                     f"bias={config.use_bias}, {contrast}/{squash}, "
                     f"{query_kind} query)"

@@ -1,9 +1,10 @@
 """Online stochastic gradient descent with momentum and learning-rate decay.
 
 The trainer is model-agnostic: anything exposing ``parameter_arrays()``
-(name -> live numpy array) and ``loss_and_grads(example)`` (scalar loss plus
-gradients under the same names) can be trained.  Updates are applied one
-example at a time — no minibatching.
+(name -> live numpy array), ``len()`` (its number of examples),
+``loss_and_grads(i)`` (scalar loss plus gradients under the same names) and
+``example_id(i)`` can be trained.  Updates are applied one example at a time
+— no minibatching.
 
 Schedule: at cumulative update count u (starting from 0, so the very first
 step uses ``lr0`` exactly), the step size is ``lr0 / (1 + decay * u)``.
@@ -106,17 +107,23 @@ class Params:
 
 
 class Trainable:
-    """The trainer's handle on a model: its :class:`Params` and, in a
-    subclass, ``loss_and_grads(example) -> (loss, {array name: gradient})``.
+    """The trainer's handle on a model: its :class:`Params`, the encoded
+    split it trains on (its dimensions checked here, once) and, in a
+    subclass, ``len`` and ``loss_and_grads(i) -> (loss, {name: gradient})``.
 
     Each gradient is a fresh float array (or :class:`ColumnSparse` block)
     that nothing else holds: :func:`train` scales it in place."""
 
-    def __init__(self, params: Params):
+    def __init__(self, params: Params, split):
+        split.require_dims(params.config.d_query, params.config.d_cand)
         self.params = params
+        self.split = split
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return self.params.named_arrays()
+
+    def example_id(self, i: int) -> str:
+        return self.split.ids[i]
 
 
 class ColumnSparse:
@@ -168,8 +175,8 @@ class TrainLog:
     updates: int = 0
 
 
-def train(trainable, examples, config: TrainConfig, epoch_callback=None) -> TrainLog:
-    """Run online SGD over the examples for ``config.epochs`` passes.
+def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
+    """Run online SGD over the trainable's examples for ``config.epochs`` passes.
 
     Mutates the trainable's parameter arrays, and the gradient arrays it is
     handed, in place and returns the loss log.  Example order is reshuffled
@@ -179,8 +186,8 @@ def train(trainable, examples, config: TrainConfig, epoch_callback=None) -> Trai
     aborts with the offending example's id.
     """
     config.validate()
-    examples = list(examples)
-    if not examples and config.epochs > 0:
+    n_examples = len(trainable)
+    if not n_examples and config.epochs > 0:
         raise ConfigError("training needs at least one example")
     arrays = trainable.parameter_arrays()
     # One velocity buffer, decayed in one call; a view of it per array.
@@ -193,19 +200,15 @@ def train(trainable, examples, config: TrainConfig, epoch_callback=None) -> Trai
     log = TrainLog()
 
     for epoch in range(config.epochs):
-        order = list(range(len(examples)))
+        order = list(range(n_examples))
         if config.shuffle_each_epoch:
             shuffle_rng.shuffle(order)
         epoch_loss = 0.0
-        for position in order:
-            example = examples[position]
-            value, grads = trainable.loss_and_grads(example)
+        for i in order:
+            value, grads = trainable.loss_and_grads(i)
             if not math.isfinite(value):
-                name_of = getattr(trainable, "example_id", None)
-                label = name_of(example) if name_of else f"#{position}"
-                raise NumericError(
-                    f"non-finite loss {value!r} at epoch {epoch}, example {label}"
-                )
+                raise NumericError(f"non-finite loss {value!r} at epoch {epoch}, "
+                                   f"example {trainable.example_id(i)}")
             epoch_loss += value
             lr = learning_rate(config, log.updates)
             velocity *= config.momentum
@@ -219,7 +222,7 @@ def train(trainable, examples, config: TrainConfig, epoch_callback=None) -> Trai
                     v -= grad
                 arr += v
             log.updates += 1
-        log.epoch_losses.append(epoch_loss / len(examples) if examples else 0.0)
+        log.epoch_losses.append(epoch_loss / n_examples)
         if epoch_callback is not None:
             epoch_callback(epoch, log.epoch_losses[-1], trainable)
     return log
@@ -238,16 +241,20 @@ def gradcheck(sample, trials: int, tolerance: float = 1e-4,
               h: float = 1e-5) -> GradcheckReport:
     """Compare a model's analytic gradients to central finite differences.
 
-    ``sample(trial)`` returns ``(trainable, example, context)``: a
-    :class:`Trainable` over freshly drawn params, an example that keeps the
+    ``sample(trial)`` returns ``(trainable, context)``: a :class:`Trainable`
+    over freshly drawn params and a one-act split whose example 0 keeps the
     loss away from its kinks, and text appended to a failure line.  It
     returns a string instead when it could not draw one.  The finite
-    differences run the trainable's own ``loss_and_grads`` on a copy of the
-    params, over every coordinate of every array.  Fewer than one trial is
-    a :class:`ConfigError`: a check of nothing must not pass.
+    differences run the trainable's own ``loss_and_grads(0)`` on a copy of
+    the params, over every coordinate of every array.  Fewer than one trial,
+    or a ``tolerance`` or ``h`` that is not a finite number > 0, is a
+    :class:`ConfigError`: a check of nothing must not pass.
     """
     if trials < 1:
         raise ConfigError(f"gradcheck needs at least one trial, got {trials}")
+    for name, value in (("tolerance", tolerance), ("h", h)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"gradcheck {name} must be finite and > 0, got {value}")
     max_err = 0.0
     failures: list[str] = []
     for trial in range(trials):
@@ -255,15 +262,15 @@ def gradcheck(sample, trials: int, tolerance: float = 1e-4,
         if isinstance(drawn, str):
             failures.append(f"trial {trial}: {drawn}")
             continue
-        trainable, example, context = drawn
+        trainable, context = drawn
         arrays = trainable.parameter_arrays()
-        _, grads = trainable.loss_and_grads(example)
+        _, grads = trainable.loss_and_grads(0)
         analytic = flatten_arrays({name: np.asarray(grads[name]) for name in arrays})
-        probe = type(trainable)(trainable.params.copy())
+        probe = type(trainable)(trainable.params.copy(), trainable.split)
 
         def objective(vec: np.ndarray) -> float:
             unflatten_into(probe.parameter_arrays(), vec)
-            return probe.loss_and_grads(example)[0]
+            return probe.loss_and_grads(0)[0]
 
         err = rel_error(analytic, finite_diff_grad(objective, flatten_arrays(arrays), h=h))
         max_err = max(max_err, err)

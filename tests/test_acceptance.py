@@ -58,7 +58,6 @@ from popref.pipeline_model import (
 from popref.pop_model import (
     PopConfig,
     PopTrainable,
-    Prediction,
     chunk_logits,
     forward,
     gradcheck_pop,
@@ -245,8 +244,8 @@ def test_06_permutation_equivariance():
 
         base_act = _encoded(query, candidates)
         moved_act = _encoded(query, [candidates[p] for p in perm])
-        base = forward(params, base_act)
-        moved = forward(params, moved_act)
+        base = forward(params, base_act.query_vec, base_act.candidates)
+        moved = forward(params, moved_act.query_vec, moved_act.candidates)
         worst = max(
             worst,
             float(np.max(np.abs(moved.probs[:n] - base.probs[perm]))),
@@ -340,7 +339,7 @@ def test_09_learning_sanity(world):
     dense_test = encode_split(world, splits["test"], "dense")
     pop_config = PopConfig(d_query=32, d_cand=64, d_ent=300, n_sensors=100)
     pop_params = init_params(pop_config, Rng(derive_seed(0, "init", "pop")))
-    train(PopTrainable(pop_params), dense_train, TrainConfig(epochs=14, seed=0))
+    train(PopTrainable(pop_params, dense_train), TrainConfig(epochs=14, seed=0))
     pop_metrics = evaluate(lambda acts: predict_batch(pop_params, acts), dense_test)
 
     onehot_train = encode_split(world, splits["train"], "one-hot")
@@ -352,7 +351,7 @@ def test_09_learning_sanity(world):
         n_sensors=100,
     )
     tr_params = init_params(tr_config, Rng(derive_seed(0, "init", "trpop")))
-    train(PopTrainable(tr_params), onehot_train, TrainConfig(epochs=36, seed=0))
+    train(PopTrainable(tr_params, onehot_train), TrainConfig(epochs=36, seed=0))
     tr_metrics = evaluate(lambda acts: predict_batch(tr_params, acts), onehot_test)
 
     elapsed = time.monotonic() - start
@@ -395,13 +394,13 @@ def test_10_pipeline_threshold_behavior(world):
     micro = [
         # All similarities below the floor: protest.
         pipeline_predict(identity, Thresholds(0.1, 0.0),
-                         _exact_cos_act([0.05, 0.08])).is_protest,
+                         _exact_cos_act([0.05, 0.08])) == PROTEST,
         # Two near-ties above the floor but under the gap: protest.
         pipeline_predict(identity, Thresholds(0.1, 0.05),
-                         _exact_cos_act([0.90, 0.88])).is_protest,
+                         _exact_cos_act([0.90, 0.88])) == PROTEST,
         # One clear winner: point at it.
         pipeline_predict(identity, Thresholds(0.1, 0.05),
-                         _exact_cos_act([0.90, 0.30])) == Prediction.point(0),
+                         _exact_cos_act([0.90, 0.30])) == 0,
     ]
 
     spec = DatasetSpec(n_train=2000, n_val=1000, n_test=0, seed=0)
@@ -420,7 +419,7 @@ def test_10_pipeline_threshold_behavior(world):
         return {
             act.act_id
             for act in val_acts
-            if pipeline_predict(params, thresholds, act).is_protest
+            if pipeline_predict(params, thresholds, act) == PROTEST
         }
 
     base = protest_set(tuned)

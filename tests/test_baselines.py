@@ -16,6 +16,7 @@ from popref.baselines import (
     run_imgshuffle,
 )
 from popref.datagen import (
+    PROTEST,
     DatasetSpec,
     Gold,
     Item,
@@ -83,7 +84,7 @@ def test_random_predict_uniform_over_fixed_labels():
     trials = 12_000
     for _ in range(trials):
         pred = random_predict(act, rng, max_len=5)
-        counts["protest" if pred.is_protest else pred.index] += 1
+        counts["protest" if pred == PROTEST else pred] += 1
     for key, count in counts.items():
         assert abs(count / trials - 1 / 6) < 0.02, key
     # Indices beyond the act's own length are kept (and will score wrong).
@@ -99,7 +100,7 @@ def test_random_predict_deterministic_per_seed():
 
 def test_majority_predict_always_protests():
     for act in (_point_act(), _act([Item("x", "i")], Gold.miss())):
-        assert majority_predict(act).is_protest
+        assert majority_predict(act) == PROTEST
 
 
 def test_probability_predict_follows_marginal():
@@ -110,7 +111,7 @@ def test_probability_predict_follows_marginal():
     trials = 20_000
     for _ in range(trials):
         pred = probability_predict(act, dist, rng)
-        counts[2 if pred.is_protest else pred.index] += 1
+        counts[2 if pred == PROTEST else pred] += 1
     freqs = [c / trials for c in counts]
     np.testing.assert_allclose(freqs, [0.5, 0.25, 0.25], atol=0.02)
 
@@ -120,7 +121,7 @@ def test_probability_predict_degenerate_is_majority():
     rng = Rng(4)
     act = _point_act()
     for _ in range(50):
-        assert probability_predict(act, dist, rng).is_protest
+        assert probability_predict(act, dist, rng) == PROTEST
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +166,9 @@ def test_cnn_predict_with_perfect_labeler_is_exact(small_world):
     for act in gen_object_only(small_world, spec, Rng(41), 80):
         pred = cnn_predict(act, labeler)
         if act.gold.kind == "point":
-            assert pred == type(pred).point(act.gold.index)
+            assert pred == act.gold.index
         else:
-            assert pred.is_protest
+            assert pred == PROTEST
 
 
 def test_cnn_predict_rejects_attribute_acts(small_world):
@@ -183,7 +184,7 @@ def test_cnn_predict_protests_on_multiple_hits():
     act = _act(
         [Item("cup", "i1"), Item("cup", "i2"), Item("bowl", "i3")], Gold.mult()
     )
-    assert cnn_predict(act, labeler).is_protest
+    assert cnn_predict(act, labeler) == PROTEST
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +207,9 @@ def test_attr_random_points_among_attribute_matches(small_world):
             if item.attribute == act.query.attribute
         ]
         if hits:
-            assert not pred.is_protest
-            assert pred.index in hits
+            assert pred in hits
         else:
-            assert pred.is_protest
+            assert pred == PROTEST
 
 
 def test_attr_random_never_detects_duplicates(small_world):
@@ -220,7 +220,7 @@ def test_attr_random_never_detects_duplicates(small_world):
     for act in gen_object_attribute(small_world, spec, rng, 60):
         if act.gold.anomaly_kind == "mult":
             saw_mult += 1
-            assert not attr_random_predict(act, rng).is_protest
+            assert attr_random_predict(act, rng) != PROTEST
     assert saw_mult > 30
 
 

@@ -46,6 +46,10 @@ train.epochs = 1
 model.d_ent = 12
 model.n_sensors = 5
 """
+# The model.* keys above are the pointing network's, so a pipeline run reads
+# the spec without them: a key of another model is a ConfigError.
+_PIPELINE_SPEC_TEXT = "".join(f"{line}\n" for line in _SPEC_TEXT.splitlines()
+                              if not line.startswith("model."))
 
 
 @pytest.fixture
@@ -144,8 +148,10 @@ def test_train_eval_pop_round_trip(tmp_path, spec_file, data_dir, capsys):
     assert sum(c["n"] for c in metrics["counts"].values()) == 40
 
 
-def test_pipeline_needs_tuning_before_eval(tmp_path, spec_file, data_dir, capsys):
+def test_pipeline_needs_tuning_before_eval(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "pipe.json"
+    spec_file = tmp_path / "pipeline.cfg"
+    spec_file.write_text(_PIPELINE_SPEC_TEXT)
     code = main(["train", "--model", "pipeline",
                  "--data", str(data_dir / "train.jsonl"),
                  "--config", str(spec_file), "--out-checkpoint", str(ckpt)])
@@ -210,9 +216,10 @@ def trained(tmp_path_factory):
     spec.write_text(_SPEC_TEXT)
     data = root / "data"
     assert main(["gen-data", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
-    for model in ("pop", "pipeline"):
+    (root / "pipeline.cfg").write_text(_PIPELINE_SPEC_TEXT)
+    for model, config in (("pop", spec), ("pipeline", root / "pipeline.cfg")):
         assert main(["train", "--model", model, "--data", str(data / "train.jsonl"),
-                     "--config", str(spec),
+                     "--config", str(config),
                      "--out-checkpoint", str(root / f"{model}.json")]) == EXIT_OK
     assert main(["tune-thresholds", "--checkpoint", str(root / "pipeline.json"),
                  "--val", str(data / "val.jsonl")]) == EXIT_OK
@@ -414,6 +421,14 @@ def test_gradcheck_passes_and_fails_by_tolerance(capsys):
     assert "pipeline: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-4"])
+def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, value):
+    assert main(["gradcheck", "--trials", "1", f"--tolerance={value}"]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err
+    assert "PASS" not in captured.out
+
+
 @pytest.mark.parametrize("trials", ["0", "-3", "many"])
 def test_gradcheck_rejects_a_non_positive_trial_count(capsys, trials):
     assert main(["gradcheck", "--trials", trials]) == EXIT_USAGE
@@ -498,6 +513,33 @@ def test_malformed_model_value_exits_2_naming_the_key(tmp_path, data_dir, capsys
         err = capsys.readouterr().err
         assert "model.d_ent" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model, line", [("pipeline", ""),
+                                         ("pop", "model.margin = 0.9\n")])
+def test_train_rejects_a_model_key_of_another_model(tmp_path, data_dir, capsys,
+                                                    model, line):
+    # The shared spec's model.d_ent and model.n_sensors are pop settings.
+    spec = tmp_path / "foreign.cfg"
+    spec.write_text(_SPEC_TEXT + line)
+    ckpt = tmp_path / "c.json"
+    assert main(["train", "--model", model, "--data", str(data_dir / "train.jsonl"),
+                 "--config", str(spec), "--out-checkpoint", str(ckpt)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"model {model!r}" in err
+    assert ("model.margin" if model == "pop" else "model.d_ent, model.n_sensors") in err
+    assert not ckpt.exists()
+
+
+def test_eval_rejects_an_empty_test_file(tmp_path, trained, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for model in ("pop", "pipeline"):
+        assert main(["eval", "--checkpoint", str(trained / f"{model}.json"),
+                     "--test", str(empty)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"no test acts in {empty}" in captured.err
+        assert "--" not in captured.out
 
 
 @pytest.mark.parametrize("line, key", [("model = pipeline", "model"),

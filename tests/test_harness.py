@@ -54,7 +54,7 @@ from popref.harness import (
 from popref.checkpoint import load_checkpoint, restore_inputs, restore_pipeline
 from popref.numerics import Rng, derive_seed
 from popref.pipeline_model import MISS_GRID, GAP_GRID, PipelineConfig
-from popref.pop_model import PopConfig, PopTrainable, Prediction, init_params
+from popref.pop_model import PopConfig, PopTrainable, init_params
 from popref.training import TrainConfig, train
 
 
@@ -80,16 +80,16 @@ def test_evaluate_seven_of_ten_is_70():
     acts += [_act(8, Gold.mult()), _act(9, Gold.mult())]
     predictor = _scripted(
         [
-            ("a0", Prediction.point(0)),  # correct
-            ("a1", Prediction.point(0)),  # correct
-            ("a2", Prediction.point(0)),  # correct
-            ("a3", Prediction.point(0)),  # correct
-            ("a4", Prediction.point(1)),  # wrong index
-            ("a5", Prediction.protest()),  # wrong outcome
-            ("a6", Prediction.protest()),  # correct
-            ("a7", Prediction.point(0)),  # wrong outcome
-            ("a8", Prediction.protest()),  # correct
-            ("a9", Prediction.protest()),  # correct
+            ("a0", 0),  # correct
+            ("a1", 0),  # correct
+            ("a2", 0),  # correct
+            ("a3", 0),  # correct
+            ("a4", 1),  # wrong index
+            ("a5", PROTEST),  # wrong outcome
+            ("a6", PROTEST),  # correct
+            ("a7", 0),  # wrong outcome
+            ("a8", PROTEST),  # correct
+            ("a9", PROTEST),  # correct
         ]
     )
     metrics = evaluate(predictor, acts)
@@ -111,12 +111,12 @@ def test_evaluate_confusion_table_cells():
     ]
     predictor = _scripted(
         [
-            ("a0", Prediction.point(1)),
-            ("a1", Prediction.point(2)),
-            ("a2", Prediction.protest()),
-            ("a3", Prediction.protest()),
-            ("a4", Prediction.point(0)),
-            ("a5", Prediction.protest()),
+            ("a0", 1),
+            ("a1", 2),
+            ("a2", PROTEST),
+            ("a3", PROTEST),
+            ("a4", 0),
+            ("a5", PROTEST),
         ]
     )
     metrics = evaluate(predictor, acts)
@@ -137,8 +137,8 @@ def test_evaluate_is_order_invariant():
     acts = [_act(i, Gold.point(0)) for i in range(4)]
     acts += [_act(4, Gold.miss()), _act(5, Gold.mult())]
     predictor = _scripted(
-        [(f"a{i}", Prediction.point(0)) for i in range(4)]
-        + [("a4", Prediction.protest()), ("a5", Prediction.point(1))]
+        [(f"a{i}", 0) for i in range(4)]
+        + [("a4", PROTEST), ("a5", 1)]
     )
     forward = evaluate(predictor, acts)
     backward = evaluate(predictor, list(reversed(acts)))
@@ -148,8 +148,8 @@ def test_evaluate_is_order_invariant():
 def test_evaluate_total_weights_categories_by_count():
     acts = [_act(i, Gold.point(0)) for i in range(8)] + [_act(8, Gold.miss())]
     predictor = _scripted(
-        [(f"a{i}", Prediction.point(0)) for i in range(8)]
-        + [("a8", Prediction.point(0))]
+        [(f"a{i}", 0) for i in range(8)]
+        + [("a8", 0)]
     )
     metrics = evaluate(predictor, acts)
     # 8/8 pointing, 0/1 missref: the total is count-weighted, not a mean of
@@ -161,7 +161,7 @@ def test_evaluate_total_weights_categories_by_count():
 
 def test_metrics_absent_category_reports_none():
     acts = [_act(0, Gold.point(0)), _act(1, Gold.point(1))]
-    predictor = _scripted([("a0", Prediction.point(0)), ("a1", Prediction.point(0))])
+    predictor = _scripted([("a0", 0), ("a1", 0)])
     metrics = evaluate(predictor, acts)
     assert metrics.missref is None
     assert metrics.multref is None
@@ -180,7 +180,7 @@ def test_metrics_empty_is_all_none():
 
 def test_metrics_to_dict_round_trips_through_json():
     acts = [_act(0, Gold.point(0)), _act(1, Gold.miss())]
-    predictor = _scripted([("a0", Prediction.point(0)), ("a1", Prediction.protest())])
+    predictor = _scripted([("a0", 0), ("a1", PROTEST)])
     d = evaluate(predictor, acts).to_dict()
     assert set(d) == {"total", "pointing", "missref", "multref", "counts", "confusion"}
     assert set(d["counts"]) == set(GOLD_CATEGORIES)
@@ -189,8 +189,9 @@ def test_metrics_to_dict_round_trips_through_json():
 
 def _tally_before_choice_arrays(golds, predictions) -> dict:
     """The reference: evaluate's per-act tally as it was when predictors
-    returned one Prediction per act, kept verbatim, with the CategoryCount
-    cells and the Metrics.to_dict it filled."""
+    returned one Prediction per act, kept verbatim but for reading each
+    answer as its choice (an index or PROTEST), with the CategoryCount cells
+    and the Metrics.to_dict it filled."""
 
     @dataclass
     class CategoryCount:
@@ -206,11 +207,11 @@ def _tally_before_choice_arrays(golds, predictions) -> dict:
                  for cat in GOLD_CATEGORIES}
     for gold, prediction in zip(golds, predictions, strict=True):
         category = POINT if gold.kind == POINT else gold.anomaly_kind
-        if prediction.is_protest:
+        if prediction == PROTEST:
             correct = gold.kind == ANOMALY
             confusion[category]["protest"] += 1
         else:
-            correct = gold.kind == POINT and prediction.index == gold.index
+            correct = gold.kind == POINT and prediction == gold.index
             bucket = "point_correct" if correct else "point_wrong"
             confusion[category][bucket] += 1
         cell = counts[category]
@@ -242,14 +243,13 @@ def test_evaluate_equals_the_per_act_tally(size):
             choices = [PROTEST] * size
         elif trial % 4 == 2:
             choices = [rng.randrange(n) for n in lengths]
-        predictions = [Prediction(choice) for choice in choices]
-        expected = _tally_before_choice_arrays(golds, predictions)
+        expected = _tally_before_choice_arrays(golds, choices)
 
         acts = [ReferenceAct(id=f"a{i}", query=Query(noun="obj000"),
                              items=(Item(object="obj000", image_id="obj000-i00"),) * n,
                              gold=gold)
                 for i, (n, gold) in enumerate(zip(lengths, golds))]
-        by_id = {act.id: prediction for act, prediction in zip(acts, predictions)}
+        by_id = {act.id: choice for act, choice in zip(acts, choices)}
         as_list = evaluate(per_act(lambda act: by_id[act.id]), acts).to_dict()
         split = EncodedSplit.of([
             EncodedAct(query_vec=np.ones(1), candidates=np.zeros((n, 1)), gold=gold,
@@ -535,6 +535,21 @@ def test_run_experiment_reports_failures_instead_of_raising(tmp_path):
     assert set(json.loads((out / "meta.json").read_text())) == {"timestamp"}
 
 
+@pytest.mark.parametrize("model, keys", [
+    ("pipeline", {"model.n_sensors": "5", "model.d_ent": "7"}),
+    ("pop", {"model.margin": "0.9"}),
+    ("trpop", {"model.d_shared": "10"}),
+])
+def test_a_model_key_of_another_model_fails_naming_key_and_model(model, keys):
+    manifest = {k: v for k, v in _TINY_POP.items() if not k.startswith("model.")}
+    report = run_experiment({**manifest, "model": model, **keys})
+    assert report["status"] == "failed"
+    assert report["stage"] == "init"
+    assert report["error"].startswith("ConfigError")
+    assert f"model {model!r}" in report["error"]
+    assert all(key in report["error"] for key in keys)
+
+
 def test_a_programming_error_leaves_its_stage_and_traceback_in_meta(
         tmp_path, monkeypatch):
     def broken_encoder(*args, **kwargs):
@@ -618,7 +633,7 @@ def test_default_run_epoch_loss_non_increasing():
     config = PopConfig(d_query=32, d_cand=64, d_ent=300, n_sensors=100)
     params = init_params(config, Rng(derive_seed(0, "init", "pop")))
     train_config = TrainConfig(epochs=5, seed=0)
-    log = train(PopTrainable(params), encoded, train_config)
+    log = train(PopTrainable(params, encoded), train_config)
     assert log.updates == 5 * 40000
     assert len(log.epoch_losses) == 5
     assert all(np.isfinite(v) for v in log.epoch_losses)

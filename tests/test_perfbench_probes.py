@@ -74,13 +74,13 @@ def test_tracer_reads_a_trpop_step(probes, small_world):
                                    inputs.normalize_blocks)
     config = harness.build_model(manifest, "trpop", encoded.d_query,
                                  encoded.d_cand)
-    trainable = PopTrainable(init_params(config, Rng(1)))
+    trainable = PopTrainable(init_params(config, Rng(1)), encoded)
 
     tracer = probes.Tracer("guard")
     result = None
     for _ in range(probes.TOUCH_SAMPLE):  # the tracer samples every 8th step
-        result = trainable.loss_and_grads(encoded[0])
-        tracer._inspect_step((trainable, encoded[0]), result)
+        result = trainable.loss_and_grads(0)
+        tracer._inspect_step((trainable, 0), result)
     grads = result[1]
     assert isinstance(grads["query_map"], ColumnSparse)
 

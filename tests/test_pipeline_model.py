@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from popref.datagen import Gold
-from popref.embeddings import EncodedAct, EncodedSplit
+from popref.datagen import PROTEST, DatasetSpec, Gold, generate_splits
+from popref.embeddings import EncodedAct, EncodedSplit, encode_split
 from popref.errors import ConfigError, ContractViolation, NumericError
 from popref.numerics import Rng
 from popref.pipeline_model import (
@@ -120,16 +120,29 @@ def test_extract_pairs_from_success_acts_only():
     ]
     split = EncodedSplit.of(acts)
     triples = extract_pairs(split)
-    assert len(triples) == 2
-    query, positive, negative0 = triples[0]
+    # (act, positive row, negative row): act a's candidates are table rows 0-2.
+    assert triples.tolist() == [[0, 1, 0], [0, 1, 2]]
+    query, positive, negative0 = (split.queries[0], split.table[1], split.table[0])
     np.testing.assert_array_equal(query, acts[0].query_vec)
     np.testing.assert_array_equal(positive, acts[0].candidates[1])
     np.testing.assert_array_equal(negative0, acts[0].candidates[0])
-    np.testing.assert_array_equal(triples[1][2], acts[0].candidates[2])
-    # Every vector is a view of a row of the split, never a copy.
-    for triple in triples:
-        assert np.shares_memory(triple[0], split.queries)
-        assert all(np.shares_memory(v, split.table) for v in triple[1:])
+    np.testing.assert_array_equal(split.table[triples[1, 2]], acts[0].candidates[2])
+
+
+def test_extract_pairs_match_the_per_act_triples(small_world):
+    """An object-only split, whose candidates are rows of the world's image
+    table, against triples gathered act by act from its golds."""
+    acts = generate_splits(small_world, DatasetSpec(n_train=50, n_val=0, n_test=0,
+                                                    seed=4), "object-only")["train"]
+    split = encode_split(small_world, acts, "dense")
+    expected = [
+        [i, split.rows[split.offsets[i] + gold.index], row]
+        for i, gold in enumerate(split.golds) if gold.kind == "point"
+        for k, row in enumerate(split.rows[split.offsets[i]:split.offsets[i + 1]])
+        if k != gold.index
+    ]
+    assert len(expected) > 50
+    assert extract_pairs(split).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +235,7 @@ def test_predict_floor_rule():
     pred = pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.0), act
     )
-    assert pred.is_protest
+    assert pred == PROTEST
 
 
 def test_predict_gap_rule():
@@ -231,7 +244,7 @@ def test_predict_gap_rule():
     pred = pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.05), act
     )
-    assert pred.is_protest
+    assert pred == PROTEST
 
 
 def test_predict_points_when_clear():
@@ -240,22 +253,22 @@ def test_predict_points_when_clear():
     pred = pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.05), act
     )
-    assert not pred.is_protest
-    assert pred.index == 0
+    assert pred != PROTEST
+    assert pred == 0
 
 
 def test_predict_boundaries_are_strict():
     params = _identity_params()
     # Max similarity exactly at the floor is NOT below it -> no protest.
     act = _act([0.1, 0.0], Gold.point(0))
-    assert not pipeline_predict(
+    assert pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.0), act
-    ).is_protest
+    ) != PROTEST
     # Gap exactly at min_gap is NOT below it -> no protest.
     act = _act([0.5, 0.4], Gold.point(0))
-    assert not pipeline_predict(
+    assert pipeline_predict(
         params, Thresholds(min_similarity=0.0, min_gap=0.1), act
-    ).is_protest
+    ) != PROTEST
 
 
 def test_predict_single_candidate_skips_gap_rule():
@@ -264,11 +277,11 @@ def test_predict_single_candidate_skips_gap_rule():
     pred = pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.5), lone
     )
-    assert not pred.is_protest
+    assert pred != PROTEST
     low = _act([0.05], Gold.miss())
     assert pipeline_predict(
         params, Thresholds(min_similarity=0.1, min_gap=0.5), low
-    ).is_protest
+    ) == PROTEST
 
 
 def test_predict_tie_breaks_toward_lowest_index():
@@ -277,7 +290,7 @@ def test_predict_tie_breaks_toward_lowest_index():
     pred = pipeline_predict(
         params, Thresholds(min_similarity=0.0, min_gap=0.0), act
     )
-    assert pred.index == 0
+    assert pred == 0
 
 
 def test_raising_thresholds_only_adds_protests():
@@ -292,24 +305,24 @@ def test_raising_thresholds_only_adds_protests():
         low_protests = {
             act.act_id
             for act in acts
-            if pipeline_predict(params, Thresholds(lo, 0.0), act).is_protest
+            if pipeline_predict(params, Thresholds(lo, 0.0), act) == PROTEST
         }
         high_protests = {
             act.act_id
             for act in acts
-            if pipeline_predict(params, Thresholds(hi, 0.0), act).is_protest
+            if pipeline_predict(params, Thresholds(hi, 0.0), act) == PROTEST
         }
         assert low_protests <= high_protests
     for lo, hi in ((0.0, 0.2), (0.1, 0.4)):
         low_protests = {
             act.act_id
             for act in acts
-            if pipeline_predict(params, Thresholds(-1.0, lo), act).is_protest
+            if pipeline_predict(params, Thresholds(-1.0, lo), act) == PROTEST
         }
         high_protests = {
             act.act_id
             for act in acts
-            if pipeline_predict(params, Thresholds(-1.0, hi), act).is_protest
+            if pipeline_predict(params, Thresholds(-1.0, hi), act) == PROTEST
         }
         assert low_protests <= high_protests
 
@@ -374,8 +387,8 @@ def test_tuning_handles_single_candidate_acts():
             _act([0.1], Gold.miss(), "one-1")]
     thresholds = tune_thresholds(params, EncodedSplit.of(acts))
     pred = pipeline_predict(params, thresholds, acts[0])
-    assert not pred.is_protest
-    assert pipeline_predict(params, thresholds, acts[1]).is_protest
+    assert pred != PROTEST
+    assert pipeline_predict(params, thresholds, acts[1]) == PROTEST
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +442,7 @@ def test_batched_profiles_match_per_candidate_cosines(size):
     choices = pipeline_predict_batch(params, thresholds, acts)
     assert choices.dtype == np.intp
     assert choices.tolist() == \
-        [pipeline_predict(params, thresholds, act).choice for act in acts]
+        [pipeline_predict(params, thresholds, act) for act in acts]
 
 
 def test_batched_profiles_warn_on_a_zero_norm_act_mid_chunk(caplog):

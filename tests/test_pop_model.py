@@ -23,7 +23,6 @@ from popref.pop_model import (
     PopConfig,
     PopParams,
     PopTrainable,
-    Prediction,
     backward,
     chunk_logits,
     forward,
@@ -42,7 +41,7 @@ from popref.pipeline_model import (
     init_pipeline_params,
     pipeline_predict_batch,
 )
-from popref.training import ColumnSparse
+from popref.training import ColumnSparse, TrainConfig, train
 
 
 def _zero_params(config: PopConfig) -> PopParams:
@@ -80,6 +79,11 @@ def _act(query, candidates, gold=None, act_id="t-0") -> EncodedAct:
         gold=gold or Gold.point(0),
         act_id=act_id,
     )
+
+
+def _forward(params, act):
+    """:func:`forward` over a hand-made act."""
+    return forward(params, act.query_vec, act.candidates, act.act_id)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +181,7 @@ def test_zero_params_forward_oracle():
     config = PopConfig(d_query=2, d_cand=2, d_ent=3, n_sensors=2)
     params = _zero_params(config)
     act = _act([0.3, -0.7], [[1.0, 2.0], [0.5, -0.5], [3.0, 0.0]])
-    trace = forward(params, act)
+    trace = _forward(params, act)
 
     np.testing.assert_array_equal(trace.sims, np.zeros(3))
     assert trace.anomaly_score == pytest.approx(0.5)
@@ -190,16 +194,15 @@ def test_zero_params_forward_oracle():
         trace.probs, [0.215113, 0.215113, 0.215113, 0.354661], atol=1e-6
     )
 
-    assert loss(trace, Gold.point(0)) == pytest.approx(math.log(z))
-    assert loss(trace, Gold.miss()) == pytest.approx(math.log(z) - 0.5)
-    assert loss(trace, Gold.mult()) == pytest.approx(math.log(z) - 0.5)
+    assert loss(trace, 0) == pytest.approx(math.log(z))
+    assert loss(trace, 3) == pytest.approx(math.log(z) - 0.5)  # the protest cell
 
 
 def test_scalar_toy_trace_every_stage():
     """1-D maps expose each stage of the anomaly pathway to hand computation."""
     params = _scalar_params(sensor_in=[[1.0, 0.0], [0.0, 1.0]], sensor_out=[[1.0, 1.0]])
     act = _act([1.0], [[2.0], [6.0], [0.0]])
-    trace = forward(params, act)
+    trace = _forward(params, act)
 
     np.testing.assert_allclose(trace.sims, [2.0, 6.0, 0.0])
     np.testing.assert_allclose(trace.sharpened, [2.0, 6.0, 0.0])
@@ -213,7 +216,7 @@ def test_scalar_toy_trace_every_stage():
 
     exps = [math.exp(v) for v in (2.0, 6.0, 0.0, sig11)]
     np.testing.assert_allclose(trace.probs, np.array(exps) / sum(exps), rtol=1e-12)
-    assert loss(trace, Gold.point(1)) == pytest.approx(
+    assert loss(trace, 1) == pytest.approx(
         math.log(sum(exps)) - 6.0, rel=1e-12
     )
 
@@ -221,7 +224,7 @@ def test_scalar_toy_trace_every_stage():
 def test_contrast_sharpening_zeroes_negative_sims():
     params = _scalar_params(sensor_in=[[1.0, 0.0], [0.0, 1.0]], sensor_out=[[1.0, 1.0]])
     act = _act([1.0], [[-3.0], [5.0]])
-    trace = forward(params, act)
+    trace = _forward(params, act)
     np.testing.assert_allclose(trace.sims, [-3.0, 5.0])
     np.testing.assert_allclose(trace.sharpened, [0.0, 5.0])
     assert trace.cum_sim == pytest.approx(5.0)
@@ -230,7 +233,7 @@ def test_contrast_sharpening_zeroes_negative_sims():
 def test_sensor_nonlinearity_toggle():
     act = _act([1.0], [[2.0], [6.0], [0.0]])
     base = _scalar_params(sensor_in=[[-1.0, 0.0], [0.0, 1.0]], sensor_out=[[1.0, 1.0]])
-    with_nl = forward(base, act)
+    with_nl = _forward(base, act)
     np.testing.assert_allclose(with_nl.sensor_pre, [-8.0, 3.0])
     np.testing.assert_allclose(with_nl.sensors, [0.0, 3.0])
 
@@ -242,7 +245,7 @@ def test_sensor_nonlinearity_toggle():
         sensor_in=base.sensor_in,
         sensor_out=base.sensor_out,
     )
-    without_nl = forward(linear, act)
+    without_nl = _forward(linear, act)
     np.testing.assert_allclose(without_nl.sensors, [-8.0, 3.0])
     assert without_nl.anomaly_raw == pytest.approx(-5.0)
 
@@ -291,7 +294,7 @@ def test_forward_matches_direct_recomputation(use_bias, sensor_nl, contrast):
             params.sensor_out_bias = rng.normals(1, sigma=0.1)
         n = 2 + rng.randrange(4)
         act = _act(rng.normals(3), [rng.normals(4) for _ in range(n)])
-        trace = forward(params, act)
+        trace = _forward(params, act)
         sims, score, logits, probs = _direct_trace(params, act)
         np.testing.assert_allclose(trace.sims, sims, rtol=1e-12)
         assert trace.anomaly_score == pytest.approx(score, rel=1e-12)
@@ -299,24 +302,23 @@ def test_forward_matches_direct_recomputation(use_bias, sensor_nl, contrast):
         np.testing.assert_allclose(trace.probs, probs, rtol=1e-10)
 
 
-def test_forward_rejects_wrong_dimensions():
+def test_trainable_rejects_wrong_dimensions():
     config = PopConfig(d_query=2, d_cand=3, d_ent=2, n_sensors=2)
     params = _zero_params(config)
-    with pytest.raises(ContractViolation):
-        forward(params, _act([1.0], [[1.0, 2.0, 3.0]]))
-    with pytest.raises(ContractViolation):
-        forward(params, _act([1.0, 2.0], [[1.0, 2.0]]))
+    with pytest.raises(ContractViolation, match="act 't-0'"):
+        PopTrainable(params, EncodedSplit.of([_act([1.0], [[1.0, 2.0, 3.0]])]))
+    with pytest.raises(ContractViolation, match="act 't-0'"):
+        PopTrainable(params, EncodedSplit.of([_act([1.0, 2.0], [[1.0, 2.0]])]))
 
 
-def test_forward_rejects_an_empty_or_flat_lineup():
-    params = _zero_params(PopConfig(d_query=2, d_cand=3, d_ent=2, n_sensors=2))
+def test_split_rejects_an_empty_or_flat_lineup():
     empty = EncodedAct(query_vec=np.ones(2), candidates=np.zeros((0, 3)),
                        gold=Gold.miss())
     with pytest.raises(ContractViolation, match="lineup"):
-        forward(params, empty)
+        EncodedSplit.of([empty])
     flat = EncodedAct(query_vec=np.ones(2), candidates=np.ones(3), gold=Gold.miss())
     with pytest.raises(ContractViolation, match="lineup"):
-        forward(params, flat)
+        EncodedSplit.of([flat])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -333,23 +335,16 @@ def test_variable_length_with_one_parameter_set():
     rng = Rng(6)
     for n in range(2, 9):
         act = _act(rng.normals(3), [rng.normals(4) for _ in range(n)])
-        trace = forward(params, act)
+        trace = _forward(params, act)
         assert trace.logits.shape == (n + 1,)
         assert trace.probs.shape == (n + 1,)
         assert trace.probs.sum() == pytest.approx(1.0)
 
 
-def test_loss_rejects_out_of_range_gold():
-    params = _scalar_params(sensor_in=np.zeros((2, 2)), sensor_out=np.zeros((1, 2)))
-    trace = forward(params, _act([1.0], [[1.0], [2.0]]))
-    with pytest.raises(ContractViolation):
-        loss(trace, Gold.point(2))
-
-
 def test_forward_probs_against_direct_computation():
     # Zero sensors give a protest score of sigmoid(0) = 0.5.
     params = _scalar_params(sensor_in=np.zeros((2, 2)), sensor_out=np.zeros((1, 2)))
-    trace = forward(params, _act([1.0], [[2.0], [6.0], [0.0]]))
+    trace = _forward(params, _act([1.0], [[2.0], [6.0], [0.0]]))
     np.testing.assert_array_equal(trace.logits, [2.0, 6.0, 0.0, 0.5])
     exps = [math.exp(x) for x in trace.logits]
     np.testing.assert_allclose(trace.probs, np.array(exps) / sum(exps), rtol=1e-12)
@@ -371,15 +366,15 @@ def test_forward_probs_shift_invariance_and_stability():
         sensor_out=np.array([[1.0]]),
     )
     values = np.array([0.3, -1.2, 2.2, 0.5])
-    base = forward(params, _act([1.0], values[:, np.newaxis]))
-    shifted = forward(params, _act([1.0], values[:, np.newaxis] + 100.0))
+    base = _forward(params, _act([1.0], values[:, np.newaxis]))
+    shifted = _forward(params, _act([1.0], values[:, np.newaxis] + 100.0))
     np.testing.assert_allclose(shifted.logits, base.logits + 100.0, rtol=1e-12)
     np.testing.assert_allclose(shifted.probs, base.probs, rtol=1e-12)
 
-    big = forward(params, _act([1.0], [[1000.0]] * 4))
+    big = _forward(params, _act([1.0], [[1000.0]] * 4))
     np.testing.assert_array_equal(big.logits, [1000.0] * 5)
     np.testing.assert_allclose(big.probs, [0.2] * 5)
-    assert loss(big, Gold.miss()) == pytest.approx(math.log(5.0))
+    assert loss(big, 4) == pytest.approx(math.log(5.0))
 
 
 def test_loss_is_the_max_shifted_logsumexp_bit_for_bit():
@@ -388,13 +383,12 @@ def test_loss_is_the_max_shifted_logsumexp_bit_for_bit():
     for _ in range(20):
         params = init_params(config, rng.fork())
         n = 2 + rng.randrange(4)
-        trace = forward(params, _act(rng.normals(3, sigma=5.0),
+        trace = _forward(params, _act(rng.normals(3, sigma=5.0),
                                      [rng.normals(4) for _ in range(n)]))
         top = float(np.max(trace.logits))
         log_norm = top + math.log(float(np.exp(trace.logits - top).sum()))
-        for gold, target in ((Gold.point(0), 0), (Gold.point(n - 1), n - 1),
-                             (Gold.miss(), n), (Gold.mult(), n)):
-            assert loss(trace, gold) == log_norm - float(trace.logits[target])
+        for target in (0, n - 1, n):
+            assert loss(trace, target) == log_norm - float(trace.logits[target])
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +406,8 @@ def test_permutation_equivariance():
         candidates = [rng.normals(4) for _ in range(n)]
         perm = rng.sample(range(n), n)
 
-        base = forward(params, _act(query, candidates))
-        moved = forward(params, _act(query, [candidates[p] for p in perm]))
+        base = _forward(params, _act(query, candidates))
+        moved = _forward(params, _act(query, [candidates[p] for p in perm]))
 
         np.testing.assert_allclose(moved.sims, base.sims[perm], atol=1e-9)
         assert moved.anomaly_score == pytest.approx(base.anomaly_score, abs=1e-9)
@@ -422,10 +416,10 @@ def test_permutation_equivariance():
 
         base_pred = predict(params, _act(query, candidates))
         moved_pred = predict(params, _act(query, [candidates[p] for p in perm]))
-        if base_pred.is_protest:
-            assert moved_pred.is_protest
+        if base_pred == PROTEST:
+            assert moved_pred == PROTEST
         else:
-            assert perm[moved_pred.index] == base_pred.index
+            assert perm[moved_pred] == base_pred
 
 
 def test_permutation_invariant_loss():
@@ -435,15 +429,15 @@ def test_permutation_invariant_loss():
     query = rng.normals(2)
     candidates = [rng.normals(3) for _ in range(4)]
     perm = [2, 0, 3, 1]
-    base = loss(forward(params, _act(query, candidates)), Gold.point(2))
+    base = loss(_forward(params, _act(query, candidates)), 2)
     moved = loss(
-        forward(params, _act(query, [candidates[p] for p in perm])),
-        Gold.point(perm.index(2)),
+        _forward(params, _act(query, [candidates[p] for p in perm])),
+        perm.index(2),
     )
     assert moved == pytest.approx(base, abs=1e-9)
-    base_miss = loss(forward(params, _act(query, candidates)), Gold.miss())
+    base_miss = loss(_forward(params, _act(query, candidates)), 4)
     moved_miss = loss(
-        forward(params, _act(query, [candidates[p] for p in perm])), Gold.miss()
+        _forward(params, _act(query, [candidates[p] for p in perm])), 4
     )
     assert moved_miss == pytest.approx(base_miss, abs=1e-9)
 
@@ -455,22 +449,20 @@ def test_permutation_invariant_loss():
 
 def test_predict_points_at_best_candidate():
     params = _scalar_params(sensor_in=np.zeros((2, 2)), sensor_out=np.zeros((1, 2)))
-    assert predict(params, _act([1.0], [[2.0], [6.0], [0.0]])) == Prediction.point(1)
+    assert predict(params, _act([1.0], [[2.0], [6.0], [0.0]])) == 1
 
 
 def test_predict_protests_when_all_sims_low():
     params = _scalar_params(sensor_in=np.zeros((2, 2)), sensor_out=np.zeros((1, 2)))
-    pred = predict(params, _act([1.0], [[-1.0], [-2.0]]))
-    assert pred.is_protest
-    assert pred.index is None
+    assert predict(params, _act([1.0], [[-1.0], [-2.0]])) == PROTEST
 
 
 def test_predict_breaks_ties_toward_lowest_index():
     params = _scalar_params(sensor_in=np.zeros((2, 2)), sensor_out=np.zeros((1, 2)))
-    assert predict(params, _act([1.0], [[2.0], [2.0]])) == Prediction.point(0)
+    assert predict(params, _act([1.0], [[2.0], [2.0]])) == 0
     # Zero sensors score sigmoid(0) = 0.5: a tie with the best candidate
     # points, since the protest cell comes last.
-    assert predict(params, _act([1.0], [[0.5], [0.2]])) == Prediction.point(0)
+    assert predict(params, _act([1.0], [[0.5], [0.2]])) == 0
     choices = predict_batch(params, EncodedSplit.of([_act([1.0], [[0.2], [0.5001]]),
                                                      _act([1.0], [[0.2], [0.4999]])]))
     assert choices.tolist() == [1, PROTEST]
@@ -521,7 +513,7 @@ def test_batch_path_matches_forward(use_bias, query_kind):
             array += rng.normals(array.size).reshape(array.shape) * 0.5
         acts = _random_split(rng, config, _SPLIT_SIZES[trial % len(_SPLIT_SIZES)],
                              query_kind)
-        traces = [forward(params, act) for act in acts]
+        traces = [_forward(params, act) for act in acts]
 
         sims, scores, lengths = chunk_logits(params, acts)
         assert lengths.tolist() == [len(act.candidates) for act in acts]
@@ -532,8 +524,7 @@ def test_batch_path_matches_forward(use_bias, query_kind):
         expected = [_reference_choice(t) for t in traces]
         choices = predict_batch(params, acts)
         assert choices.dtype == np.intp and choices.tolist() == expected
-        assert [predict(params, act) for act in acts] == \
-            [Prediction(choice) for choice in expected]
+        assert [predict(params, act) for act in acts] == expected
 
 
 _TOY_WORLD = {"world.n_classes": "12", "world.images_per_class": "3",
@@ -633,8 +624,9 @@ def test_batch_path_names_a_bad_act_mid_chunk(kind):
     acts[CHUNK + 3] = bad  # the middle of the second chunk
     with pytest.raises(error, match="act 'bad'"):
         predict_batch(params, EncodedSplit.of(acts))
+    # The training step: checked once per split, or named by forward.
     with pytest.raises(error, match="act 'bad'"), np.errstate(invalid="ignore"):
-        forward(params, bad)
+        train(PopTrainable(params, EncodedSplit.of([bad])), TrainConfig(epochs=1))
 
 
 @pytest.mark.parametrize("task", ["object-only", "object-attr"])
@@ -652,7 +644,7 @@ def test_hot_query_slice_equals_the_dense_product_bit_for_bit(task, normalize_bl
         params = init_params(config, rng.fork())
         params.query_map *= 1.0 + 9.0 * rng.random()
         for act in encoded:
-            trace = forward(params, act)
+            trace = _forward(params, act)
             assert trace.query_cols.size < trace.query_in.size
             assert np.array_equal(trace.query_vec, params.query_map @ trace.query_in)
 
@@ -685,8 +677,8 @@ def test_hot_query_gradient_is_column_sparse_and_exact(hot):
     query[hot] = 1.0
     rng = Rng(9)
     act = _act(query, [rng.normals(3) for _ in range(3)], gold=Gold.point(2))
-    trace = forward(params, act)
-    grads = backward(params, trace, act.gold)
+    trace = _forward(params, act)
+    grads = backward(params, trace, 2)
     sparse = grads["query_map"]
     assert isinstance(sparse, ColumnSparse)
     np.testing.assert_array_equal(sparse.cols, hot)
@@ -702,7 +694,7 @@ def test_hot_query_gradient_is_column_sparse_and_exact(hot):
 def test_dense_query_gradient_stays_dense():
     params = init_params(PopConfig(d_query=2, d_cand=3, d_ent=4, n_sensors=2), Rng(2))
     act = _act([0.5, -1.5], [[1.0, 0.0, 0.5], [0.2, 0.3, 1.0]])
-    grads = backward(params, forward(params, act), act.gold)
+    grads = backward(params, _forward(params, act), 0)
     assert type(grads["query_map"]) is np.ndarray
 
 
@@ -717,8 +709,8 @@ def test_backward_grad_shapes_match_arrays():
     params = init_params(config, Rng(3))
     act = _act(Rng(4).normals(2), [Rng(5).normals(3) for _ in range(3)],
                gold=Gold.point(1))
-    trace = forward(params, act)
-    grads = backward(params, trace, act.gold)
+    trace = _forward(params, act)
+    grads = backward(params, trace, 1)
     arrays = params.named_arrays()
     assert set(grads) == set(arrays)
     for name in arrays:
@@ -727,11 +719,12 @@ def test_backward_grad_shapes_match_arrays():
 
 def test_trainable_adapter_reports_loss_and_ids():
     config = PopConfig(d_query=2, d_cand=2, d_ent=3, n_sensors=2)
-    trainable = PopTrainable(init_params(config, Rng(1)))
     act = _act([0.5, -0.5], [[1.0, 0.0], [0.0, 1.0]], gold=Gold.point(0),
                act_id="train-000042")
-    value, grads = trainable.loss_and_grads(act)
+    trainable = PopTrainable(init_params(config, Rng(1)), EncodedSplit.of([act]))
+    assert len(trainable) == 1
+    value, grads = trainable.loss_and_grads(0)
     assert math.isfinite(value)
     assert value > 0.0
     assert set(grads) == set(trainable.parameter_arrays())
-    assert trainable.example_id(act) == "train-000042"
+    assert trainable.example_id(0) == "train-000042"
