@@ -42,7 +42,6 @@ def main() -> None:
         attrs_per_object=4,
     )
     world = build_synthetic_world(config, args.seed)
-    world.validate()
 
     banner("vocabulary")
     print(f"{len(world.objects)} object classes, e.g. {world.objects[:4]}")

@@ -60,6 +60,8 @@ class LabelDistribution:
 
 def estimate_label_distribution(acts, max_len: int) -> LabelDistribution:
     """Relative frequency of each outcome label in a training split."""
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     counts = [0] * (max_len + 1)
     total = 0
     for act in acts:

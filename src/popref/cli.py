@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="key-value file (cnn vocabulary, imgshuffle world)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=5,
+    p.add_argument("--max-len", type=_positive_int, default=5,
                    help="label-space size for random/probability")
     p.add_argument("--p-true", type=float, default=1.0,
                    help="synthetic labeler accuracy (cnn)")

@@ -324,12 +324,8 @@ def _draw_object_attribute(world, spec: DatasetSpec, rng: Rng) -> tuple[Query, l
     attr2, attr3 = rng.sample([a for a in own_attrs if a != attr1], 2)
 
     def partner(attr: str) -> str:
-        others = [obj for obj in world.inverse_compat[attr] if obj != query_obj]
-        if not others:
-            raise GenerationError(
-                f"attribute {attr!r} has no compatible object besides {query_obj!r}"
-            )
-        return rng.choice(others)
+        # Every attribute has >= 2 compatible objects, so another exists.
+        return rng.choice([obj for obj in world.inverse_compat[attr] if obj != query_obj])
 
     obj2 = partner(attr2)
     obj3 = partner(attr3)
@@ -477,22 +473,23 @@ def read_jsonl(path) -> list[ReferenceAct]:
 _COMBO_KINDS = ("object", "object+image", "object+attribute", "object+attribute+image")
 
 
-def _combo_counts(acts) -> dict[str, dict]:
-    counts = {kind: {} for kind in _COMBO_KINDS}
+def _combos(acts) -> dict[str, tuple[int, set]]:
+    """Per combination kind: its occurrences across candidate items, and its
+    distinct combinations."""
+    items = [item for act in acts for item in act.items]
+    tagged = [item for item in items if item.attribute is not None]
+    return {
+        "object": (len(items), {i.object for i in items}),
+        "object+image": (len(items), {(i.object, i.image_id) for i in items}),
+        "object+attribute": (len(tagged), {(i.object, i.attribute) for i in tagged}),
+        "object+attribute+image": (
+            len(tagged), {(i.object, i.attribute, i.image_id) for i in tagged}),
+    }
 
-    def bump(kind: str, key) -> None:
-        table = counts[kind]
-        table[key] = table.get(key, 0) + 1
 
-    for act in acts:
-        for item in act.items:
-            bump("object", item.object)
-            bump("object+image", (item.object, item.image_id))
-            if item.attribute is not None:
-                bump("object+attribute", (item.object, item.attribute))
-                bump("object+attribute+image",
-                     (item.object, item.attribute, item.image_id))
-    return counts
+def _avg_frequency(combos: dict[str, tuple[int, set]]) -> dict[str, float | None]:
+    return {kind: count / len(keys) if keys else None
+            for kind, (count, keys) in combos.items()}
 
 
 @dataclass
@@ -532,35 +529,23 @@ def dataset_stats(acts, test_acts=None) -> StatsReport:
     """Average combination frequencies, optionally with train/test overlap.
 
     Counts object, object+image, object+attribute, and full-triple
-    occurrences across candidate items.  The average frequency of a kind is
-    total occurrences divided by distinct combinations.  With a second
-    stream, also reports the percentage of its distinct combinations unseen
-    in the first.
+    combinations across candidate items.  The average frequency of a kind is
+    its occurrences (the items that carry it) divided by its distinct
+    combinations.  With a second stream, also reports the percentage of its
+    distinct combinations that the first lacks, a set difference.
     """
     acts = list(acts)
     if not acts:
         raise ValidationError("dataset_stats needs a nonempty act stream")
-    first = _combo_counts(acts)
-    avg = {"train" if test_acts is not None else "all": {
-        kind: (sum(table.values()) / len(table) if table else None)
-        for kind, table in first.items()
-    }}
+    first = _combos(acts)
+    avg = {"train" if test_acts is not None else "all": _avg_frequency(first)}
     unseen = None
     if test_acts is not None:
         test_acts = list(test_acts)
         if not test_acts:
             raise ValidationError("dataset_stats needs a nonempty test stream")
-        second = _combo_counts(test_acts)
-        avg["test"] = {
-            kind: (sum(table.values()) / len(table) if table else None)
-            for kind, table in second.items()
-        }
-        unseen = {}
-        for kind in _COMBO_KINDS:
-            test_keys = set(second[kind])
-            if not test_keys:
-                unseen[kind] = None
-            else:
-                novel = len(test_keys - set(first[kind]))
-                unseen[kind] = 100.0 * novel / len(test_keys)
+        second = _combos(test_acts)
+        avg["test"] = _avg_frequency(second)
+        unseen = {kind: 100.0 * len(keys - first[kind][1]) / len(keys) if keys else None
+                  for kind, (_, keys) in second.items()}
     return StatsReport(avg_frequency=avg, unseen_pct=unseen)

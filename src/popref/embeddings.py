@@ -96,10 +96,16 @@ class WorldConfig:
 class SyntheticWorld:
     """All vector spaces and relations a dataset generator or encoder needs.
 
+    Only :func:`build_synthetic_world` makes a world (:func:`shuffle_images`
+    permutes its image rows under the same ids), and its construction makes
+    the generators' invariants hold, as the tests check: every object has
+    one or more images, listed under it alone, and a word vector; every
+    object has >= 3 compatible attributes and every attribute >= 2
+    compatible objects; every name has its vector.
+
     ``compat`` maps each object to its sorted tuple of compatible attributes
-    and
-    ``inverse_compat`` maps each attribute back to its sorted tuple of
-    objects; both directions are closed over ``attr_vecs``/``word_vecs``.
+    and ``inverse_compat`` maps each attribute back to its sorted tuple of
+    objects.
     ``class_centroids`` keeps the noise-free per-class visual prototypes so
     tests can run nearest-centroid checks.  ``image_permutation`` is None for
     freshly built worlds and records the id -> source-id map after
@@ -126,53 +132,12 @@ class SyntheticWorld:
     def all_image_ids(self) -> list[str]:
         return list(self.image_vecs.index)
 
-    def validate(self) -> None:
-        """Check the structural invariants; raises ValidationError on breach."""
-        seen_images: set[str] = set()
-        for obj in self.objects:
-            ids = self.images.get(obj, [])
-            if not ids:
-                raise ValidationError(f"object {obj!r} has no images")
-            for image_id in ids:
-                if image_id in seen_images:
-                    raise ValidationError(
-                        f"image id {image_id!r} listed under multiple objects"
-                    )
-                seen_images.add(image_id)
-                if image_id not in self.image_vecs:
-                    raise ValidationError(f"image id {image_id!r} has no vector")
-            if obj not in self.word_vecs:
-                raise ValidationError(f"object {obj!r} has no word vector")
-            attrs = self.compat.get(obj, ())
-            if len(attrs) < 3:
-                raise ValidationError(
-                    f"object {obj!r} has {len(attrs)} compatible attributes, need >= 3"
-                )
-            for attr in attrs:
-                if attr not in self.attr_vecs:
-                    raise ValidationError(
-                        f"attribute {attr!r} in compat table has no vector"
-                    )
-        for attr, objs in self.inverse_compat.items():
-            if len(objs) < 2:
-                raise ValidationError(
-                    f"attribute {attr!r} is compatible with {len(objs)} objects, need >= 2"
-                )
-
 
 def _unit(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValidationError("cannot normalize a zero vector")
     return vec / norm
-
-
-def _invert_compat(compat: dict[str, tuple[str, ...]]) -> dict[str, tuple[str, ...]]:
-    inverse: dict[str, list[str]] = {}
-    for obj, attrs in compat.items():
-        for attr in attrs:
-            inverse.setdefault(attr, []).append(obj)
-    return {attr: tuple(sorted(objs)) for attr, objs in inverse.items()}
 
 
 def build_synthetic_world(config: WorldConfig, seed: int) -> SyntheticWorld:
@@ -187,10 +152,14 @@ def build_synthetic_world(config: WorldConfig, seed: int) -> SyntheticWorld:
       entries, so mapped centroids keep unit per-coordinate scale).
 
     Attributes are independent random unit vectors in word space.  The
-    compatibility relation samples ``attrs_per_object`` attributes per
-    object, then patches coverage so every attribute keeps >= 2 compatible
-    objects.  Object, attribute, and image names are zero-padded to equal
-    width, so no two distinct names are substrings of each other.
+    compatibility relation samples ``attrs_per_object`` (>= 3) attributes
+    per object, then patches coverage so every attribute keeps >= 2
+    compatible objects, which ``n_classes >= 2`` makes possible.  Object,
+    attribute, and image names are zero-padded to equal width, so no two
+    distinct names are substrings of each other.  The image, word and
+    attribute tables are built from exactly these names, so the invariants
+    :class:`SyntheticWorld` lists hold by construction; the world is not
+    re-checked.
     """
     config.validate()
     obj_width = max(3, len(str(config.n_classes - 1)))
@@ -246,7 +215,7 @@ def build_synthetic_world(config: WorldConfig, seed: int) -> SyntheticWorld:
             coverage[attr].add(obj)
 
     compat = {obj: tuple(sorted(attrs)) for obj, attrs in compat_sets.items()}
-    world = SyntheticWorld(
+    return SyntheticWorld(
         objects=objects,
         images=images,
         image_vecs=image_vecs,
@@ -256,10 +225,8 @@ def build_synthetic_world(config: WorldConfig, seed: int) -> SyntheticWorld:
         config=config,
         seed=int(seed),
         class_centroids=centroids,
-        inverse_compat=_invert_compat(compat),
+        inverse_compat={attr: tuple(sorted(objs)) for attr, objs in coverage.items()},
     )
-    world.validate()
-    return world
 
 
 def nearest_centroid_accuracy(world: SyntheticWorld) -> float:

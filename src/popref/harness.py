@@ -394,6 +394,9 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
             )
         inputs = build_inputs(manifest, model, manifest.get("task", "object-only"))
         spec = build_dataset_spec(manifest)
+        for key, count in (("n_train", spec.n_train), ("n_test", spec.n_test)):
+            if count < 1:
+                raise ConfigError(f"key 'data.{key}': expected >= 1, got {count}")
         train_config = build_train_config(manifest, DEFAULT_EPOCHS[model])
         val_sample = _as_int(
             manifest.get("diagnostic.val_sample", "500"), "diagnostic.val_sample"
@@ -423,10 +426,9 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
             name: encode_split(world, acts, inputs.encoding, inputs.normalize_blocks)
             for name, acts in splits.items()
         }
-        sample = encoded["train"] if len(encoded["train"]) else encoded["test"]
-
         stage = "init"
-        config = build_model(manifest, model, sample.d_query, sample.d_cand)
+        config = build_model(manifest, model, encoded["train"].d_query,
+                             encoded["train"].d_cand)
 
         stage = "train"
         probe = encoded["val"][:val_sample] if val_sample > 0 else []

@@ -238,6 +238,10 @@ def forward(params: PopParams, query_in: np.ndarray, candidates: np.ndarray,
         anomaly_raw += float(params.sensor_out_bias[0])
     anomaly_score = float(squash(anomaly_raw))
 
+    # A saturated squash can hide a non-finite raw score, which backward
+    # would turn into NaN updates.
+    if not math.isfinite(anomaly_raw):
+        raise NumericError(f"act {act_id!r}: non-finite anomaly score {anomaly_raw}")
     logits = np.concatenate([sims, [anomaly_score]])
     if not np.isfinite(logits).all():
         raise NumericError(f"act {act_id!r}: non-finite logits {logits}")

@@ -58,8 +58,11 @@ class TrainConfig:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.momentum < 0 or self.decay < 0:
-            raise ConfigError("momentum and decay must be >= 0")
+        if not 0 <= self.momentum < 1:
+            # Heavy-ball momentum at 1 or above never decays the velocity.
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.decay < 0:
+            raise ConfigError(f"decay must be >= 0, got {self.decay}")
 
 
 class Params:

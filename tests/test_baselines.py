@@ -64,6 +64,13 @@ def test_estimate_label_distribution_rejects_bad_input():
         estimate_label_distribution([deep], max_len=3)
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_estimate_label_distribution_rejects_a_non_positive_max_len(max_len):
+    miss = _act([Item("x", "x-img")], Gold.miss())
+    with pytest.raises(ConfigError, match="max_len must be >= 1"):
+        estimate_label_distribution([miss], max_len=max_len)
+
+
 def test_label_distribution_validation():
     with pytest.raises(ConfigError):
         LabelDistribution(max_len=2, probabilities=(0.5, 0.5)).validate()

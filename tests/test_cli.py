@@ -399,6 +399,18 @@ def test_baseline_probability_requires_train_split(data_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["random", "probability"])
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_baseline_rejects_a_non_positive_max_len(data_dir, capsys, kind, max_len):
+    code = main(["baseline", "--kind", kind, f"--max-len={max_len}",
+                 "--test", str(data_dir / "test.jsonl"),
+                 "--train", str(data_dir / "train.jsonl")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--max-len" in err
+    assert "Traceback" not in err
+
+
 def test_baseline_cnn_perfect_labeler(data_dir, tmp_path, capsys):
     report = tmp_path / "cnn.json"
     code = main(["baseline", "--kind", "cnn", "--p-true", "1.0",

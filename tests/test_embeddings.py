@@ -92,12 +92,37 @@ def test_world_shapes_and_naming(small_world):
                 assert obj not in other
 
 
+def _assert_world_invariants(world):
+    """What the generators rely on, and build_synthetic_world guarantees."""
+    listed = [image_id for obj in world.objects for image_id in world.images[obj]]
+    assert len(set(listed)) == len(listed) == len(world.all_image_ids())
+    assert set(listed) == set(world.image_vecs.index)
+    assert list(world.word_vecs.index) == world.objects
+    for obj in world.objects:
+        assert world.images[obj]
+        assert len(world.compat[obj]) >= 3
+        assert set(world.compat[obj]) <= set(world.attr_vecs.index)
+    assert set(world.inverse_compat) == set(world.attributes)
+    for attr, objs in world.inverse_compat.items():
+        assert len(objs) >= 2
+        assert objs == tuple(obj for obj in world.objects if attr in world.compat[obj])
+
+
 def test_world_compat_coverage(small_world):
+    _assert_world_invariants(small_world)
     for obj in small_world.objects:
         assert len(small_world.compat[obj]) == small_world.config.attrs_per_object
         assert list(small_world.compat[obj]) == sorted(small_world.compat[obj])
-    for attr in small_world.attributes:
-        assert len(small_world.inverse_compat[attr]) >= 2
+
+
+def test_world_coverage_patch_gives_every_attribute_two_objects():
+    # 3 objects x 3 sampled attributes cover at most 9 of 30 attributes, so
+    # the patch must add most of the pairs.
+    config = WorldConfig(n_classes=3, images_per_class=1, n_attributes=30,
+                         d_img=4, d_word=4, attrs_per_object=3)
+    world = build_synthetic_world(config, seed=11)
+    _assert_world_invariants(world)
+    assert sum(len(attrs) for attrs in world.compat.values()) >= 2 * 30
 
 
 def test_world_same_seed_is_byte_identical(small_world):

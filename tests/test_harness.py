@@ -575,6 +575,8 @@ def test_a_programming_error_leaves_its_stage_and_traceback_in_meta(
     ("world.sigma", "NaN", "manifest"),
     ("model.margin", "inf", "init"),
     ("diagnostic.val_sample", "-5", "manifest"),  # finite, but below 0
+    ("data.n_train", "0", "manifest"),  # no acts to train or score on
+    ("data.n_test", "0", "manifest"),
 ])
 def test_run_experiment_rejects_a_nonfinite_number_naming_the_key(key, value, stage):
     manifest = {**_TINY_POP, key: value}
@@ -587,6 +589,13 @@ def test_run_experiment_rejects_a_nonfinite_number_naming_the_key(key, value, st
     assert report["stage"] == stage
     assert report["error"].startswith("ConfigError")
     assert key in report["error"]
+
+
+def test_run_experiment_rejects_a_momentum_that_never_decays():
+    report = run_experiment({**_TINY_POP, "train.momentum": "3"})
+    assert report["status"] == "failed"
+    assert report["error"].startswith("ConfigError")
+    assert "momentum must be in [0, 1)" in report["error"]
 
 
 @pytest.mark.parametrize("build", [

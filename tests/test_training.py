@@ -69,7 +69,8 @@ def test_defaults_match_documented_schedule():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"lr0": 0.0}, {"lr0": -0.1}, {"epochs": -1}, {"momentum": -0.2}, {"decay": -1e-4}],
+    [{"lr0": 0.0}, {"lr0": -0.1}, {"epochs": -1}, {"momentum": -0.2}, {"momentum": 1.0},
+     {"momentum": 3}, {"decay": -1e-4}],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -318,6 +319,19 @@ def test_nonfinite_loss_names_the_act():
     acts.table[acts.offsets[3]] = np.nan  # a candidate of act oh-3 only
     with pytest.raises(NumericError, match="act 'oh-3': non-finite"):
         train(PopTrainable(init_params(config, Rng(5)), acts), TrainConfig(epochs=1))
+
+
+def test_infinite_weight_behind_a_saturated_squash_names_the_first_act():
+    # The sigmoid squash saturates, so the logits stay finite; backward
+    # would turn 0 * inf into NaN updates (a RuntimeWarning, which the
+    # suite's filterwarnings makes an error) and name the next act.
+    config = PopConfig(d_query=2, d_cand=2, d_ent=3, n_sensors=2)
+    params = init_params(config, Rng(5))
+    params.sensor_out[:] = np.inf
+    params.sensor_in[:] = 1.0
+    acts = _random_acts(6, 2, 2, seed=8, one_hot=False)
+    with pytest.raises(NumericError, match="act 'oh-0': non-finite anomaly score"):
+        train(PopTrainable(params, acts), TrainConfig(epochs=1, shuffle_each_epoch=False))
 
 
 def _reference_train(trainable, config):
