@@ -397,6 +397,9 @@ def run_experiment(manifest: dict[str, str], out_dir=None) -> dict:
         for key, count in (("n_train", spec.n_train), ("n_test", spec.n_test)):
             if count < 1:
                 raise ConfigError(f"key 'data.{key}': expected >= 1, got {count}")
+        if model == "pipeline" and spec.n_val < 1:
+            raise ConfigError(f"key 'data.n_val': expected >= 1 for the pipeline, "
+                              f"whose thresholds are tuned on it, got {spec.n_val}")
         train_config = build_train_config(manifest, DEFAULT_EPOCHS[model])
         val_sample = _as_int(
             manifest.get("diagnostic.val_sample", "500"), "diagnostic.val_sample"

@@ -11,17 +11,22 @@ step uses ``lr0`` exactly), the step size is ``lr0 / (1 + decay * u)``.
 Heavy-ball momentum with zero-initialized velocity:
 ``velocity = momentum * velocity - lr_u * grad; param += velocity``.
 
-The velocities of all arrays live in one flat buffer, so the momentum decay
-is one numpy call per update; each array updates through its view of it.
-The trainer scales each gradient by ``lr_u`` in place: it owns, and may
-overwrite, the gradient arrays ``loss_and_grads`` hands it.  The weights are
-bit-identical to a per-array update with a fresh ``lr_u * grad``.
+The velocities of the arrays whose gradients come dense live in one flat
+buffer, so their momentum decay is one numpy call per update; each array
+updates through its view of it.  The trainer scales each gradient by
+``lr_u`` in place: it owns, and may overwrite, the gradient arrays
+``loss_and_grads`` hands it.  The weights are bit-identical to a per-array
+update with a fresh ``lr_u * grad``.
 
-A gradient may come as a :class:`ColumnSparse` matrix, zero outside a few
-columns (the query-map gradient of a one-hot query).  The trainer then
-subtracts ``lr_u * grad`` from those columns of the velocity only; the
-momentum decay and ``param += velocity`` stay dense, so the weights are
-bit-identical to a dense update.
+An array whose first gradient comes as a :class:`ColumnSparse` matrix, zero
+outside a few columns (the query-map gradient of a one-hot query), keeps a
+velocity only for its *live* columns (:class:`_ColumnVelocity`), and writes
+them back into the array on every update, so the array is always current.
+A column retires once no later velocity can move one of its weights, and is
+revived, with its velocity caught up exactly, when a gradient touches it
+again.  The weights stay bit-identical to the dense update; the two rules
+and why they are exact are in :class:`_ColumnVelocity`.  Nothing but the
+trainer may write the arrays while it runs.
 """
 
 import dataclasses
@@ -178,6 +183,160 @@ class TrainLog:
     updates: int = 0
 
 
+# |v| < |w| * 2**-55, tested as |v| * 2**55 < |w| (a power-of-two scaling,
+# exact short of overflow): |v| is then under a quarter of the gap between w
+# and either neighbouring double, so fl(w + v) == w.
+_EXACT_SHIFT = 2.0 ** 55
+_SMALLEST_NORMAL = 2.0 ** -1022
+# Live columns are checked for retirement on every 4th update: a check costs
+# about as much as the rest of a one-hot update, and a column that retires a
+# few updates late only costs those updates' adds (which are exact anyway).
+_RETIRE_EVERY = 4
+
+
+def _decay_bounds(momentum: float) -> list[float]:
+    """``P`` with ``P[j] >= (m * (1 + 2**-53))**j`` for every ``j`` (reading
+    ``P[min(j, len(P) - 1)]``), where ``m * (1 + 2**-53)`` bounds one rounded
+    decay of a normal number.
+
+    ``P[0] = 1 + 2**-30`` and ``P[j] = fl(P[j-1] * fl(m * (1 + 2**-30)))``.
+    Each step loses at most two roundings of ``2**-53``, which the ``2**-30``
+    slack covers, so by induction ``P[j] >= m'**j * (1 + 2**-30)``; the extra
+    ``(1 + 2**-30)`` is left for the one product that uses the bound.  The
+    table stops before an entry would fall below ``2**-1000`` (where
+    rounding is no longer relative) or past 4096 entries; ``m' < 1`` makes
+    the last entry a bound for every later ``j``.
+    """
+    factor = momentum * (1.0 + 2.0 ** -30)
+    bounds = [1.0 + 2.0 ** -30]
+    while len(bounds) < 4096 and bounds[-1] * factor >= 2.0 ** -1000:
+        bounds.append(bounds[-1] * factor)
+    return bounds
+
+
+class _ColumnVelocity:
+    """The momentum velocity of one ``rows x cols`` array, kept column by
+    column for the columns whose update can still move a weight.
+
+    A *live* column's velocity is a row of ``velocity`` (slot ``slot[c]``);
+    every update decays the live rows, subtracts the scaled gradient from
+    the touched ones and adds them to their columns of the array, exactly
+    as the dense update does.  Every other column is *retired*: ``saved[c]``
+    is its velocity when it retired, at update ``retired_at[c]``, and the
+    dense update would only decay that velocity and add it to weights it
+    cannot move.  At the start every velocity is zero and every column
+    retires at once (update -1) unless it holds a zero weight.
+
+    * **Retire.**  A live column retires, at the next check, once every
+      entry has ``|v| < |w| * 2**-55`` (so ``w != 0``).  Then
+      ``fl(w + v') == w`` for every later velocity ``v'`` of the column,
+      since each decay only shrinks ``|v'|`` (round to nearest is monotone
+      and ``m < 1``), and skipping its adds is exact.
+    * **Revive.**  A gradient touches a retired column ``k`` updates after
+      it retired, with scaled block ``g``.  The dense update would subtract
+      ``g`` from ``u``, the saved velocity decayed ``k`` times.  Each
+      rounded decay of a normal number grows it by at most ``1 + 2**-53``
+      over ``m * |x|``, and a decay into the subnormals gives at most
+      ``2**-1022``; so ``|u| <= max(max|saved| * m'**k, 2**-1022)`` with
+      ``m' = m * (1 + 2**-53)``.  ``B = fl(max|saved| * P[k])``
+      (:func:`_decay_bounds`) is at least ``max|saved| * m'**k`` whenever it
+      is normal, and ``max(B, 2**-1022)`` bounds ``|u|`` either way.  If that
+      bound is below ``|g| * 2**-55`` in every entry, ``fl(u - g) == -g``
+      (the retire argument with ``-g`` for ``w``), so the new velocity is
+      ``-g``.  Otherwise -- always when ``g`` holds an exact zero -- the
+      ``k`` decays are replayed one multiply at a time, stopping early at a
+      fixed point, then ``g`` is subtracted.
+
+    A dense gradient touches every column and takes the same two rules.
+    """
+
+    def __init__(self, arr: np.ndarray, momentum: float):
+        n_rows, n_cols = arr.shape
+        self.arr = arr
+        self.momentum = momentum
+        self.decay_bounds = _decay_bounds(momentum)
+        # Slot s holds the velocity and the weights of column live[s].
+        self.velocity = np.zeros((n_cols, n_rows))
+        self.weights = arr.T.copy()
+        self.live = np.arange(n_cols)
+        self.n_live = n_cols
+        self.slot = list(range(n_cols))  # column -> slot, -1 when retired
+        self.saved = np.zeros((n_cols, n_rows))
+        self.saved_max = [0.0] * n_cols
+        self.retired_at = [-1] * n_cols
+        self._abs_velocity = np.empty((n_cols, n_rows))
+        self._abs_weights = np.empty((n_cols, n_rows))
+        self._still = np.empty((n_cols, n_rows), dtype=bool)
+        self._retire(-1)
+
+    def update(self, grad, lr: float, step: int) -> None:
+        """Apply update ``step`` with ``lr * grad``, scaling ``grad`` (a
+        :class:`ColumnSparse` or a dense array) in place."""
+        if isinstance(grad, ColumnSparse):
+            cols, block = grad.cols, grad.block
+        else:
+            cols, block = np.arange(grad.shape[1]), grad
+        block *= lr
+        velocity = self.velocity
+        velocity[:self.n_live] *= self.momentum
+        for j, col in enumerate(cols.tolist()):
+            grad = block[:, j]
+            slot = self.slot[col]
+            if slot >= 0:
+                velocity[slot] -= grad
+                continue
+            slot = self.n_live
+            k = step - self.retired_at[col]
+            bound = self.saved_max[col] * self.decay_bounds[
+                min(k, len(self.decay_bounds) - 1)]
+            if max(bound, _SMALLEST_NORMAL) * _EXACT_SHIFT < np.abs(grad).min():
+                np.negative(grad, out=velocity[slot])
+            else:
+                caught_up = self.saved[col].copy()
+                for _ in range(k):
+                    decayed = caught_up * self.momentum
+                    if np.array_equal(decayed, caught_up):
+                        break  # every later decay gives the same bits
+                    caught_up = decayed
+                np.subtract(caught_up, grad, out=velocity[slot])
+            self.weights[slot] = self.arr[:, col]
+            self.live[slot] = col
+            self.slot[col] = slot
+            self.n_live += 1
+        n_live = self.n_live
+        weights = self.weights[:n_live]
+        weights += velocity[:n_live]
+        self.arr[:, self.live[:n_live]] = weights.T
+        if step % _RETIRE_EVERY == 0:
+            self._retire(step)
+
+    def _retire(self, step: int) -> None:
+        """Retire the live slots whose velocity can no longer move their
+        weights."""
+        n_live = self.n_live
+        velocity, weights, live = self.velocity, self.weights, self.live
+        speed = np.abs(velocity[:n_live], out=self._abs_velocity[:n_live])
+        speed *= _EXACT_SHIFT
+        still = np.less(speed, np.abs(weights[:n_live], out=self._abs_weights[:n_live]),
+                        out=self._still[:n_live])
+        # Descending, so a slot moved down from the end is never one that
+        # still has to retire.
+        for slot in np.flatnonzero(still.all(axis=1))[::-1].tolist():
+            col = int(live[slot])
+            self.saved[col] = velocity[slot]
+            self.saved_max[col] = float(speed[slot].max()) / _EXACT_SHIFT
+            self.retired_at[col] = step
+            self.slot[col] = -1
+            n_live -= 1
+            if slot != n_live:
+                velocity[slot] = velocity[n_live]
+                weights[slot] = weights[n_live]
+                moved = int(live[n_live])
+                live[slot] = moved
+                self.slot[moved] = slot
+        self.n_live = n_live
+
+
 def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
     """Run online SGD over the trainable's examples for ``config.epochs`` passes.
 
@@ -193,14 +352,9 @@ def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
     if not n_examples and config.epochs > 0:
         raise ConfigError("training needs at least one example")
     arrays = trainable.parameter_arrays()
-    # One velocity buffer, decayed in one call; a view of it per array.
-    velocity = np.zeros(sum(arr.size for arr in arrays.values()))
-    views, offset = [], 0
-    for name, arr in arrays.items():
-        views.append((name, arr, velocity[offset:offset + arr.size].reshape(arr.shape)))
-        offset += arr.size
     shuffle_rng = Rng(derive_seed(config.seed, "epoch-shuffle"))
     log = TrainLog()
+    velocity = None  # laid out at the first update, from its gradients
 
     for epoch in range(config.epochs):
         order = list(range(n_examples))
@@ -214,6 +368,9 @@ def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
                                    f"example {trainable.example_id(i)}")
             epoch_loss += value
             lr = learning_rate(config, log.updates)
+            if velocity is None:
+                velocity, views, by_column = _lay_out_velocity(arrays, grads,
+                                                               config.momentum)
             velocity *= config.momentum
             for name, arr, v in views:
                 grad = grads[name]
@@ -224,11 +381,29 @@ def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
                     grad *= lr
                     v -= grad
                 arr += v
+            for name, columns in by_column:
+                columns.update(grads[name], lr, log.updates)
             log.updates += 1
         log.epoch_losses.append(epoch_loss / n_examples)
         if epoch_callback is not None:
             epoch_callback(epoch, log.epoch_losses[-1], trainable)
     return log
+
+
+def _lay_out_velocity(arrays: dict, grads: dict, momentum: float):
+    """The flat velocity buffer of the arrays whose first gradient is dense,
+    with ``(name, array, view)`` for each, and a :class:`_ColumnVelocity`
+    for each array whose first gradient is a :class:`ColumnSparse`."""
+    dense = {name: arr for name, arr in arrays.items()
+             if not isinstance(grads[name], ColumnSparse)}
+    velocity = np.zeros(sum(arr.size for arr in dense.values()))
+    views, offset = [], 0
+    for name, arr in dense.items():
+        views.append((name, arr, velocity[offset:offset + arr.size].reshape(arr.shape)))
+        offset += arr.size
+    by_column = [(name, _ColumnVelocity(arr, momentum))
+                 for name, arr in arrays.items() if name not in dense]
+    return velocity, views, by_column
 
 
 @dataclass

@@ -433,9 +433,13 @@ def test_gradcheck_passes_and_fails_by_tolerance(capsys):
     assert "pipeline: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spelling", [lambda value: [f"--tolerance={value}"],
+                                      lambda value: ["--tolerance", value]],
+                         ids=["joined", "spaced"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-4"])
-def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, value):
-    assert main(["gradcheck", "--trials", "1", f"--tolerance={value}"]) == EXIT_DATA
+def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(
+        capsys, value, spelling):
+    assert main(["gradcheck", "--trials", "1", *spelling(value)]) == EXIT_DATA
     captured = capsys.readouterr()
     assert "tolerance" in captured.err
     assert "PASS" not in captured.out

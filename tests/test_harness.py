@@ -577,10 +577,11 @@ def test_a_programming_error_leaves_its_stage_and_traceback_in_meta(
     ("diagnostic.val_sample", "-5", "manifest"),  # finite, but below 0
     ("data.n_train", "0", "manifest"),  # no acts to train or score on
     ("data.n_test", "0", "manifest"),
+    ("data.n_val", "0", "manifest"),  # the pipeline tunes its thresholds on it
 ])
 def test_run_experiment_rejects_a_nonfinite_number_naming_the_key(key, value, stage):
     manifest = {**_TINY_POP, key: value}
-    if key == "model.margin":
+    if key in ("model.margin", "data.n_val"):  # pipeline-only rules
         manifest.update({"model": "pipeline"})
         manifest.pop("model.d_ent")
         manifest.pop("model.n_sensors")
@@ -589,6 +590,12 @@ def test_run_experiment_rejects_a_nonfinite_number_naming_the_key(key, value, st
     assert report["stage"] == stage
     assert report["error"].startswith("ConfigError")
     assert key in report["error"]
+
+
+@pytest.mark.parametrize("model", ["pop", "trpop"])
+def test_a_pointing_model_needs_no_validation_split(model):
+    report = run_experiment({**_TINY_POP, "model": model, "data.n_val": "0"})
+    assert report["status"] == "ok", report.get("error")
 
 
 def test_run_experiment_rejects_a_momentum_that_never_decays():
