@@ -61,11 +61,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse's default usage-error exit code is 2; this tool reserves 2
     for data errors, so usage errors are remapped to 1.  A negative number in
     exponent form (``--tolerance -1e-4``) is read as a value, as argparse
-    already reads ``-1`` and ``-0.5``, not as an unknown option."""
+    already reads ``-1`` and ``-0.5``, not as an unknown option; so are
+    ``-inf``, ``-infinity`` and ``-nan``, in any case, as ``float`` reads them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -181,7 +181,7 @@ class ForwardTrace:
     """Every intermediate of one forward pass, cached for exact backprop."""
 
     query_in: np.ndarray
-    query_cols: np.ndarray     # indices of the query's nonzero entries
+    query_cols: np.ndarray | None  # an indicator query's columns; None if dense
     candidates_in: np.ndarray  # n x d_cand
     entity_vecs: np.ndarray    # n x d_ent
     query_vec: np.ndarray
@@ -199,21 +199,18 @@ class ForwardTrace:
 
 
 def forward(params: PopParams, query_in: np.ndarray, candidates: np.ndarray,
-            act_id: str = "<unnamed>") -> ForwardTrace:
+            act_id: str = "<unnamed>", query_cols: np.ndarray | None = None) -> ForwardTrace:
     """Run the network over one act's query and n x d_cand candidates, of
-    dimensions the caller checked; returns the full trace."""
+    dimensions the caller checked; returns the full trace.  Given the
+    columns where a 0/1 query is 1, it reads only those query-map columns."""
     cfg = params.config
     n = candidates.shape[0]
 
     entity_vecs = candidates @ params.entity_map.T
-    # A one-hot (or few-hot) query reads only its nonzero columns of the
-    # query map.  With 0/1 entries, as the one-hot encoding makes, every
-    # product is exact and the sum is bit-identical to the dense one.
-    query_cols = np.flatnonzero(query_in)
-    if query_cols.size < query_in.size:
-        query_vec = params.query_map[:, query_cols] @ query_in[query_cols]
-    else:
+    if query_cols is None:
         query_vec = params.query_map @ query_in
+    else:
+        query_vec = params.query_map[:, query_cols] @ query_in[query_cols]
     if cfg.use_bias:
         entity_vecs = entity_vecs + params.entity_bias
         query_vec = query_vec + params.query_bias
@@ -277,9 +274,9 @@ def loss(trace: ForwardTrace, target: int) -> float:
 def backward(params: PopParams, trace: ForwardTrace, target: int) -> dict[str, np.ndarray]:
     """Exact gradient of :func:`loss` for every learned array.
 
-    The query-map gradient is ``outer(dquery_vec, query_in)``.  When the
-    query has zero entries it comes as a :class:`ColumnSparse` over the
-    query's nonzero columns; every other gradient is a dense array.
+    The query-map gradient is ``outer(dquery_vec, query_in)``.  When
+    :func:`forward` was given the query's columns it comes as a
+    :class:`ColumnSparse` over them; every other gradient is a dense array.
 
     The chain runs softmax -> logits, then splits: the protest logit descends
     through the score squash, the sensor combiner, the sensor bank, and the
@@ -316,15 +313,12 @@ def backward(params: PopParams, trace: ForwardTrace, target: int) -> dict[str, n
     dquery_vec = trace.entity_vecs.T @ dsims
     dentity_vecs = outer(dsims, trace.query_vec)
 
-    # A one-hot (or few-hot) query touches only its nonzero columns of the
-    # query map; hand the trainer just those.
-    query_in = trace.query_in
-    cols = trace.query_cols
-    if cols.size < query_in.size:
+    query_in, cols = trace.query_in, trace.query_cols
+    if cols is None:
+        dquery_map = outer(dquery_vec, query_in)
+    else:
         dquery_map = ColumnSparse(cols, outer(dquery_vec, query_in[cols]),
                                   query_in.size)
-    else:
-        dquery_map = outer(dquery_vec, query_in)
 
     grads = {
         "entity_map": dentity_vecs.T @ trace.candidates_in,
@@ -421,12 +415,19 @@ def predict(params: PopParams, act: EncodedAct) -> int:
 
 class PopTrainable(Trainable):
     """The network over an encoded split: example ``i`` is act ``i``, whose
-    gold cell is checked here, once (see ``EncodedSplit.gold_cells``)."""
+    gold cell is checked here, once (see ``EncodedSplit.gold_cells``).  So is
+    the query form: when every query entry is 0 or 1, each act's columns go
+    to :func:`forward` and its query-map gradient is a :class:`ColumnSparse`;
+    any other split is dense on every act."""
 
     def __init__(self, params: PopParams, split: EncodedSplit):
         super().__init__(params, split)
         self._targets = split.gold_cells.tolist()
         self._offsets = split.offsets.tolist()
+        self._col_offsets = None  # per-act offsets into _query_cols; None when dense
+        if ((split.queries == 0.0) | (split.queries == 1.0)).all():
+            acts, self._query_cols = np.nonzero(split.queries)
+            self._col_offsets = np.searchsorted(acts, np.arange(len(split) + 1)).tolist()
 
     def __len__(self) -> int:
         return len(self.split)
@@ -435,7 +436,9 @@ class PopTrainable(Trainable):
         split, target = self.split, self._targets[i]
         candidates = np.take(split.table, split.rows[self._offsets[i]:self._offsets[i + 1]],
                              axis=0)
-        trace = forward(self.params, split.queries[i], candidates, split.ids[i])
+        cols = (None if self._col_offsets is None else
+                self._query_cols[self._col_offsets[i]:self._col_offsets[i + 1]])
+        trace = forward(self.params, split.queries[i], candidates, split.ids[i], cols)
         return loss(trace, target), backward(self.params, trace, target)
 
 

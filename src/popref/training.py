@@ -18,8 +18,8 @@ updates through its view of it.  The trainer scales each gradient by
 ``loss_and_grads`` hands it.  The weights are bit-identical to a per-array
 update with a fresh ``lr_u * grad``.
 
-An array whose first gradient comes as a :class:`ColumnSparse` matrix, zero
-outside a few columns (the query-map gradient of a one-hot query), keeps a
+An array whose gradients come as :class:`ColumnSparse` matrices, zero
+outside a few columns (the query-map gradient of a one-hot split), keeps a
 velocity only for its *live* columns (:class:`_ColumnVelocity`), and writes
 them back into the array on every update, so the array is always current.
 A column retires once no later velocity can move one of its weights, and is
@@ -120,7 +120,8 @@ class Trainable:
     subclass, ``len`` and ``loss_and_grads(i) -> (loss, {name: gradient})``.
 
     Each gradient is a fresh float array (or :class:`ColumnSparse` block)
-    that nothing else holds: :func:`train` scales it in place."""
+    that nothing else holds: :func:`train` scales it in place.  Each array's
+    gradient keeps its first step's form, dense or sparse, for the whole run."""
 
     def __init__(self, params: Params, split):
         split.require_dims(params.config.d_query, params.config.d_cand)
@@ -246,8 +247,6 @@ class _ColumnVelocity:
       ``-g``.  Otherwise -- always when ``g`` holds an exact zero -- the
       ``k`` decays are replayed one multiply at a time, stopping early at a
       fixed point, then ``g`` is subtracted.
-
-    A dense gradient touches every column and takes the same two rules.
     """
 
     def __init__(self, arr: np.ndarray, momentum: float):
@@ -269,13 +268,10 @@ class _ColumnVelocity:
         self._still = np.empty((n_cols, n_rows), dtype=bool)
         self._retire(-1)
 
-    def update(self, grad, lr: float, step: int) -> None:
-        """Apply update ``step`` with ``lr * grad``, scaling ``grad`` (a
-        :class:`ColumnSparse` or a dense array) in place."""
-        if isinstance(grad, ColumnSparse):
-            cols, block = grad.cols, grad.block
-        else:
-            cols, block = np.arange(grad.shape[1]), grad
+    def update(self, grad: ColumnSparse, lr: float, step: int) -> None:
+        """Apply update ``step`` with ``lr * grad``, scaling ``grad.block``
+        in place."""
+        cols, block = grad.cols, grad.block
         block *= lr
         velocity = self.velocity
         velocity[:self.n_live] *= self.momentum
@@ -374,12 +370,8 @@ def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
             velocity *= config.momentum
             for name, arr, v in views:
                 grad = grads[name]
-                if isinstance(grad, ColumnSparse):
-                    grad.block *= lr
-                    v[:, grad.cols] -= grad.block
-                else:
-                    grad *= lr
-                    v -= grad
+                grad *= lr
+                v -= grad
                 arr += v
             for name, columns in by_column:
                 columns.update(grads[name], lr, log.updates)
@@ -391,9 +383,10 @@ def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
 
 
 def _lay_out_velocity(arrays: dict, grads: dict, momentum: float):
-    """The flat velocity buffer of the arrays whose first gradient is dense,
-    with ``(name, array, view)`` for each, and a :class:`_ColumnVelocity`
-    for each array whose first gradient is a :class:`ColumnSparse`."""
+    """The flat velocity buffer of the arrays whose gradients are dense, with
+    ``(name, array, view)`` for each, and a :class:`_ColumnVelocity` for each
+    array whose gradients are :class:`ColumnSparse`, as the first step's
+    ``grads`` shows them."""
     dense = {name: arr for name, arr in arrays.items()
              if not isinstance(grads[name], ColumnSparse)}
     velocity = np.zeros(sum(arr.size for arr in dense.values()))

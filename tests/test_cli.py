@@ -148,6 +148,32 @@ def test_train_eval_pop_round_trip(tmp_path, spec_file, data_dir, capsys):
     assert sum(c["n"] for c in metrics["counts"].values()) == 40
 
 
+def test_dense_model_trains_and_scores_unknown_nouns_when_allowed(
+        tmp_path, spec_file, data_dir, capsys):
+    """Two missing-referent acts per split name a noun the world does not
+    know; ``--allow-unknown`` backs it off to a zero query, which the dense
+    model trains and scores like any other."""
+    for split in ("train", "test"):
+        path = data_dir / f"{split}.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        misses = [r for r in records if r["gold"]["anomaly_kind"] == "miss"][:2]
+        assert len(misses) == 2
+        for k, record in enumerate(misses):
+            record["query"]["noun"] = f"unseen-{k}"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    ckpt, report = tmp_path / "pop.json", tmp_path / "metrics.json"
+    assert main(["train", "--model", "pop", "--data", str(data_dir / "train.jsonl"),
+                 "--config", str(spec_file), "--out-checkpoint", str(ckpt),
+                 "--allow-unknown"]) == EXIT_OK
+    assert main(["eval", "--checkpoint", str(ckpt), "--test", str(data_dir / "test.jsonl"),
+                 "--report", str(report), "--allow-unknown"]) == EXIT_OK
+    assert sum(c["n"] for c in json.loads(report.read_text())["counts"].values()) == 40
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--test", str(data_dir / "test.jsonl")]) == EXIT_DATA
+    assert "unseen-0" in capsys.readouterr().err
+
+
 def test_pipeline_needs_tuning_before_eval(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "pipe.json"
     spec_file = tmp_path / "pipeline.cfg"
@@ -436,7 +462,8 @@ def test_gradcheck_passes_and_fails_by_tolerance(capsys):
 @pytest.mark.parametrize("spelling", [lambda value: [f"--tolerance={value}"],
                                       lambda value: ["--tolerance", value]],
                          ids=["joined", "spaced"])
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-4"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-4", "-inf", "-Infinity",
+                                   "-nan", "-NaN"])
 def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(
         capsys, value, spelling):
     assert main(["gradcheck", "--trials", "1", *spelling(value)]) == EXIT_DATA

@@ -113,8 +113,7 @@ TINY = [4, 5]  # touched every 1-3 steps, by blocks that cannot move a weight
 GAP_COL, GAP_TOUCHES = 8, (120, 640, 641, 1100)  # 520 steps untouched
 ZERO_WEIGHTS = ((2, 10), (4, 11))  # 0.0 and -0.0, never moved: never retire
 EDGE = 12  # blocks 2**-50 to 2**-55 of the weights: near the retire threshold
-DENSE_ON_MAP = (150, 900, 1150)  # a dense gradient for the column-sparse map
-SPARSE_ON_DENSE = 7  # every 7th step the dense array's gradient is column-sparse
+FULL_WIDTH = (150, 900, 1150)  # a block over every column of the map
 
 
 def _with_zeros(rng, block):
@@ -146,17 +145,18 @@ def _column_scale(rng, col):
 
 
 def _script(rng):
-    """One gradient dict per update.  ``q``'s first gradient is column-sparse
-    and ``d``'s dense, so they start as a column-managed and a flat array;
-    each also gets the other kind now and then."""
+    """One gradient dict per update.  ``q``'s gradients are column-sparse and
+    ``d``'s and ``b``'s dense, so ``q`` is column-managed and the others share
+    the flat buffer; now and then ``q``'s block spans every column."""
     script = []
     next_tiny = 0
     for t in range(STEPS):
-        if t in DENSE_ON_MAP:
-            q = _with_zeros(rng, rng.normal(size=(ROWS, COLS)))
-            q *= [_column_scale(rng, col) for col in range(COLS)]
+        if t in FULL_WIDTH:
+            block = _with_zeros(rng, rng.normal(size=(ROWS, COLS)))
+            block *= [_column_scale(rng, col) for col in range(COLS)]
             for cell in ZERO_WEIGHTS:
-                q[cell] = 0.0
+                block[cell] = 0.0
+            q = (np.arange(COLS), block)
         else:
             hot = set(rng.choice(REGULAR, size=rng.choice([1, 2]), replace=False).tolist())
             if t in GAP_TOUCHES:
@@ -171,12 +171,7 @@ def _script(rng):
                 if col == 9 or (col == GAP_COL and t == 640) or rng.random() < 0.2:
                     _with_zeros(rng, block[:, j])
             q = (cols, block)
-        if t % SPARSE_ON_DENSE == 0 and t > 0:
-            cols = np.array([int(rng.integers(4))])
-            d = (cols, rng.normal(size=(5, 1)))
-        else:
-            d = rng.normal(size=(5, 4))
-        script.append({"q": q, "d": d, "b": rng.normal(size=3)})
+        script.append({"q": q, "d": rng.normal(size=(5, 4)), "b": rng.normal(size=3)})
     return script
 
 
@@ -209,15 +204,12 @@ def test_column_velocities_match_the_flat_buffer_bit_for_bit(momentum):
 
 def test_the_script_holds_the_cases_it_names():
     _, script = _case()
-    q_kinds = [isinstance(entry["q"], tuple) for entry in script]
-    d_kinds = [isinstance(entry["d"], tuple) for entry in script]
-    assert q_kinds[0] and not all(q_kinds)
-    assert not d_kinds[0] and any(d_kinds)
-    touches = [t for t, entry in enumerate(script)
-               if not q_kinds[t] or GAP_COL in entry["q"][0].tolist()]
+    assert all(isinstance(entry["q"], tuple) for entry in script)
+    assert not any(isinstance(entry[name], tuple) for entry in script for name in "db")
+    touches = [t for t, entry in enumerate(script) if GAP_COL in entry["q"][0].tolist()]
     assert max(b - a for a, b in zip(touches, touches[1:])) > 400
-    widths = {entry["q"][1].shape[1] for entry in script if isinstance(entry["q"], tuple)}
-    assert {1, 2} <= widths
+    widths = {entry["q"][1].shape[1] for entry in script}
+    assert {1, 2, COLS} <= widths
 
 
 def test_a_velocity_stuck_in_the_subnormals_is_replayed():

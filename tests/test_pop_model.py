@@ -1,5 +1,6 @@
 """Tests for the pointing network: forward semantics, gradients, prediction."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -84,6 +85,13 @@ def _act(query, candidates, gold=None, act_id="t-0") -> EncodedAct:
 def _forward(params, act):
     """:func:`forward` over a hand-made act."""
     return forward(params, act.query_vec, act.candidates, act.act_id)
+
+
+def _hot_forward(params, act):
+    """:func:`forward` over a hand-made act with a 0/1 query, reading only
+    the query's columns, as :class:`PopTrainable` runs it on a one-hot split."""
+    return forward(params, act.query_vec, act.candidates, act.act_id,
+                   np.flatnonzero(act.query_vec))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +652,7 @@ def test_hot_query_slice_equals_the_dense_product_bit_for_bit(task, normalize_bl
         params = init_params(config, rng.fork())
         params.query_map *= 1.0 + 9.0 * rng.random()
         for act in encoded:
-            trace = _forward(params, act)
+            trace = _hot_forward(params, act)
             assert trace.query_cols.size < trace.query_in.size
             assert np.array_equal(trace.query_vec, params.query_map @ trace.query_in)
 
@@ -677,7 +685,7 @@ def test_hot_query_gradient_is_column_sparse_and_exact(hot):
     query[hot] = 1.0
     rng = Rng(9)
     act = _act(query, [rng.normals(3) for _ in range(3)], gold=Gold.point(2))
-    trace = _forward(params, act)
+    trace = _hot_forward(params, act)
     grads = backward(params, trace, 2)
     sparse = grads["query_map"]
     assert isinstance(sparse, ColumnSparse)
@@ -696,6 +704,34 @@ def test_dense_query_gradient_stays_dense():
     act = _act([0.5, -1.5], [[1.0, 0.0, 0.5], [0.2, 0.3, 1.0]])
     grads = backward(params, _forward(params, act), 0)
     assert type(grads["query_map"]) is np.ndarray
+
+
+@pytest.mark.parametrize("case", ["dense-with-unknown", "one-hot-attr"])
+def test_the_split_fixes_the_query_gradient_form_for_every_act(small_world, case):
+    """A dense split keeps the dense form even on an all-zero query row (an
+    unknown noun under ``allow_unknown``); a one-hot split hands every act's
+    query-map gradient over as a :class:`ColumnSparse` of its columns."""
+    task = "object-attr" if case == "one-hot-attr" else "object-only"
+    acts = generate_splits(small_world, DatasetSpec(n_train=30, n_val=0, n_test=0,
+                                                    seed=4), task)["train"]
+    if case == "one-hot-attr":
+        split = encode_split(small_world, acts, "one-hot")
+    else:
+        miss = next(i for i, act in enumerate(acts) if act.gold.anomaly_kind == "miss")
+        acts[miss] = dataclasses.replace(
+            acts[miss], query=dataclasses.replace(acts[miss].query, noun="unseen"))
+        split = encode_split(small_world, acts, "dense", allow_unknown=True)
+        assert not split.queries[miss].any()
+    config = PopConfig(d_query=split.d_query, d_cand=split.d_cand, d_ent=6, n_sensors=3)
+    trainable = PopTrainable(init_params(config, Rng(3)), split)
+    for i in range(len(trainable)):
+        grad = trainable.loss_and_grads(i)[1]["query_map"]
+        if case == "one-hot-attr":
+            assert isinstance(grad, ColumnSparse)
+            np.testing.assert_array_equal(grad.cols, np.flatnonzero(split.queries[i]))
+            assert grad.block.shape == (config.d_ent, 2)
+        else:
+            assert type(grad) is np.ndarray, i
 
 
 def test_gradcheck_is_deterministic():
