@@ -16,6 +16,7 @@ from popref.datagen import ANOMALY, PROTEST, DatasetSpec, generate_splits
 from popref.embeddings import WorldConfig, build_synthetic_world, encode_act
 from popref.numerics import Rng
 from popref.pop_model import (
+    NONLINEARITIES,
     PopConfig,
     forward,
     gradcheck_pop,
@@ -30,13 +31,15 @@ np.set_printoptions(precision=4, suppress=True)
 def show_trace(params, act, label):
     trace = forward(params, act.query_vec, act.candidates, act.act_id)
     n = len(act.candidates)
+    contrast, _ = NONLINEARITIES[params.config.contrast]
+    cum_sim, cardinality = trace.pooled
     print(f"{label} (lineup of {n}):")
     print(f"  similarities        {trace.sims}")
-    print(f"  sharpened (relu)    {trace.sharpened}")
-    print(f"  cumulative sim      {trace.cum_sim:.4f}   cardinality {n}")
+    print(f"  sharpened (relu)    {contrast(trace.sims)}")
+    print(f"  cumulative sim      {cum_sim:.4f}   cardinality {cardinality:.0f}")
     print(f"  sensor activations  {trace.sensors}")
     print(f"  protest logit       {trace.anomaly_raw:.4f} "
-          f"-> squashed score {trace.anomaly_score:.4f}")
+          f"-> squashed score {trace.logits[-1]:.4f}")
     print(f"  softmax probs       {trace.probs}  (last entry = protest)")
     choice = predict(params, act)
     outcome = "protest" if choice == PROTEST else f"point at #{choice}"

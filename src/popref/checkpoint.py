@@ -111,10 +111,15 @@ def _restore(record: dict):
                          f"{sorted(shapes)} of its config's model")
     arrays = {}
     for name in shapes:
+        # Only JSON numbers that fit a float: numpy would read "0.5" and true.
+        cells = np.array(stored[name], dtype=object)
         try:
-            arrays[name] = np.array(stored[name], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ParseError(f"checkpoint array {name!r} is not numeric") from None
+            if not set(map(type, cells.flat)) <= {int, float}:
+                raise TypeError
+            arrays[name] = cells.astype(np.float64)
+        except (TypeError, OverflowError):
+            raise ParseError(f"checkpoint array {name!r} holds an entry that is not "
+                             f"a float") from None
     params = params_cls(config=config, **arrays)
     params.validate()
     thresholds = None

@@ -26,11 +26,12 @@ differences.
 The same graph serves the dense-input and one-hot-input (tabula rasa) model
 variants; they differ only in how acts are encoded upstream.
 
-Inference needs only the similarity profile and the protest score, not the
-entity vectors, so :func:`predict_batch` reassociates the similarities as
-``C @ (entity_map.T @ query_vec)`` and scores :data:`CHUNK` acts per call.
-Its logits agree with :func:`forward`'s to rounding; training keeps the
-per-act :func:`forward`, whose trace backprop needs.
+One implementation runs the graph, batched and reassociated as
+``sims = C @ (entity_map.T @ query_vec)`` so that no entity vector is formed:
+:func:`chunk_logits` runs it over :data:`CHUNK` acts, :func:`forward` over
+one act, and :func:`backward` follows it.  Training thus sums in another
+order than a pass over entity vectors; the README's tolerance policy bounds
+the difference.
 """
 
 import math
@@ -51,7 +52,7 @@ def _relu(x):
 
 def _drelu(x):
     # Subgradient 0 at the kink; gradcheck resamples away from it.
-    return (np.asarray(x) > 0.0).astype(np.float64)
+    return np.heaviside(x, 0.0)
 
 
 def _sigmoid(x):
@@ -178,70 +179,86 @@ def init_params(config: PopConfig, rng: Rng) -> PopParams:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, cached for exact backprop."""
+    """One act's logits, softmax and log-normaliser, and what :func:`backward` reads."""
 
     query_in: np.ndarray
     query_cols: np.ndarray | None  # an indicator query's columns; None if dense
     candidates_in: np.ndarray  # n x d_cand
-    entity_vecs: np.ndarray    # n x d_ent
     query_vec: np.ndarray
     sims: np.ndarray
-    sharpened: np.ndarray
-    cum_sim: float
-    cardinality: float
+    pooled: np.ndarray         # (cumulative similarity, cardinality)
     sensor_pre: np.ndarray
     sensors: np.ndarray
     anomaly_raw: float
-    anomaly_score: float
-    logits: np.ndarray
+    logits: np.ndarray         # the n similarities, then the protest score
     probs: np.ndarray
     log_norm: float            # log of the softmax normaliser, logsumexp(logits)
+
+
+# A non-finite act is reported as a NumericError, not as warnings.
+@np.errstate(invalid="ignore", over="ignore")
+def _graph(params: PopParams, query_vecs: np.ndarray, candidates: np.ndarray,
+           offsets: np.ndarray, ids) -> tuple[np.ndarray, ...]:
+    """The network from B mapped queries (rows of ``query_vecs``) to raw
+    protest scores, act ``i`` against candidate rows
+    ``offsets[i]:offsets[i + 1]``, with no entity vector formed: all
+    similarities in order, then per act the pooled (cumulative similarity,
+    cardinality) pair, sensor pre-activations and cells, and raw score, which
+    the caller squashes.  A non-finite similarity or raw score is a
+    :class:`NumericError` naming the act: a saturated squash would hide an
+    infinite raw score, which backward turns into NaN updates.
+    """
+    cfg = params.config
+    starts, lengths = offsets[:-1], offsets[1:] - offsets[:-1]
+    contrast, _ = NONLINEARITIES[cfg.contrast]
+    sims = np.einsum("nd,nd->n", candidates,
+                     (query_vecs @ params.entity_map).repeat(lengths, axis=0))
+    if cfg.use_bias:
+        sims += (query_vecs @ params.entity_bias).repeat(lengths)
+
+    pooled = np.empty((lengths.size, 2))
+    pooled[:, 0] = np.add.reduceat(contrast(sims), starts)
+    pooled[:, 1] = lengths
+    sensor_pre = pooled @ params.sensor_in.T
+    if cfg.use_bias:
+        sensor_pre += params.sensor_in_bias
+    sensors = contrast(sensor_pre) if cfg.sensor_nonlinearity else sensor_pre
+    anomaly_raw = sensors @ params.sensor_out[0]
+    if cfg.use_bias:
+        anomaly_raw += params.sensor_out_bias[0]
+
+    # count_nonzero is cheaper than .all() on a handful of values.
+    if not (np.count_nonzero(np.isfinite(sims)) == sims.size
+            and np.count_nonzero(np.isfinite(anomaly_raw)) == anomaly_raw.size):
+        finite = np.logical_and.reduceat(np.isfinite(sims), starts) & np.isfinite(anomaly_raw)
+        i = int(np.argmin(finite))
+        what = (f"anomaly score {anomaly_raw[i]}" if not np.isfinite(anomaly_raw[i])
+                else f"similarities {sims[starts[i]:offsets[i + 1]]}")
+        raise NumericError(f"act {ids[i]!r}: non-finite {what}")
+    return sims, pooled, sensor_pre, sensors, anomaly_raw
 
 
 def forward(params: PopParams, query_in: np.ndarray, candidates: np.ndarray,
             act_id: str = "<unnamed>", query_cols: np.ndarray | None = None) -> ForwardTrace:
     """Run the network over one act's query and n x d_cand candidates, of
-    dimensions the caller checked; returns the full trace.  Given the
-    columns where a 0/1 query is 1, it reads only those query-map columns."""
+    dimensions the caller checked: the graph :func:`chunk_logits` runs, over
+    one act, then the squash of its raw score (as a float) and the softmax.
+    Given the columns where a 0/1 query is 1, it reads only those query-map
+    columns."""
     cfg = params.config
-    n = candidates.shape[0]
-
-    entity_vecs = candidates @ params.entity_map.T
     if query_cols is None:
         query_vec = params.query_map @ query_in
     else:
         query_vec = params.query_map[:, query_cols] @ query_in[query_cols]
     if cfg.use_bias:
-        entity_vecs = entity_vecs + params.entity_bias
         query_vec = query_vec + params.query_bias
 
-    sims = entity_vecs @ query_vec
-
-    contrast, _ = NONLINEARITIES[cfg.contrast]
+    sims, pooled, sensor_pre, sensors, anomaly_raw = _graph(
+        params, query_vec[np.newaxis], candidates,
+        np.array([0, candidates.shape[0]]), [act_id])
+    anomaly_raw = float(anomaly_raw[0])
     squash, _ = NONLINEARITIES[cfg.score_squash]
-
-    sharpened = contrast(sims)
-    cum_sim = float(sharpened.sum())
-    cardinality = float(n)
-    pooled = np.array([cum_sim, cardinality])
-
-    sensor_pre = params.sensor_in @ pooled
-    if cfg.use_bias:
-        sensor_pre = sensor_pre + params.sensor_in_bias
-    sensors = contrast(sensor_pre) if cfg.sensor_nonlinearity else sensor_pre.copy()
-
-    anomaly_raw = float((params.sensor_out @ sensors)[0])
-    if cfg.use_bias:
-        anomaly_raw += float(params.sensor_out_bias[0])
-    anomaly_score = float(squash(anomaly_raw))
-
-    # A saturated squash can hide a non-finite raw score, which backward
-    # would turn into NaN updates.
-    if not math.isfinite(anomaly_raw):
-        raise NumericError(f"act {act_id!r}: non-finite anomaly score {anomaly_raw}")
-    logits = np.concatenate([sims, [anomaly_score]])
-    if not np.isfinite(logits).all():
-        raise NumericError(f"act {act_id!r}: non-finite logits {logits}")
+    logits = np.concatenate((sims, [squash(anomaly_raw)]))
     # Softmax and its log-normaliser from one max-shifted exp.
     top = logits.max()
     exps = np.exp(logits - top)
@@ -250,16 +267,12 @@ def forward(params: PopParams, query_in: np.ndarray, candidates: np.ndarray,
         query_in=query_in,
         query_cols=query_cols,
         candidates_in=candidates,
-        entity_vecs=entity_vecs,
         query_vec=query_vec,
         sims=sims,
-        sharpened=sharpened,
-        cum_sim=cum_sim,
-        cardinality=cardinality,
-        sensor_pre=sensor_pre,
-        sensors=sensors,
+        pooled=pooled[0],
+        sensor_pre=sensor_pre[0],
+        sensors=sensors[0],
         anomaly_raw=anomaly_raw,
-        anomaly_score=anomaly_score,
         logits=logits,
         probs=exps / total,
         log_norm=float(top) + math.log(float(total)),
@@ -282,7 +295,9 @@ def backward(params: PopParams, trace: ForwardTrace, target: int) -> dict[str, n
     through the score squash, the sensor combiner, the sensor bank, and the
     pooled pair into the sharpened profile, while the pointing logits reach
     the similarity profile directly.  Both contributions are summed at the
-    profile before flowing into the entity and query maps.
+    profile, which reaches the maps through ``u = C.T @ dsims``: the
+    entity-map gradient is ``outer(query_vec, u)``, ``dquery_vec`` is
+    ``entity_map @ u``.
     """
     cfg = params.config
     n = trace.sims.shape[0]
@@ -302,16 +317,18 @@ def backward(params: PopParams, trace: ForwardTrace, target: int) -> dict[str, n
         dsensor_pre = dsensors * dcontrast(trace.sensor_pre)
     else:
         dsensor_pre = dsensors
-    pooled = np.array([trace.cum_sim, trace.cardinality])
-    d_sensor_in = outer(dsensor_pre, pooled)
+    d_sensor_in = outer(dsensor_pre, trace.pooled)
     dcum_sim = float(dsensor_pre @ params.sensor_in[:, 0])
     dsims_via_anomaly = dcum_sim * dcontrast(trace.sims)
 
     # Both paths meet at the similarity profile.
     dsims = dlogits[:n] + dsims_via_anomaly
 
-    dquery_vec = trace.entity_vecs.T @ dsims
-    dentity_vecs = outer(dsims, trace.query_vec)
+    u = trace.candidates_in.T @ dsims
+    dquery_vec = params.entity_map @ u
+    if cfg.use_bias:
+        dsims_sum = float(dsims.sum())
+        dquery_vec += dsims_sum * params.entity_bias
 
     query_in, cols = trace.query_in, trace.query_cols
     if cols is None:
@@ -321,13 +338,13 @@ def backward(params: PopParams, trace: ForwardTrace, target: int) -> dict[str, n
                                   query_in.size)
 
     grads = {
-        "entity_map": dentity_vecs.T @ trace.candidates_in,
+        "entity_map": outer(trace.query_vec, u),
         "query_map": dquery_map,
         "sensor_in": d_sensor_in,
         "sensor_out": d_sensor_out,
     }
     if cfg.use_bias:
-        grads["entity_bias"] = dentity_vecs.sum(axis=0)
+        grads["entity_bias"] = dsims_sum * trace.query_vec
         grads["query_bias"] = dquery_vec
         grads["sensor_in_bias"] = dsensor_pre
         grads["sensor_out_bias"] = np.array([danomaly_raw])
@@ -351,42 +368,18 @@ def padded(values: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
 
 def chunk_logits(params: PopParams, chunk: EncodedSplit) -> tuple[np.ndarray, ...]:
     """(similarities of all candidates in order, protest score per act,
-    lengths) of a chunk, a slice of a split, as :func:`forward` computes them
-    but reassociated: ``sims = C @ (entity_map.T @ query_vec)``, so no entity
-    vector is formed.  Agrees with :func:`forward`'s logits to rounding."""
+    lengths) of a chunk, a slice of a split: the dense query matmul, the
+    graph :func:`forward` runs over one act, and the squash."""
     cfg = params.config
     chunk.require_dims(cfg.d_query, cfg.d_cand)
-    queries, candidates, lengths = chunk.queries, chunk.candidates, np.diff(chunk.offsets)
-    rows = np.repeat(np.arange(len(chunk)), lengths)
-    contrast, _ = NONLINEARITIES[cfg.contrast]
-    squash, _ = NONLINEARITIES[cfg.score_squash]
-    starts = chunk.offsets[:-1]
-    # A non-finite act is reported below as a NumericError, not as warnings.
     with np.errstate(invalid="ignore", over="ignore"):
-        query_vecs = queries @ params.query_map.T
+        query_vecs = chunk.queries @ params.query_map.T
         if cfg.use_bias:
             query_vecs += params.query_bias
-        sims = np.einsum("nd,nd->n", candidates,
-                         (query_vecs @ params.entity_map)[rows])
-        if cfg.use_bias:
-            sims += (query_vecs @ params.entity_bias)[rows]
-
-        pooled = np.column_stack([np.add.reduceat(contrast(sims), starts), lengths])
-        sensor_pre = pooled @ params.sensor_in.T
-        if cfg.use_bias:
-            sensor_pre += params.sensor_in_bias
-        sensors = contrast(sensor_pre) if cfg.sensor_nonlinearity else sensor_pre
-        anomaly_raw = sensors @ params.sensor_out[0]
-        if cfg.use_bias:
-            anomaly_raw += params.sensor_out_bias[0]
-        scores = squash(anomaly_raw)
-
-    finite = np.logical_and.reduceat(np.isfinite(sims), starts) & np.isfinite(scores)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        logits = np.append(sims[starts[i]:starts[i] + lengths[i]], scores[i])
-        raise NumericError(f"act {chunk.ids[i]!r}: non-finite logits {logits}")
-    return sims, scores, lengths
+    sims, *_, anomaly_raw = _graph(params, query_vecs, chunk.candidates, chunk.offsets,
+                                   chunk.ids)
+    squash, _ = NONLINEARITIES[cfg.score_squash]
+    return sims, squash(anomaly_raw), np.diff(chunk.offsets)
 
 
 def predict_batch(params: PopParams, split: EncodedSplit) -> np.ndarray:

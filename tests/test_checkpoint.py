@@ -134,6 +134,17 @@ def test_restore_pop_missing_array(tmp_path):
                  "'entity_bias'.* are not the", id="bias-without-use-bias"),
     pytest.param(lambda r: r["arrays"].update(bogus=[1.0]), "'bogus'.* are not the",
                  id="unknown-array"),
+    # numpy alone would read "0.5" as 0.5 and true as 1.0.
+    pytest.param(lambda r: r["arrays"].update(sensor_out=[["0.5", True]]),
+                 "'sensor_out'.*not a float", id="string-and-bool-entries"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out=[[0.5, True]]),
+                 "'sensor_out'.*not a float", id="bool-entry"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out=[[None, 1.0]]),
+                 "'sensor_out'.*not a float", id="null-entry"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out=[[0.5, [1.0]]]),
+                 "'sensor_out'.*not a float", id="nested-entry"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out=[[10**400, 1.0]]),
+                 "'sensor_out'.*not a float", id="integer-beyond-float-range"),
 ])
 def test_restore_rejects_arrays_that_do_not_fit(tmp_path, edit, message):
     record = pop_record(_pop_params())
@@ -144,6 +155,12 @@ def test_restore_rejects_arrays_that_do_not_fit(tmp_path, edit, message):
     path.write_text(json.dumps(record))
     with pytest.raises(ParseError, match=message):
         restore_pop(load_checkpoint(path))
+
+
+def test_restore_reads_integer_entries_as_floats():
+    record = pop_record(_pop_params())
+    record["arrays"]["sensor_out"] = [[1, -2]]
+    np.testing.assert_array_equal(restore_pop(record).sensor_out, [[1.0, -2.0]])
 
 
 @pytest.mark.parametrize("key, fields", [

@@ -341,6 +341,8 @@ def test_eval_rejects_a_tampered_act_naming_its_line(tmp_path, trained, capsys, 
     pytest.param(lambda r: r["arrays"].update(entity_bias=[0.0] * 4), "entity_bias",
                  id="array-outside-the-config"),
     pytest.param(lambda r: r.update(notes="hand-edited"), "notes", id="unknown-key"),
+    pytest.param(lambda r: r["arrays"]["sensor_out"][0].__setitem__(slice(0, 2), ["0.5", True]),
+                 "sensor_out", id="entries-that-are-not-numbers"),
 ])
 def test_eval_rejects_a_malformed_checkpoint_container(tmp_path, trained, capsys,
                                                        edit, named):

@@ -192,7 +192,7 @@ def test_zero_params_forward_oracle():
     trace = _forward(params, act)
 
     np.testing.assert_array_equal(trace.sims, np.zeros(3))
-    assert trace.anomaly_score == pytest.approx(0.5)
+    assert trace.logits[-1] == pytest.approx(0.5)
     np.testing.assert_allclose(trace.logits, [0.0, 0.0, 0.0, 0.5])
 
     z = 3.0 + math.exp(0.5)
@@ -213,14 +213,12 @@ def test_scalar_toy_trace_every_stage():
     trace = _forward(params, act)
 
     np.testing.assert_allclose(trace.sims, [2.0, 6.0, 0.0])
-    np.testing.assert_allclose(trace.sharpened, [2.0, 6.0, 0.0])
-    assert trace.cum_sim == pytest.approx(8.0)
-    assert trace.cardinality == 3.0
+    np.testing.assert_allclose(trace.pooled, [8.0, 3.0])  # cumulative sim, cardinality
     np.testing.assert_allclose(trace.sensor_pre, [8.0, 3.0])
     np.testing.assert_allclose(trace.sensors, [8.0, 3.0])
     assert trace.anomaly_raw == pytest.approx(11.0)
     sig11 = 1.0 / (1.0 + math.exp(-11.0))
-    assert trace.anomaly_score == pytest.approx(sig11, rel=1e-12)
+    assert trace.logits[-1] == pytest.approx(sig11, rel=1e-12)
 
     exps = [math.exp(v) for v in (2.0, 6.0, 0.0, sig11)]
     np.testing.assert_allclose(trace.probs, np.array(exps) / sum(exps), rtol=1e-12)
@@ -234,8 +232,7 @@ def test_contrast_sharpening_zeroes_negative_sims():
     act = _act([1.0], [[-3.0], [5.0]])
     trace = _forward(params, act)
     np.testing.assert_allclose(trace.sims, [-3.0, 5.0])
-    np.testing.assert_allclose(trace.sharpened, [0.0, 5.0])
-    assert trace.cum_sim == pytest.approx(5.0)
+    assert trace.pooled[0] == pytest.approx(5.0)  # relu(-3) + relu(5)
 
 
 def test_sensor_nonlinearity_toggle():
@@ -305,7 +302,7 @@ def test_forward_matches_direct_recomputation(use_bias, sensor_nl, contrast):
         trace = _forward(params, act)
         sims, score, logits, probs = _direct_trace(params, act)
         np.testing.assert_allclose(trace.sims, sims, rtol=1e-12)
-        assert trace.anomaly_score == pytest.approx(score, rel=1e-12)
+        assert trace.logits[-1] == pytest.approx(score, rel=1e-12)
         np.testing.assert_allclose(trace.logits, logits, rtol=1e-12)
         np.testing.assert_allclose(trace.probs, probs, rtol=1e-10)
 
@@ -335,6 +332,20 @@ def test_nonfinite_logits_raise_instead_of_pointing(bad):
     act = _act([1.0, -1.0], [[1.0, 0.0, 0.5], [bad, 0.0, 1.0]], act_id="t-nan")
     with pytest.raises(NumericError, match="t-nan"):
         predict(params, act)
+
+
+def test_an_infinite_raw_score_is_named_in_training_and_inference_alike():
+    """sigmoid(inf) is 1.0, a finite logit, so only the raw score shows the
+    overflow; every path through the network raises on it, naming the act."""
+    params = _scalar_params(sensor_in=np.full((2, 2), 1e3),
+                            sensor_out=np.full((1, 2), 1e308))
+    act = _act([1.0], [[2.0], [0.5]], act_id="t-huge")
+    split = EncodedSplit.of([act])
+    for run in (lambda: _forward(params, act), lambda: chunk_logits(params, split),
+                lambda: predict_batch(params, split), lambda: predict(params, act),
+                lambda: train(PopTrainable(params, split), TrainConfig(epochs=1))):
+        with pytest.raises(NumericError, match="act 't-huge'.*anomaly score inf"):
+            run()
 
 
 def test_variable_length_with_one_parameter_set():
@@ -418,7 +429,7 @@ def test_permutation_equivariance():
         moved = _forward(params, _act(query, [candidates[p] for p in perm]))
 
         np.testing.assert_allclose(moved.sims, base.sims[perm], atol=1e-9)
-        assert moved.anomaly_score == pytest.approx(base.anomaly_score, abs=1e-9)
+        assert moved.logits[n] == pytest.approx(base.logits[n], abs=1e-9)
         np.testing.assert_allclose(moved.probs[:n], base.probs[perm], atol=1e-9)
         assert moved.probs[n] == pytest.approx(base.probs[n], abs=1e-9)
 
@@ -527,7 +538,7 @@ def test_batch_path_matches_forward(use_bias, query_kind):
         assert lengths.tolist() == [len(act.candidates) for act in acts]
         np.testing.assert_allclose(sims, np.concatenate([t.sims for t in traces]),
                                    rtol=0, atol=1e-9)
-        np.testing.assert_allclose(scores, [t.anomaly_score for t in traces],
+        np.testing.assert_allclose(scores, [t.logits[-1] for t in traces],
                                    rtol=0, atol=1e-9)
         expected = [_reference_choice(t) for t in traces]
         choices = predict_batch(params, acts)

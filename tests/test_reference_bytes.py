@@ -11,7 +11,9 @@ The pins were taken with Python 3.11.7, numpy 2.4.6 and scipy-openblas
 build: a BLAS that sums in another order moves the last bits.
 
 A change that moves these bytes on purpose updates the pins, and says in
-``CHANGES.md`` why, and which tolerance it checked instead.
+``CHANGES.md`` why, and which tolerance it checked instead.  The ``pop`` and
+``trpop`` pins hold training through the reassociated graph; the tolerance
+it keeps to the per-act order is checked in ``test_tolerance_policy``.
 """
 
 import hashlib
@@ -31,12 +33,12 @@ MANIFESTS = {
 }
 PINS = {
     "pop-objonly": (
-        "d5577fc649219093043bf67a9f5225fda604e3caf71ee421b27d7d4f6d48af9e",
-        "860ac36c9abffff99c68791a57560a5a9534f4e2f9875d4a4822feee18646cf5",
+        "c7200f55caeda5f70f557a42fb39b74e6048d9a79be48396074aefe0f03b41e1",
+        "ddd8e99cc334e4e758d1813b078970d97655df0e6a6be7cb5ec883c6f6705885",
     ),
     "trpop-objonly": (
-        "c366d5f1950d59d71b2645cdba19f607cfcde57f7a441fab9121055b7ec61eb2",
-        "b6cc612f8a0e6aec8f6d5105c7c54ef9ea2767fe9441efb20adcf56100011703",
+        "452c77d39fc118ff7ed320128120f06d51b9577800a3cf685ad0a0e223c519c8",
+        "2f07fd182b16ad345ce767101bac52e4533d0791d8b1d9278220aea4eb9ec359",
     ),
     "pipeline-attr": (
         "299c3c41174b608c2c64f794a6619aebd0aabfd63aece2f73aeea9ec697b156a",
