@@ -133,9 +133,11 @@ def _dcos(u: np.ndarray, v: np.ndarray, nu: float, nv: float,
 def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[float, dict[str, np.ndarray]]:
     """Hinge loss and its exact subgradients for both maps.
 
-    When the margin is satisfied the hinge is flat and all gradients are
-    zero; otherwise the loss is margin - cos_pos + cos_neg and the chain
-    rule runs through both cosines into the two linear maps.
+    When the margin is satisfied the hinge is flat: the loss is 0.0 and the
+    gradient dict is empty, since a name left out is an exact zero gradient
+    (see :mod:`popref.training`).  Otherwise the loss is
+    margin - cos_pos + cos_neg and the chain rule runs through both cosines
+    into the two linear maps.
     """
     qv = params.query_map @ query
     pv = params.object_map @ positive
@@ -145,8 +147,7 @@ def hinge_grads(query, positive, negative, params: PipelineParams) -> tuple[floa
     cos_neg = _cosine(qv, nv, norm_q, norm_n, "negative")
     value = params.config.margin - cos_pos + cos_neg
     if value <= 0.0:
-        return 0.0, {name: np.zeros_like(arr)
-                     for name, arr in params.named_arrays().items()}
+        return 0.0, {}
 
     dq_pos, dp = _dcos(qv, pv, norm_q, norm_p, cos_pos)
     dq_neg, dn = _dcos(qv, nv, norm_q, norm_n, cos_neg)

@@ -410,8 +410,9 @@ class PopTrainable(Trainable):
     """The network over an encoded split: example ``i`` is act ``i``, whose
     gold cell is checked here, once (see ``EncodedSplit.gold_cells``).  So is
     the query form: when every query entry is 0 or 1, each act's columns go
-    to :func:`forward` and its query-map gradient is a :class:`ColumnSparse`;
-    any other split is dense on every act."""
+    to :func:`forward` and its query-map gradient is a :class:`ColumnSparse`
+    (``column_sparse`` names ``query_map``); any other split is dense on
+    every act."""
 
     def __init__(self, params: PopParams, split: EncodedSplit):
         super().__init__(params, split)
@@ -421,6 +422,7 @@ class PopTrainable(Trainable):
         if ((split.queries == 0.0) | (split.queries == 1.0)).all():
             acts, self._query_cols = np.nonzero(split.queries)
             self._col_offsets = np.searchsorted(acts, np.arange(len(split) + 1)).tolist()
+            self.column_sparse = frozenset({"query_map"})
 
     def __len__(self) -> int:
         return len(self.split)

@@ -1,7 +1,8 @@
 """Online stochastic gradient descent with momentum and learning-rate decay.
 
 The trainer is model-agnostic: anything exposing ``parameter_arrays()``
-(name -> live numpy array), ``len()`` (its number of examples),
+(name -> live numpy array), ``column_sparse`` (the names whose gradients
+come as :class:`ColumnSparse`), ``len()`` (its number of examples),
 ``loss_and_grads(i)`` (scalar loss plus gradients under the same names) and
 ``example_id(i)`` can be trained.  Updates are applied one example at a time
 — no minibatching.
@@ -11,18 +12,24 @@ step uses ``lr0`` exactly), the step size is ``lr0 / (1 + decay * u)``.
 Heavy-ball momentum with zero-initialized velocity:
 ``velocity = momentum * velocity - lr_u * grad; param += velocity``.
 
-The velocities of the arrays whose gradients come dense live in one flat
-buffer, so their momentum decay is one numpy call per update; each array
-updates through its view of it.  The trainer scales each gradient by
-``lr_u`` in place: it owns, and may overwrite, the gradient arrays
-``loss_and_grads`` hands it.  The weights are bit-identical to a per-array
-update with a fresh ``lr_u * grad``.
+``loss_and_grads`` may leave out a name whose gradient is exactly zero (an
+inactive hinge step of the pipeline leaves out both of its maps).  The
+trainer then only decays that array's velocity and adds it:
+``v - lr_u * 0 == v`` for every finite ``v``, -0.0 included, so the weights
+keep the bits of the update with an explicit zero gradient.
 
-An array whose gradients come as :class:`ColumnSparse` matrices, zero
-outside a few columns (the query-map gradient of a one-hot split), keeps a
-velocity only for its *live* columns (:class:`_ColumnVelocity`), and writes
-them back into the array on every update, so the array is always current.
-A column retires once no later velocity can move one of its weights, and is
+The velocities of the dense arrays live in one flat buffer, so their
+momentum decay is one numpy call per update; each array updates through
+its view of it.  The trainer scales each gradient by ``lr_u`` in place: it
+owns, and may overwrite, the gradient arrays ``loss_and_grads`` hands it.
+The weights are bit-identical to a per-array update with a fresh
+``lr_u * grad``.
+
+An array named in ``column_sparse``, whose gradients are zero outside a few
+columns (the query-map gradient of a one-hot split), keeps a velocity only
+for its *live* columns (:class:`_ColumnVelocity`), and writes them back
+into the array on every update, so the array is always current.  A column
+retires once no later velocity can move one of its weights, and is
 revived, with its velocity caught up exactly, when a gradient touches it
 again.  The weights stay bit-identical to the dense update; the two rules
 and why they are exact are in :class:`_ColumnVelocity`.  Nothing but the
@@ -120,8 +127,12 @@ class Trainable:
     subclass, ``len`` and ``loss_and_grads(i) -> (loss, {name: gradient})``.
 
     Each gradient is a fresh float array (or :class:`ColumnSparse` block)
-    that nothing else holds: :func:`train` scales it in place.  Each array's
-    gradient keeps its first step's form, dense or sparse, for the whole run."""
+    that nothing else holds: :func:`train` scales it in place.  A name left
+    out of the dict is an exact zero gradient.  ``column_sparse`` declares,
+    for the whole run, the names whose gradients are :class:`ColumnSparse`;
+    every other array's gradients are dense."""
+
+    column_sparse: frozenset[str] = frozenset()
 
     def __init__(self, params: Params, split):
         split.require_dims(params.config.d_query, params.config.d_cand)
@@ -268,13 +279,25 @@ class _ColumnVelocity:
         self._still = np.empty((n_cols, n_rows), dtype=bool)
         self._retire(-1)
 
-    def update(self, grad: ColumnSparse, lr: float, step: int) -> None:
+    def update(self, grad: ColumnSparse | None, lr: float, step: int) -> None:
         """Apply update ``step`` with ``lr * grad``, scaling ``grad.block``
-        in place."""
-        cols, block = grad.cols, grad.block
-        block *= lr
+        in place; ``None`` is a zero gradient, which touches no column."""
         velocity = self.velocity
         velocity[:self.n_live] *= self.momentum
+        if grad is not None:
+            self._touch(grad, lr, step)
+        n_live = self.n_live
+        weights = self.weights[:n_live]
+        weights += velocity[:n_live]
+        self.arr[:, self.live[:n_live]] = weights.T
+        if step % _RETIRE_EVERY == 0:
+            self._retire(step)
+
+    def _touch(self, grad: ColumnSparse, lr: float, step: int) -> None:
+        """Subtract ``lr * grad`` from the decayed velocities of its columns,
+        reviving each retired one."""
+        cols, block, velocity = grad.cols, grad.block, self.velocity
+        block *= lr
         for j, col in enumerate(cols.tolist()):
             grad = block[:, j]
             slot = self.slot[col]
@@ -299,12 +322,6 @@ class _ColumnVelocity:
             self.live[slot] = col
             self.slot[col] = slot
             self.n_live += 1
-        n_live = self.n_live
-        weights = self.weights[:n_live]
-        weights += velocity[:n_live]
-        self.arr[:, self.live[:n_live]] = weights.T
-        if step % _RETIRE_EVERY == 0:
-            self._retire(step)
 
     def _retire(self, step: int) -> None:
         """Retire the live slots whose velocity can no longer move their
@@ -348,9 +365,10 @@ def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
     if not n_examples and config.epochs > 0:
         raise ConfigError("training needs at least one example")
     arrays = trainable.parameter_arrays()
+    velocity, views, by_column = _lay_out_velocity(arrays, trainable.column_sparse,
+                                                   config.momentum)
     shuffle_rng = Rng(derive_seed(config.seed, "epoch-shuffle"))
     log = TrainLog()
-    velocity = None  # laid out at the first update, from its gradients
 
     for epoch in range(config.epochs):
         order = list(range(n_examples))
@@ -364,17 +382,15 @@ def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
                                    f"example {trainable.example_id(i)}")
             epoch_loss += value
             lr = learning_rate(config, log.updates)
-            if velocity is None:
-                velocity, views, by_column = _lay_out_velocity(arrays, grads,
-                                                               config.momentum)
             velocity *= config.momentum
             for name, arr, v in views:
-                grad = grads[name]
-                grad *= lr
-                v -= grad
+                grad = grads.get(name)
+                if grad is not None:
+                    grad *= lr
+                    v -= grad
                 arr += v
             for name, columns in by_column:
-                columns.update(grads[name], lr, log.updates)
+                columns.update(grads.get(name), lr, log.updates)
             log.updates += 1
         log.epoch_losses.append(epoch_loss / n_examples)
         if epoch_callback is not None:
@@ -382,20 +398,19 @@ def train(trainable, config: TrainConfig, epoch_callback=None) -> TrainLog:
     return log
 
 
-def _lay_out_velocity(arrays: dict, grads: dict, momentum: float):
-    """The flat velocity buffer of the arrays whose gradients are dense, with
-    ``(name, array, view)`` for each, and a :class:`_ColumnVelocity` for each
-    array whose gradients are :class:`ColumnSparse`, as the first step's
-    ``grads`` shows them."""
-    dense = {name: arr for name, arr in arrays.items()
-             if not isinstance(grads[name], ColumnSparse)}
+def _lay_out_velocity(arrays: dict, column_sparse, momentum: float):
+    """The flat velocity buffer of the dense arrays, with ``(name, array,
+    view)`` for each, and a :class:`_ColumnVelocity` for each array named in
+    ``column_sparse``, as the trainable declares them before the first step
+    (which may leave every name out)."""
+    dense = {name: arr for name, arr in arrays.items() if name not in column_sparse}
     velocity = np.zeros(sum(arr.size for arr in dense.values()))
     views, offset = [], 0
     for name, arr in dense.items():
         views.append((name, arr, velocity[offset:offset + arr.size].reshape(arr.shape)))
         offset += arr.size
     by_column = [(name, _ColumnVelocity(arr, momentum))
-                 for name, arr in arrays.items() if name not in dense]
+                 for name, arr in arrays.items() if name in column_sparse]
     return velocity, views, by_column
 
 
@@ -436,7 +451,9 @@ def gradcheck(sample, trials: int, tolerance: float = 1e-4,
         trainable, context = drawn
         arrays = trainable.parameter_arrays()
         _, grads = trainable.loss_and_grads(0)
-        analytic = flatten_arrays({name: np.asarray(grads[name]) for name in arrays})
+        analytic = flatten_arrays({  # a name left out is an exact zero gradient
+            name: np.asarray(grads[name]) if name in grads else np.zeros_like(arr)
+            for name, arr in arrays.items()})
         probe = type(trainable)(trainable.params.copy(), trainable.split)
 
         def objective(vec: np.ndarray) -> float:

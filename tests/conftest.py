@@ -1,4 +1,14 @@
-"""Shared fixtures: a small synthetic world that builds in milliseconds."""
+"""Shared fixtures: a small synthetic world that builds in milliseconds.
+
+The suite runs with one BLAS thread, as the benchmark does, unless the
+environment sets a count.  The count is set here, before anything imports
+numpy, because BLAS reads it once, at load.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import pytest
 

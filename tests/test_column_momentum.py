@@ -14,7 +14,14 @@ import pytest
 
 from popref.errors import ConfigError, NumericError
 from popref.numerics import Rng, derive_seed
-from popref.training import ColumnSparse, TrainConfig, TrainLog, learning_rate, train
+from popref.training import (
+    ColumnSparse,
+    TrainConfig,
+    TrainLog,
+    _ColumnVelocity,
+    learning_rate,
+    train,
+)
 
 
 # The flat-buffer trainer, verbatim but for its name.
@@ -74,7 +81,10 @@ def flat_buffer_train(trainable, config: TrainConfig, epoch_callback=None) -> Tr
 class ScriptedTrainable:
     """Hands out the ``n``-th scripted gradients on its ``n``-th call, as
     fresh arrays; a script entry maps a name to a dense array or to
-    ``(cols, block)`` for a :class:`ColumnSparse`."""
+    ``(cols, block)`` for a :class:`ColumnSparse`, and a name it leaves out
+    is left out of the gradients."""
+
+    column_sparse = frozenset({"q"})
 
     def __init__(self, arrays, script, n_examples):
         self.arrays = {name: arr.copy() for name, arr in arrays.items()}
@@ -180,8 +190,8 @@ def _case():
     return _arrays(rng), _script(rng)
 
 
-def _snapshots(train_fn, arrays, script, config):
-    trainable = ScriptedTrainable(arrays, script, N_EXAMPLES)
+def _snapshots(train_fn, arrays, script, config, make=ScriptedTrainable):
+    trainable = make(arrays, script, N_EXAMPLES)
     snaps = []
     log = train_fn(trainable, config, epoch_callback=lambda epoch, loss, t: snaps.append(
         {name: arr.tobytes() for name, arr in t.parameter_arrays().items()}))
@@ -200,6 +210,66 @@ def test_column_velocities_match_the_flat_buffer_bit_for_bit(momentum):
     for epoch, (got, want) in enumerate(zip(snaps, ref_snaps)):
         for name in want:
             assert got[name] == want[name], (epoch, name)
+
+
+class ExplicitZeros(ScriptedTrainable):
+    """Hands every name a script entry leaves out over as an explicit
+    ``np.zeros_like`` gradient."""
+
+    def loss_and_grads(self, i):
+        value, grads = super().loss_and_grads(i)
+        for name, arr in self.arrays.items():
+            grads.setdefault(name, np.zeros_like(arr))
+        return value, grads
+
+
+Q_LEFT_OUT = range(300, 1100)  # long enough for every moved column to retire
+
+
+def _leave_out(script):
+    """The script with names left out: every name at step 0, then the dense
+    arrays, ``q`` or both at random, and ``q`` throughout :data:`Q_LEFT_OUT`."""
+    rng = np.random.default_rng(13)
+    left_out = []
+    for t, entry in enumerate(script):
+        drop = 3 if t == 0 else int(rng.integers(4))  # bit 1: d and b; bit 2: q
+        if t in Q_LEFT_OUT:
+            drop |= 2
+        left_out.append({name: grad for name, grad in entry.items()
+                         if not drop & (2 if name == "q" else 1)})
+    return left_out
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.09, 0.5, 0.95])
+def test_left_out_gradients_keep_the_bits_of_explicit_zeros(momentum, monkeypatch):
+    """``train`` on gradients left out matches the flat-buffer trainer fed
+    explicit zeros, while ``q``'s moved columns are live and after every one
+    of them has retired (the two zero-weight columns never retire)."""
+    n_live = []  # (q left out, live columns) at each column update
+    update = _ColumnVelocity.update
+
+    def recording(self, grad, lr, step):
+        n_live.append((grad is None, self.n_live))
+        update(self, grad, lr, step)
+
+    monkeypatch.setattr(_ColumnVelocity, "update", recording)
+    arrays, script = _case()
+    script = _leave_out(script)
+    config = TrainConfig(lr0=0.5, momentum=momentum, decay=1e-3, epochs=EPOCHS, seed=2)
+    ref_log, ref_snaps = _snapshots(flat_buffer_train, arrays, script, config,
+                                    make=ExplicitZeros)
+    log, snaps = _snapshots(train, arrays, script, config)
+    assert log.epoch_losses == ref_log.epoch_losses
+    assert len(snaps) == EPOCHS
+    for epoch, (got, want) in enumerate(zip(snaps, ref_snaps)):
+        for name in want:
+            assert got[name] == want[name], (epoch, name)
+    assert script[0] == {}
+    assert {frozenset(entry) for entry in script} == {
+        frozenset(), frozenset("q"), frozenset("db"), frozenset("qdb")}
+    live_when_left_out = {n for left_out, n in n_live if left_out}
+    assert len(ZERO_WEIGHTS) in live_when_left_out
+    assert max(live_when_left_out) > len(ZERO_WEIGHTS)
 
 
 def test_the_script_holds_the_cases_it_names():

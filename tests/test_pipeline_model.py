@@ -15,6 +15,7 @@ from popref.pipeline_model import (
     MISS_GRID,
     PipelineConfig,
     PipelineParams,
+    PipelineTrainable,
     Thresholds,
     extract_pairs,
     gradcheck_pipeline,
@@ -29,7 +30,7 @@ from popref.pipeline_model import (
     tune_thresholds,
 )
 from popref.pop_model import CHUNK
-from popref.training import TrainConfig
+from popref.training import TrainConfig, gradcheck
 
 
 def _identity_params(dim=2, margin=0.5) -> PipelineParams:
@@ -198,8 +199,7 @@ def test_hinge_grads_zero_when_margin_satisfied():
         query, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), params
     )
     assert value == 0.0
-    np.testing.assert_array_equal(grads["query_map"], np.zeros((2, 2)))
-    np.testing.assert_array_equal(grads["object_map"], np.zeros((2, 2)))
+    assert grads == {}  # a name left out is an exact zero gradient
 
 
 def test_hinge_grads_match_loss_value():
@@ -222,6 +222,18 @@ def test_gradcheck_pipeline():
     assert report.passed, report.failures
     assert report.trials == 10
     assert report.max_rel_error < report.tolerance
+
+
+def test_gradcheck_reads_a_left_out_gradient_as_zero():
+    """Cosines 0.7 and -0.7 leave the margin of 0.5 a slack of 0.9: the hinge
+    is flat all around, its gradient dict is empty, and the finite
+    differences read exactly the zeros that gradcheck fills in."""
+    act = _act([0.7, -0.7], Gold.point(0))
+    trainable = PipelineTrainable(_identity_params(), EncodedSplit.of([act]))
+    assert trainable.loss_and_grads(0) == (0.0, {})
+    report = gradcheck(lambda trial: (trainable, ""), trials=1)
+    assert report.passed, report.failures
+    assert report.max_rel_error == 0.0
 
 
 # ---------------------------------------------------------------------------
