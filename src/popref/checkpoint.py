@@ -21,7 +21,7 @@ import numpy as np
 from .embeddings import Inputs
 from .errors import ParseError, checked
 from .pipeline_model import PipelineConfig, PipelineParams, Thresholds
-from .pop_model import PopConfig, PopParams
+from .pop_model import PopConfig, PopParams, laid_out
 
 # kind -> (config class, params class)
 MODELS = {
@@ -135,8 +135,13 @@ def restore_inputs(record: dict) -> Inputs:
 
 
 def restore_pop(record: dict) -> PopParams:
+    """The params of a pop or trpop record, laid out for the encoding its
+    ``extra`` names (:func:`~popref.pop_model.laid_out`), as
+    :func:`~popref.harness.fit` trains them."""
     _check_kind(record["kind"], PopParams)
-    return _restore(record)[0]
+    extra = record.get("extra")
+    return laid_out(_restore(record)[0],
+                    extra.get("encoding") if isinstance(extra, dict) else None)
 
 
 def restore_pipeline(record: dict) -> tuple[PipelineParams, Thresholds | None]:

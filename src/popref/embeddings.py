@@ -277,14 +277,21 @@ class EncodedSplit(Sequence):
     Candidate ``k`` is row ``rows[k]`` of ``table``: an object-only split's
     table is its world's image table, an attribute split's its own N x d_cand
     matrix.  Indexing gives an act, slicing a sub-split sharing the table.
+
+    A one-hot split holds no query matrix (``queries`` is None): act ``i``'s
+    query is the 0/1 vector of ``query_width`` entries that is 1 at the k
+    columns ``query_cols[i]`` (k = 1 for object-only acts, 2 for object-attr
+    ones, sorted), which is all a model reads of it.
     """
 
-    queries: np.ndarray  # B x d_query
+    queries: np.ndarray | None  # B x d_query; None on a one-hot split
     table: np.ndarray    # T x d_cand
     rows: np.ndarray     # N
     offsets: np.ndarray  # B + 1, from 0 to N
     golds: list
     ids: list[str]
+    query_cols: np.ndarray | None = None  # B x k on a one-hot split, else None
+    query_width: int = 0                  # d_query of a one-hot split
 
     @cached_property
     def gold_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +320,7 @@ class EncodedSplit(Sequence):
 
     @property
     def d_query(self) -> int:
-        return self.queries.shape[1]
+        return self.queries.shape[1] if self.query_cols is None else self.query_width
 
     @property
     def d_cand(self) -> int:
@@ -323,18 +330,25 @@ class EncodedSplit(Sequence):
         return len(self.ids)
 
     def __getitem__(self, key):
-        off = self.offsets
+        off, cols = self.offsets, self.query_cols
         if isinstance(key, slice):
             lo, hi, step = key.indices(len(self))
             if step != 1:
                 raise ContractViolation("a split slices into contiguous runs only")
             hi = max(lo, hi)
-            return EncodedSplit(self.queries[lo:hi], self.table, self.rows[off[lo]:off[hi]],
+            queries = self.queries
+            return EncodedSplit(None if queries is None else queries[lo:hi],
+                                self.table, self.rows[off[lo]:off[hi]],
                                 off[lo:hi + 1] - off[lo], self.golds[lo:hi],
-                                self.ids[lo:hi])
+                                self.ids[lo:hi],
+                                None if cols is None else cols[lo:hi], self.query_width)
         i = range(len(self))[key]
-        return EncodedAct(self.queries[i],
-                          np.take(self.table, self.rows[off[i]:off[i + 1]], axis=0),
+        if cols is None:
+            query = self.queries[i]
+        else:
+            query = np.zeros(self.query_width)
+            query[cols[i]] = 1.0
+        return EncodedAct(query, np.take(self.table, self.rows[off[i]:off[i + 1]], axis=0),
                           self.golds[i], self.ids[i])
 
     def require_dims(self, d_query: int, d_cand: int) -> None:
@@ -343,10 +357,13 @@ class EncodedSplit(Sequence):
             self[0].require_dims(d_query, d_cand)
 
     @staticmethod
-    def of(acts) -> "EncodedSplit":
+    def of(acts, one_hot: bool = False) -> "EncodedSplit":
         """The split of hand-made acts, in order.  Each must pass
         :meth:`EncodedAct.require_dims` with the first act's dimensions, and
-        its gold :meth:`~popref.datagen.Gold.validate`."""
+        its gold :meth:`~popref.datagen.Gold.validate`.  With ``one_hot``,
+        every query must be 0/1 with as many ones (at least one) as the
+        first act's, and the split holds their columns, as a one-hot
+        :func:`encode_split` does."""
         acts = list(acts)
         if not acts:
             return EncodedSplit(np.zeros((0, 0)), np.zeros((0, 0)),
@@ -357,11 +374,22 @@ class EncodedSplit(Sequence):
             act.require_dims(*dims)
             act.gold.validate()
         lengths = [len(act.candidates) for act in acts]
+        queries = np.array([act.query_vec for act in acts], dtype=np.float64)
+        cols = None
+        if one_hot:
+            hot = queries == 1.0
+            k = np.count_nonzero(hot, axis=1)
+            bad = (k != k[0]) | (k == 0) | ((queries != 0.0) & ~hot).any(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ContractViolation(f"act {acts[i].act_id!r}: a one-hot split needs "
+                                        f"0/1 queries with the same number of ones, >= 1")
+            queries, cols = None, np.nonzero(hot)[1].reshape(len(acts), int(k[0]))
         return EncodedSplit(
-            np.array([act.query_vec for act in acts], dtype=np.float64),
-            np.concatenate([act.candidates for act in acts], dtype=np.float64),
+            queries, np.concatenate([act.candidates for act in acts], dtype=np.float64),
             np.arange(sum(lengths)), np.cumsum([0] + lengths),
-            [act.gold for act in acts], [act.act_id for act in acts])
+            [act.gold for act in acts], [act.act_id for act in acts],
+            cols, 0 if cols is None else dims[0])
 
 
 ENCODINGS = ("dense", "one-hot")
@@ -433,6 +461,18 @@ def _gathered(blocks: list, n: int) -> np.ndarray:
     return out
 
 
+def _columns(blocks: list, n: int) -> tuple[np.ndarray, int]:
+    """Where :func:`_gathered` would put the one of every (identity, rows)
+    block, side by side: token ``k``'s row plus the widths of the blocks
+    before it, as an n x blocks int array; and the total width."""
+    cols = np.empty((n, len(blocks)), dtype=np.intp)
+    width = 0
+    for j, (vecs, rows) in enumerate(blocks):
+        np.add(rows, width, out=cols[:, j])
+        width += vecs.shape[1]
+    return cols, width
+
+
 def encode_split(world: SyntheticWorld, acts, mode: str = "dense",
                  normalize_blocks: bool = False,
                  allow_unknown: bool = False) -> EncodedSplit:
@@ -443,7 +483,10 @@ def encode_split(world: SyntheticWorld, acts, mode: str = "dense",
     candidate as its image vector.  Attribute-bearing acts concatenate the
     attribute vector onto both sides.  In ``one-hot`` mode the noun and
     attributes become indicator vectors over the world's vocabularies, which
-    cannot represent an unseen word; image vectors stay dense.  In dense
+    cannot represent an unseen word; image vectors stay dense.  A one-hot
+    split holds each query as its columns (``query_cols``: the noun's row,
+    then the attribute's row offset by the noun count), and builds no
+    B x d_query matrix.  In dense
     blocks, ``allow_unknown`` backs unknown tokens off to zero vectors; by
     default they are an error, since a silent back-off corrupts experiments.
     ``normalize_blocks`` rescales each block to unit norm, countering
@@ -477,12 +520,16 @@ def encode_split(world: SyntheticWorld, acts, mode: str = "dense",
                       "object noun", one_hot)]
     images = lookup(world.image_vecs, [item.image_id for item in items], offsets,
                     "image id", False)
-    if not has_attr:  # the candidates stay rows of the image table
-        return EncodedSplit(_gathered(queries, len(acts)), *images, offsets, golds, ids)
-    queries.append(lookup(world.attr_vecs, query_attrs, per_act, "attribute", one_hot))
-    attrs = lookup(world.attr_vecs, item_attrs, offsets, "attribute", one_hot)
-    return EncodedSplit(_gathered(queries, len(acts)), _gathered([images, attrs], len(items)),
-                        np.arange(len(items)), offsets, golds, ids)
+    if has_attr:
+        queries.append(lookup(world.attr_vecs, query_attrs, per_act, "attribute", one_hot))
+        attrs = lookup(world.attr_vecs, item_attrs, offsets, "attribute", one_hot)
+        table, rows = _gathered([images, attrs], len(items)), np.arange(len(items))
+    else:  # the candidates stay rows of the image table
+        table, rows = images
+    if one_hot:
+        return EncodedSplit(None, table, rows, offsets, golds, ids,
+                            *_columns(queries, len(acts)))
+    return EncodedSplit(_gathered(queries, len(acts)), table, rows, offsets, golds, ids)
 
 
 def encode_act(

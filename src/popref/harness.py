@@ -53,7 +53,14 @@ from .pipeline_model import (
     train_pipeline,
     tune_thresholds,
 )
-from .pop_model import PopConfig, PopParams, PopTrainable, init_params, predict_batch
+from .pop_model import (
+    PopConfig,
+    PopParams,
+    PopTrainable,
+    init_params,
+    laid_out,
+    predict_batch,
+)
 from .training import TrainConfig, TrainLog, train
 
 PREDICTED_BUCKETS = ("point_correct", "point_wrong", "protest")
@@ -346,19 +353,20 @@ def fit(manifest: dict[str, str], model: str, config, encoded_train,
 
     The pointing networks draw their initial weights from
     ``derive_seed(train.seed, "init", model)``; the pipeline's come from
-    ``"pipeline-init"`` inside :func:`train_pipeline`.  With ``probe`` set, a
-    pointing network's protest rate on those acts is recorded after every
-    epoch: a cheap view of the bounded anomaly score competing against
-    unbounded similarities early in training.
+    ``"pipeline-init"`` inside :func:`train_pipeline`.  A one-hot model's
+    query map is held column-major (:func:`~popref.pop_model.laid_out`).
+    With ``probe`` set, a pointing network's protest rate on those acts is
+    recorded after every epoch: a cheap view of the bounded anomaly score
+    competing against unbounded similarities early in training.
     """
     train_config = build_train_config(manifest, DEFAULT_EPOCHS[model])
     if model == "pipeline":
         params, log = train_pipeline(encoded_train, config, train_config)
         return Fitted(model, params, log, inputs)
 
-    params = init_params(
+    params = laid_out(init_params(
         config, Rng(derive_seed(train_config.seed, "init", model))
-    )
+    ), inputs.encoding)
     protest_rates: list[float] = []
 
     def on_epoch(epoch: int, mean_loss: float, trainable) -> None:

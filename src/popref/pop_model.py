@@ -24,7 +24,9 @@ the output logits and the anomaly pathway, so its gradient sums two paths;
 differences.
 
 The same graph serves the dense-input and one-hot-input (tabula rasa) model
-variants; they differ only in how acts are encoded upstream.
+variants.  A one-hot split holds each query as its columns, so the one-hot
+variant maps a query by summing query-map columns, held contiguous by
+:func:`laid_out`, and its query-map gradient is column-sparse.
 
 One implementation runs the graph, batched and reassociated as
 ``sims = C @ (entity_map.T @ query_vec)`` so that no entity vector is formed:
@@ -177,12 +179,23 @@ def init_params(config: PopConfig, rng: Rng) -> PopParams:
     return PopParams.init(config, rng)
 
 
+def laid_out(params: PopParams, encoding: str | None) -> PopParams:
+    """``params``, with the query map of a ``one-hot`` model made
+    column-major (the same values): every read and write of a one-hot
+    model's query map is a whole column, and contiguous so.  A dense model
+    keeps its row-major map, whose products sum in the order its bytes were
+    pinned in."""
+    if encoding == "one-hot":
+        params.query_map = np.asfortranarray(params.query_map)
+    return params
+
+
 @dataclass
 class ForwardTrace:
     """One act's logits, softmax and log-normaliser, and what :func:`backward` reads."""
 
-    query_in: np.ndarray
-    query_cols: np.ndarray | None  # an indicator query's columns; None if dense
+    query_in: np.ndarray | None    # a dense query; None when query_cols holds it
+    query_cols: np.ndarray | None  # a 0/1 query's k columns; None if dense
     candidates_in: np.ndarray  # n x d_cand
     query_vec: np.ndarray
     sims: np.ndarray
@@ -238,24 +251,38 @@ def _graph(params: PopParams, query_vecs: np.ndarray, candidates: np.ndarray,
     return sims, pooled, sensor_pre, sensors, anomaly_raw
 
 
-def forward(params: PopParams, query_in: np.ndarray, candidates: np.ndarray,
+def _hot_queries(query_map: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The B mapped 0/1 queries whose ones are at ``cols`` (B x k): per act
+    the sum of its k query-map columns, gathered as rows of ``query_map.T``
+    (contiguous ones when the map is column-major, see :func:`laid_out`).
+    Every product by an entry 1.0 is exact and a sum of one or two terms
+    rounds the same in any order, so these are the bits of the dense
+    product by the indicator, up to the sign of an exact zero."""
+    rows = query_map.T
+    out = rows[cols[:, 0]]
+    for j in range(1, cols.shape[1]):
+        out += rows[cols[:, j]]
+    return out
+
+
+def forward(params: PopParams, query_in: np.ndarray | None, candidates: np.ndarray,
             act_id: str = "<unnamed>", query_cols: np.ndarray | None = None) -> ForwardTrace:
     """Run the network over one act's query and n x d_cand candidates, of
     dimensions the caller checked: the graph :func:`chunk_logits` runs, over
     one act, then the squash of its raw score (as a float) and the softmax.
-    Given the columns where a 0/1 query is 1, it reads only those query-map
-    columns."""
+    The query is the dense ``query_in``, or, with ``query_in`` None, the 0/1
+    query that is 1 at the k columns ``query_cols``, whose mapped vector
+    is the sum of those k query-map columns (:func:`_hot_queries`)."""
     cfg = params.config
     if query_cols is None:
-        query_vec = params.query_map @ query_in
+        query_vecs = (params.query_map @ query_in)[np.newaxis]
     else:
-        query_vec = params.query_map[:, query_cols] @ query_in[query_cols]
+        query_vecs = _hot_queries(params.query_map, query_cols[np.newaxis])
     if cfg.use_bias:
-        query_vec = query_vec + params.query_bias
+        query_vecs += params.query_bias
 
     sims, pooled, sensor_pre, sensors, anomaly_raw = _graph(
-        params, query_vec[np.newaxis], candidates,
-        np.array([0, candidates.shape[0]]), [act_id])
+        params, query_vecs, candidates, np.array([0, candidates.shape[0]]), [act_id])
     anomaly_raw = float(anomaly_raw[0])
     squash, _ = NONLINEARITIES[cfg.score_squash]
     logits = np.concatenate((sims, [squash(anomaly_raw)]))
@@ -267,7 +294,7 @@ def forward(params: PopParams, query_in: np.ndarray, candidates: np.ndarray,
         query_in=query_in,
         query_cols=query_cols,
         candidates_in=candidates,
-        query_vec=query_vec,
+        query_vec=query_vecs[0],
         sims=sims,
         pooled=pooled[0],
         sensor_pre=sensor_pre[0],
@@ -288,8 +315,10 @@ def backward(params: PopParams, trace: ForwardTrace, target: int) -> dict[str, n
     """Exact gradient of :func:`loss` for every learned array.
 
     The query-map gradient is ``outer(dquery_vec, query_in)``.  When
-    :func:`forward` was given the query's columns it comes as a
-    :class:`ColumnSparse` over them; every other gradient is a dense array.
+    :func:`forward` was given a 0/1 query's columns it comes as a
+    :class:`ColumnSparse` over them, whose k columns are copies of
+    ``dquery_vec`` (each times a 1.0 entry: the same bits, held column-major
+    so each column is contiguous); every other gradient is a dense array.
 
     The chain runs softmax -> logits, then splits: the protest logit descends
     through the score squash, the sensor combiner, the sensor bank, and the
@@ -330,12 +359,12 @@ def backward(params: PopParams, trace: ForwardTrace, target: int) -> dict[str, n
         dsims_sum = float(dsims.sum())
         dquery_vec += dsims_sum * params.entity_bias
 
-    query_in, cols = trace.query_in, trace.query_cols
+    cols = trace.query_cols
     if cols is None:
-        dquery_map = outer(dquery_vec, query_in)
+        dquery_map = outer(dquery_vec, trace.query_in)
     else:
-        dquery_map = ColumnSparse(cols, outer(dquery_vec, query_in[cols]),
-                                  query_in.size)
+        dquery_map = ColumnSparse(cols, np.repeat(dquery_vec[np.newaxis], cols.size,
+                                                  axis=0).T, cfg.d_query)
 
     grads = {
         "entity_map": outer(trace.query_vec, u),
@@ -368,12 +397,17 @@ def padded(values: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
 
 def chunk_logits(params: PopParams, chunk: EncodedSplit) -> tuple[np.ndarray, ...]:
     """(similarities of all candidates in order, protest score per act,
-    lengths) of a chunk, a slice of a split: the dense query matmul, the
-    graph :func:`forward` runs over one act, and the squash."""
+    lengths) of a chunk, a slice of a split: the mapped queries (the dense
+    query matmul, or on a one-hot split the gathered query-map columns,
+    :func:`_hot_queries`), the graph :func:`forward` runs over one act, and
+    the squash."""
     cfg = params.config
     chunk.require_dims(cfg.d_query, cfg.d_cand)
     with np.errstate(invalid="ignore", over="ignore"):
-        query_vecs = chunk.queries @ params.query_map.T
+        if chunk.query_cols is None:
+            query_vecs = chunk.queries @ params.query_map.T
+        else:
+            query_vecs = _hot_queries(params.query_map, chunk.query_cols)
         if cfg.use_bias:
             query_vecs += params.query_bias
     sims, *_, anomaly_raw = _graph(params, query_vecs, chunk.candidates, chunk.offsets,
@@ -408,20 +442,17 @@ def predict(params: PopParams, act: EncodedAct) -> int:
 
 class PopTrainable(Trainable):
     """The network over an encoded split: example ``i`` is act ``i``, whose
-    gold cell is checked here, once (see ``EncodedSplit.gold_cells``).  So is
-    the query form: when every query entry is 0 or 1, each act's columns go
-    to :func:`forward` and its query-map gradient is a :class:`ColumnSparse`
-    (``column_sparse`` names ``query_map``); any other split is dense on
-    every act."""
+    gold cell is checked here, once (see ``EncodedSplit.gold_cells``).  The
+    split's form fixes the query path: on a one-hot split (``query_cols``)
+    each act's columns go to :func:`forward` and its query-map gradient is a
+    :class:`ColumnSparse` (``column_sparse`` names ``query_map``); a dense
+    split is dense on every act, 0/1 rows included."""
 
     def __init__(self, params: PopParams, split: EncodedSplit):
         super().__init__(params, split)
         self._targets = split.gold_cells.tolist()
         self._offsets = split.offsets.tolist()
-        self._col_offsets = None  # per-act offsets into _query_cols; None when dense
-        if ((split.queries == 0.0) | (split.queries == 1.0)).all():
-            acts, self._query_cols = np.nonzero(split.queries)
-            self._col_offsets = np.searchsorted(acts, np.arange(len(split) + 1)).tolist()
+        if split.query_cols is not None:
             self.column_sparse = frozenset({"query_map"})
 
     def __len__(self) -> int:
@@ -431,9 +462,10 @@ class PopTrainable(Trainable):
         split, target = self.split, self._targets[i]
         candidates = np.take(split.table, split.rows[self._offsets[i]:self._offsets[i + 1]],
                              axis=0)
-        cols = (None if self._col_offsets is None else
-                self._query_cols[self._col_offsets[i]:self._col_offsets[i + 1]])
-        trace = forward(self.params, split.queries[i], candidates, split.ids[i], cols)
+        if split.query_cols is None:
+            trace = forward(self.params, split.queries[i], candidates, split.ids[i])
+        else:
+            trace = forward(self.params, None, candidates, split.ids[i], split.query_cols[i])
         return loss(trace, target), backward(self.params, trace, target)
 
 
@@ -469,8 +501,9 @@ def gradcheck_pop(
     through point / missing-referent / multiple-referent, toggling biases and
     the sensor nonlinearity) and checks every parameter coordinate.  Trials
     cycle through all 16 (contrast, score_squash) pairs and through dense,
-    one-hot and two-hot queries, so 48 trials cover every combination and
-    the one-hot trials check the column-sparse query-map gradient.  Inputs
+    one-hot and two-hot queries, so 48 trials cover every combination.  A
+    one- or two-hot trial's split holds its query as columns, so it checks
+    the column path (gathered columns, :class:`ColumnSparse` gradient).  Inputs
     are resampled while any relu input sits within 1e-3 of zero, since
     finite differences straddle the kink there.
     """
@@ -508,7 +541,8 @@ def gradcheck_pop(
             if squash == "relu":
                 margin = min(margin, abs(trace.anomaly_raw))
             if margin > 1e-3:
-                return PopTrainable(params, EncodedSplit.of([act])), (
+                split = EncodedSplit.of([act], one_hot=query_kind != "dense")
+                return PopTrainable(params, split), (
                     f" (n={n}, gold={gold.kind}/{gold.anomaly_kind or gold.index}, "
                     f"bias={config.use_bias}, {contrast}/{squash}, "
                     f"{query_kind} query)"

@@ -105,8 +105,10 @@ class Params:
         return {name: getattr(self, name) for name in self.shapes(self.config)}
 
     def copy(self) -> "Params":
+        """A deep copy; each array keeps its memory layout (a column-major
+        array stays column-major)."""
         return dataclasses.replace(
-            self, **{name: arr.copy() for name, arr in self.named_arrays().items()}
+            self, **{name: arr.copy(order="K") for name, arr in self.named_arrays().items()}
         )
 
     def validate(self) -> None:
@@ -233,10 +235,12 @@ class _ColumnVelocity:
     A *live* column's velocity is a row of ``velocity`` (slot ``slot[c]``);
     every update decays the live rows, subtracts the scaled gradient from
     the touched ones and adds them to their columns of the array, exactly
-    as the dense update does.  Every other column is *retired*: ``saved[c]``
-    is its velocity when it retired, at update ``retired_at[c]``, and the
-    dense update would only decay that velocity and add it to weights it
-    cannot move.  At the start every velocity is zero and every column
+    as the dense update does.  The columns are read and written as rows of
+    ``arr.T``, each a contiguous block when ``arr`` is column-major (as a
+    one-hot model's query map is, :func:`~popref.pop_model.laid_out`).
+    Every other column is *retired*: ``saved[c]`` is its velocity when it
+    retired, at update ``retired_at[c]``, and the dense update would only
+    decay that velocity and add it to weights it cannot move.  At the start every velocity is zero and every column
     retires at once (update -1) unless it holds a zero weight.
 
     * **Retire.**  A live column retires, at the next check, once every
@@ -289,7 +293,7 @@ class _ColumnVelocity:
         n_live = self.n_live
         weights = self.weights[:n_live]
         weights += velocity[:n_live]
-        self.arr[:, self.live[:n_live]] = weights.T
+        self.arr.T[self.live[:n_live]] = weights
         if step % _RETIRE_EVERY == 0:
             self._retire(step)
 
@@ -318,7 +322,7 @@ class _ColumnVelocity:
                         break  # every later decay gives the same bits
                     caught_up = decayed
                 np.subtract(caught_up, grad, out=velocity[slot])
-            self.weights[slot] = self.arr[:, col]
+            self.weights[slot] = self.arr.T[col]
             self.live[slot] = col
             self.slot[col] = slot
             self.n_live += 1

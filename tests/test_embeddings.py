@@ -457,7 +457,7 @@ def test_split_rows_equal_the_per_act_encoding_bit_for_bit(
     for i, act in enumerate(acts):
         query, candidates = _parent_encode_act(act, small_world, mode,
                                                normalize_blocks=normalize_blocks)
-        assert _bits(split.queries[i]) == _bits(query)
+        assert _bits(split[i].query_vec) == _bits(query)
         rows = split.candidates[split.offsets[i]:split.offsets[i + 1]]
         assert [_bits(row) for row in rows] == [_bits(vec) for vec in candidates]
         one = encode_act(act, small_world, mode, normalize_blocks=normalize_blocks)

@@ -88,9 +88,9 @@ def _forward(params, act):
 
 
 def _hot_forward(params, act):
-    """:func:`forward` over a hand-made act with a 0/1 query, reading only
-    the query's columns, as :class:`PopTrainable` runs it on a one-hot split."""
-    return forward(params, act.query_vec, act.candidates, act.act_id,
+    """:func:`forward` over a hand-made act with a 0/1 query, given as its
+    columns, as :class:`PopTrainable` runs it on a one-hot split."""
+    return forward(params, None, act.candidates, act.act_id,
                    np.flatnonzero(act.query_vec))
 
 
@@ -664,8 +664,8 @@ def test_hot_query_slice_equals_the_dense_product_bit_for_bit(task, normalize_bl
         params.query_map *= 1.0 + 9.0 * rng.random()
         for act in encoded:
             trace = _hot_forward(params, act)
-            assert trace.query_cols.size < trace.query_in.size
-            assert np.array_equal(trace.query_vec, params.query_map @ trace.query_in)
+            assert trace.query_in is None
+            assert np.array_equal(trace.query_vec, params.query_map @ act.query_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +681,24 @@ def test_gradcheck_random_configurations():
     assert report.failures == []
 
 
-def test_gradcheck_covers_every_nonlinearity_pair_and_query_kind():
+def test_gradcheck_covers_every_nonlinearity_pair_and_query_kind(monkeypatch):
     # 48 trials cycle 16 (contrast, squash) pairs x dense/one-hot/two-hot.
+    # A one- or two-hot trial's split holds its query as columns, so the
+    # check runs the column path and its ColumnSparse gradient.
+    forms = set()
+    loss_and_grads = PopTrainable.loss_and_grads
+
+    def recording(self, i):
+        value, grads = loss_and_grads(self, i)
+        cols = self.split.query_cols
+        forms.add((0 if cols is None else cols.shape[1], type(grads["query_map"])))
+        return value, grads
+
+    monkeypatch.setattr(PopTrainable, "loss_and_grads", recording)
     report = gradcheck_pop(trials=48, seed=4242)
     assert report.passed, report.failures
     assert report.max_rel_error < 1e-6
+    assert forms == {(0, np.ndarray), (1, ColumnSparse), (2, ColumnSparse)}
 
 
 @pytest.mark.parametrize("hot", [[3], [1, 4]])
@@ -702,7 +715,7 @@ def test_hot_query_gradient_is_column_sparse_and_exact(hot):
     assert isinstance(sparse, ColumnSparse)
     np.testing.assert_array_equal(sparse.cols, hot)
     # query_bias's gradient is dquery_vec itself.
-    dense = np.outer(grads["query_bias"], trace.query_in)
+    dense = np.outer(grads["query_bias"], query)
     assert np.array_equal(sparse.toarray(), dense)
     assert np.array_equal(np.asarray(sparse), dense)
     assert (sparse.shape, sparse.ndim, sparse.size) == \
@@ -739,7 +752,7 @@ def test_the_split_fixes_the_query_gradient_form_for_every_act(small_world, case
         grad = trainable.loss_and_grads(i)[1]["query_map"]
         if case == "one-hot-attr":
             assert isinstance(grad, ColumnSparse)
-            np.testing.assert_array_equal(grad.cols, np.flatnonzero(split.queries[i]))
+            np.testing.assert_array_equal(grad.cols, np.flatnonzero(split[i].query_vec))
             assert grad.block.shape == (config.d_ent, 2)
         else:
             assert type(grad) is np.ndarray, i

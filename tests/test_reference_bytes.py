@@ -1,10 +1,17 @@
-"""The bytes of three full experiments, pinned.
+"""The bytes of full experiments, pinned.
 
 ``run_experiment`` runs the three benchmark workloads at seed 1 (the
 manifests ``perfbench.workloads.manifest_for(name, 1)`` gives, copied here so
 this test runs without ``perfbench/``), and the full sha256 of each
 ``report.json`` and ``checkpoint.json`` must equal its pin.  A change that
 claims to keep every bit is held to it here.
+
+Two more runs pin what the one-hot column path reads and writes:
+``trpop-objonly`` at the held-out seed 7919, and a small ``trpop`` run on
+object-attr acts (``trpop-attr``: 300/100/600 acts, 6 epochs, about 0.6 s),
+whose queries are two-hot.  Their pins were taken while a one-hot split
+still held its queries as a B x d_query float matrix, multiplied through a
+row-major query map, so they hold the column path to those bytes.
 
 The pins were taken with Python 3.11.7, numpy 2.4.6 and scipy-openblas
 0.3.31.  Like the world-table pin in ``test_embeddings``, they assume that
@@ -30,19 +37,30 @@ MANIFESTS = {
                       "data.n_train": "250", "data.n_val": "125", "data.n_test": "2000"},
     "pipeline-attr": {"task": "object-attr", "model": "pipeline", "data.max_len": "7",
                       "data.n_train": "83", "data.n_val": "1667", "data.n_test": "3333"},
+    "trpop-attr": {"task": "object-attr", "model": "trpop", "train.epochs": "6",
+                   "data.n_train": "300", "data.n_val": "100", "data.n_test": "600"},
 }
+# (manifest, seed) -> (report.json, checkpoint.json) sha256
 PINS = {
-    "pop-objonly": (
+    ("pop-objonly", SEED): (
         "c7200f55caeda5f70f557a42fb39b74e6048d9a79be48396074aefe0f03b41e1",
         "ddd8e99cc334e4e758d1813b078970d97655df0e6a6be7cb5ec883c6f6705885",
     ),
-    "trpop-objonly": (
+    ("trpop-objonly", SEED): (
         "452c77d39fc118ff7ed320128120f06d51b9577800a3cf685ad0a0e223c519c8",
         "2f07fd182b16ad345ce767101bac52e4533d0791d8b1d9278220aea4eb9ec359",
     ),
-    "pipeline-attr": (
+    ("pipeline-attr", SEED): (
         "299c3c41174b608c2c64f794a6619aebd0aabfd63aece2f73aeea9ec697b156a",
         "7e6c3f9c1e993a0e64cb334b149b251a3b9810fe196b7f75a32cbc4553279506",
+    ),
+    ("trpop-objonly", 7919): (
+        "d6609d84abbe3e6227b4cf1ebeb2d2a6296f1fa03c47a184e713fc7f3d4da5f0",
+        "84965ec10b9f0319d681eb5bfac9e6913750f35117f4666f845826f791f3bede",
+    ),
+    ("trpop-attr", SEED): (
+        "4df668cd8366813a9dcaecf348b82499303177373002c336f150aa48e9a2a34d",
+        "e0a65c32913ca79f80d9516cd5dfd71da76ee8a9e3929fc4b890de8ed4a57407",
     ),
 }
 
@@ -51,12 +69,14 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("workload", sorted(MANIFESTS))
-def test_report_and_checkpoint_keep_their_bytes(workload, tmp_path):
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param(name, seed, id=name if seed == SEED else f"{name}-{seed}")
+    for name, seed in sorted(PINS)])
+def test_report_and_checkpoint_keep_their_bytes(workload, seed, tmp_path):
     manifest = dict(MANIFESTS[workload])
     for key in ("world.seed", "data.seed", "train.seed"):
-        manifest[key] = str(SEED)
+        manifest[key] = str(seed)
     report = run_experiment(manifest, tmp_path)
     assert report["status"] == "ok", report
     got = (_sha256(tmp_path / "report.json"), _sha256(tmp_path / "checkpoint.json"))
-    assert got == PINS[workload]
+    assert got == PINS[workload, seed]

@@ -242,7 +242,8 @@ class DensifiedTrainable(PopTrainable):
 
 
 def _random_acts(n_acts, d_query, d_cand, seed, one_hot=True):
-    """A split of random acts of 2-4 candidates, golds cycling point/miss/mult."""
+    """A split of random acts of 2-4 candidates, golds cycling point/miss/mult;
+    a ``one_hot`` split holds its queries as columns."""
     rng = Rng(seed)
     golds = [Gold.point(0), Gold.miss(), Gold.mult(), Gold.point(1)]
     acts = []
@@ -259,7 +260,7 @@ def _random_acts(n_acts, d_query, d_cand, seed, one_hot=True):
             gold=golds[i % len(golds)],
             act_id=f"oh-{i}",
         ))
-    return EncodedSplit.of(acts)
+    return EncodedSplit.of(acts, one_hot=one_hot)
 
 
 def _assert_same_training(sparse, dense, train_config):
@@ -289,7 +290,7 @@ def test_encoded_one_hot_split_step_is_bit_identical_to_dense(small_world, task,
     acts = generate_splits(small_world, DatasetSpec(n_train=40, n_val=0, n_test=0,
                                                     seed=6), task)["train"]
     split = encode_split(small_world, acts, "one-hot")
-    assert {int(np.count_nonzero(query)) for query in split.queries} == {hot}
+    assert split.query_cols.shape == (len(split), hot)
     config = PopConfig(d_query=split.d_query, d_cand=split.d_cand, d_ent=8,
                        n_sensors=4)
     train_config = TrainConfig(lr0=0.1, momentum=0.9, epochs=2, seed=3)
