@@ -1,25 +1,25 @@
 """Exact save/load of trained parameters in a self-describing JSON container.
 
 One format serves every model kind; records are tagged so loaders can
-dispatch.  Arrays are stored as nested lists of Python floats: JSON emits
-each float via its shortest round-tripping decimal representation, so a
-save/load cycle reproduces every entry bit for bit.  The container also
-carries whatever context is needed to re-run evaluation from the file alone:
-the run's :class:`~popref.embeddings.Inputs` (its ``extra``) and the tuned
-thresholds.
+dispatch.  Each array is the base64 of its little-endian float64 bytes in
+logical (C) order, whatever its memory layout, and its shape comes from the
+config, so a save/load cycle keeps every bit.  The container also carries
+what re-running evaluation from the file alone needs: the run's
+:class:`~popref.embeddings.Inputs` (its ``extra``) and the tuned thresholds.
 
 :data:`MODELS` maps each kind to its config and params classes; one record
 body and one restore body serve them all, and the arrays are whatever the
 params class's ``shapes`` table names.
 """
 
+import binascii
 import json
 from dataclasses import asdict
 
 import numpy as np
 
 from .embeddings import Inputs
-from .errors import ParseError, checked
+from .errors import ParseError, checked, read_text
 from .pipeline_model import PipelineConfig, PipelineParams, Thresholds
 from .pop_model import PopConfig, PopParams, laid_out
 
@@ -44,7 +44,9 @@ def _record(kind: str, params, extra: dict | None,
     record = {
         "kind": kind,
         "config": asdict(params.config),
-        "arrays": {name: arr.tolist() for name, arr in params.named_arrays().items()},
+        "arrays": {name: binascii.b2a_base64(arr.astype("<f8", copy=False).tobytes(),
+                                             newline=False).decode("ascii")
+                   for name, arr in params.named_arrays().items()},
         "extra": extra or {},
     }
     if thresholds is not None:
@@ -56,11 +58,8 @@ def pop_record(params: PopParams, kind: str = "pop", extra: dict | None = None) 
     return _record(kind, params, extra)
 
 
-def pipeline_record(
-    params: PipelineParams,
-    thresholds: Thresholds | None = None,
-    extra: dict | None = None,
-) -> dict:
+def pipeline_record(params: PipelineParams, thresholds: Thresholds | None = None,
+                    extra: dict | None = None) -> dict:
     return _record("pipeline", params, extra, thresholds)
 
 
@@ -73,15 +72,12 @@ def save_checkpoint(record: dict, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid checkpoint JSON: {exc.msg}") from None
+    try:
+        record = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid checkpoint JSON: {exc.msg}") from None
     if not isinstance(record, dict) or record.get("kind") not in ALL_KINDS:
-        raise ParseError(
-            f"checkpoint must be an object tagged with kind in {ALL_KINDS}"
-        )
+        raise ParseError(f"checkpoint must be an object tagged with kind in {ALL_KINDS}")
     for key in ("config", "arrays"):
         if key not in record:
             raise ParseError(f"checkpoint missing {key!r}")
@@ -99,6 +95,20 @@ def _validated(cls, record: dict, key: str):
     return value
 
 
+def _decoded(name: str, text, shape) -> np.ndarray:
+    """Array ``name`` of ``shape`` from its base64 text, in a fresh buffer."""
+    if not isinstance(text, str):
+        what = "a list: the old text format" if isinstance(text, list) else "not a string"
+        raise ParseError(f"checkpoint array {name!r} is {what}, got {text!r:.40}")
+    try:
+        raw = bytearray(binascii.a2b_base64(text, strict_mode=True))
+    except ValueError as exc:
+        raise ParseError(f"checkpoint array {name!r} is not base64 text: {exc}") from None
+    if len(raw) != 8 * int(np.prod(shape)):
+        raise ParseError(f"checkpoint array {name!r}: {len(raw)} bytes do not fit shape {shape}")
+    return np.frombuffer(raw, "<f8").reshape(shape)
+
+
 def _restore(record: dict):
     """(params, thresholds or None) of a loaded record of a checked kind."""
     config_cls, params_cls = MODELS[record["kind"]]
@@ -109,18 +119,8 @@ def _restore(record: dict):
     if stored.keys() != shapes.keys():
         raise ParseError(f"checkpoint arrays {sorted(stored)} are not the "
                          f"{sorted(shapes)} of its config's model")
-    arrays = {}
-    for name in shapes:
-        # Only JSON numbers that fit a float: numpy would read "0.5" and true.
-        cells = np.array(stored[name], dtype=object)
-        try:
-            if not set(map(type, cells.flat)) <= {int, float}:
-                raise TypeError
-            arrays[name] = cells.astype(np.float64)
-        except (TypeError, OverflowError):
-            raise ParseError(f"checkpoint array {name!r} holds an entry that is not "
-                             f"a float") from None
-    params = params_cls(config=config, **arrays)
+    params = params_cls(config=config, **{name: _decoded(name, stored[name], shape)
+                                          for name, shape in shapes.items()})
     params.validate()
     thresholds = None
     if "thresholds" in record:

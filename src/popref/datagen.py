@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     ValidationError,
     checked,
+    read_text,
 )
 from .numerics import Rng, derive_seed, derive_seeds, lane_rngs, require_finite
 
@@ -457,16 +458,15 @@ def read_jsonl(path) -> list[ReferenceAct]:
     """Read acts back; a record :func:`act_from_dict` rejects raises
     ParseError with its line number."""
     acts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-            acts.append(act_from_dict(record, lineno))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        acts.append(act_from_dict(record, lineno))
     return acts
 
 

@@ -5,6 +5,7 @@ data/contract problems with 2, numeric failures with 3.
 
 :func:`checked` is the one reader of JSON records into dataclasses: JSONL
 reference acts and a checkpoint's config, thresholds and world config.
+:func:`read_text` reads the files those records come from, and config files.
 """
 
 import dataclasses
@@ -32,6 +33,20 @@ class ParseError(PopRefError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_text(path) -> str:
+    """The text of UTF-8 file ``path``, its line ends made ``\\n``.  A file
+    that is not UTF-8 is a :class:`ParseError` at the line of its first bad
+    byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class EncodingError(PopRefError):

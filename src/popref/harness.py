@@ -43,7 +43,7 @@ from .datagen import (
     scored,
 )
 from .embeddings import EncodedSplit, Inputs, WorldConfig, build_synthetic_world, encode_split
-from .errors import ConfigError, ContractViolation, ParseError, PopRefError
+from .errors import ConfigError, ContractViolation, ParseError, PopRefError, read_text
 from .numerics import Rng, derive_seed
 from .pipeline_model import (
     PipelineConfig,
@@ -175,21 +175,20 @@ def per_act(predictor):
 def parse_kv_file(path) -> dict[str, str]:
     """Read a flat ``key = value`` config file ('#' starts a comment)."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected 'key = value'", line=lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ParseError("empty key", line=lineno)
-            if key in out:
-                raise ParseError(f"duplicate key {key!r}", line=lineno)
-            out[key] = value
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected 'key = value'", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ParseError("empty key", line=lineno)
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
+        out[key] = value
     return out
 
 

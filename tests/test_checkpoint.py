@@ -1,5 +1,7 @@
-"""Tests for the JSON checkpoint container: exact round-trips and dispatch."""
+"""Tests for the JSON checkpoint container: exact round-trips, the base64
+array codec and dispatch."""
 
+import base64
 import json
 
 import numpy as np
@@ -13,10 +15,10 @@ from popref.checkpoint import (
     restore_pop,
     save_checkpoint,
 )
-from popref.errors import ConfigError, ParseError
+from popref.errors import ConfigError, ContractViolation, ParseError
 from popref.numerics import Rng
 from popref.pipeline_model import PipelineConfig, Thresholds, init_pipeline_params
-from popref.pop_model import PopConfig, init_params
+from popref.pop_model import PopConfig, init_params, laid_out
 
 
 def _pop_params(use_bias=False, seed=3):
@@ -126,25 +128,55 @@ def test_restore_pop_missing_array(tmp_path):
         restore_pop(record)
 
 
+def _b64(values) -> str:
+    """``values`` in the checkpoint's array format."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _sensor_out(text_of):
+    """An edit setting the record's ``sensor_out`` to ``text_of(its text)``."""
+    return lambda r: r["arrays"].update(sensor_out=text_of(r["arrays"]["sensor_out"]))
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda r: r.update(arrays=5), "arrays must be an object", id="number"),
     pytest.param(lambda r: r.update(arrays=None), "arrays must be an object", id="null"),
     pytest.param(lambda r: r.update(arrays=[]), "arrays must be an object", id="list"),
-    pytest.param(lambda r: r["arrays"].update(entity_bias=[0.125] * 5),
+    pytest.param(lambda r: r["arrays"].update(entity_bias=_b64([0.125] * 5)),
                  "'entity_bias'.* are not the", id="bias-without-use-bias"),
-    pytest.param(lambda r: r["arrays"].update(bogus=[1.0]), "'bogus'.* are not the",
+    pytest.param(lambda r: r["arrays"].update(bogus=_b64([1.0])), "'bogus'.* are not the",
                  id="unknown-array"),
-    # numpy alone would read "0.5" as 0.5 and true as 1.0.
-    pytest.param(lambda r: r["arrays"].update(sensor_out=[["0.5", True]]),
-                 "'sensor_out'.*not a float", id="string-and-bool-entries"),
-    pytest.param(lambda r: r["arrays"].update(sensor_out=[[0.5, True]]),
-                 "'sensor_out'.*not a float", id="bool-entry"),
-    pytest.param(lambda r: r["arrays"].update(sensor_out=[[None, 1.0]]),
-                 "'sensor_out'.*not a float", id="null-entry"),
-    pytest.param(lambda r: r["arrays"].update(sensor_out=[[0.5, [1.0]]]),
-                 "'sensor_out'.*not a float", id="nested-entry"),
-    pytest.param(lambda r: r["arrays"].update(sensor_out=[[10**400, 1.0]]),
-                 "'sensor_out'.*not a float", id="integer-beyond-float-range"),
+    # An entry of the arrays object that is not base64 text, or whose bytes
+    # do not fit its shape (1, 2).
+    pytest.param(_sensor_out(lambda text: [[0.5, 1.0]]),
+                 "'sensor_out' is a list: the old text format", id="nested-entry"),
+    pytest.param(_sensor_out(lambda text: [0.5, 1.0]),
+                 "'sensor_out' is a list: the old text format", id="flat-list-entry"),
+    pytest.param(_sensor_out(lambda text: 0.5), "'sensor_out' is not a string",
+                 id="number-entry"),
+    pytest.param(_sensor_out(lambda text: None), "'sensor_out' is not a string",
+                 id="null-entry"),
+    pytest.param(_sensor_out(lambda text: True), "'sensor_out' is not a string",
+                 id="bool-entry"),
+    pytest.param(_sensor_out(lambda text: "!" + text[1:]), "'sensor_out' is not base64",
+                 id="outside-the-alphabet"),
+    pytest.param(_sensor_out(lambda text: "\u00e9" + text[1:]),
+                 "'sensor_out' is not base64", id="non-ascii"),
+    pytest.param(_sensor_out(lambda text: text + "\n"), "'sensor_out' is not base64",
+                 id="trailing-newline"),
+    pytest.param(_sensor_out(lambda text: text.rstrip("=")), "'sensor_out' is not base64",
+                 id="missing-padding"),
+    pytest.param(_sensor_out(lambda text: text + "=="), "'sensor_out' is not base64",
+                 id="excess-padding"),
+    pytest.param(_sensor_out(lambda text: _b64([0.5, 1.0, 2.0])),
+                 r"'sensor_out': 24 bytes do not fit shape \(1, 2\)",
+                 id="one-entry-too-many"),
+    pytest.param(_sensor_out(lambda text: _b64([0.5])),
+                 r"'sensor_out': 8 bytes do not fit", id="one-entry-too-few"),
+    pytest.param(_sensor_out(lambda text: base64.b64encode(bytes(15)).decode("ascii")),
+                 r"'sensor_out': 15 bytes do not fit", id="part-of-an-entry"),
+    pytest.param(_sensor_out(lambda text: ""), r"'sensor_out': 0 bytes do not fit",
+                 id="empty"),
 ])
 def test_restore_rejects_arrays_that_do_not_fit(tmp_path, edit, message):
     record = pop_record(_pop_params())
@@ -157,10 +189,25 @@ def test_restore_rejects_arrays_that_do_not_fit(tmp_path, edit, message):
         restore_pop(load_checkpoint(path))
 
 
-def test_restore_reads_integer_entries_as_floats():
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_restore_rejects_non_finite_bytes(value):
     record = pop_record(_pop_params())
-    record["arrays"]["sensor_out"] = [[1, -2]]
-    np.testing.assert_array_equal(restore_pop(record).sensor_out, [[1.0, -2.0]])
+    record["arrays"]["sensor_out"] = _b64([[0.5, value]])
+    with pytest.raises(ContractViolation, match="sensor_out holds non-finite"):
+        restore_pop(record)
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ParseError, match="line 1: .* is not UTF-8 text"):
+        load_checkpoint(path)
+    text = json.dumps(pop_record(_pop_params()), indent=1).encode("utf-8")
+    path.write_bytes(text.replace(b'"kind"', b'"\xe9kind"'))
+    lineno = text[:text.index(b'"kind"')].count(b"\n") + 1
+    assert lineno > 1
+    with pytest.raises(ParseError, match=f"line {lineno}: .* is not UTF-8 text"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("key, fields", [
@@ -241,12 +288,44 @@ def test_save_load_restore_save_is_byte_identical(tmp_path, kind, use_bias, tune
 
 
 def test_checkpoint_file_is_sorted_readable_json(tmp_path):
-    params = _pop_params()
+    params = _pop_params(use_bias=True)
     path = tmp_path / "model.json"
     save_checkpoint(pop_record(params), path)
     text = path.read_text()
     record = json.loads(text)
     assert list(record.keys()) == sorted(record.keys())
     assert text.endswith("\n")
-    # Indented output: one key per line, stable for diffing.
+    # Indented output: one key per line, stable for diffing; each array is
+    # one line of base64 text that numpy decodes in one call.
     assert '\n "config"' in text
+    assert sorted(record["arrays"]) == sorted(params.named_arrays())
+    for name, arr in params.named_arrays().items():
+        assert f'\n  "{name}": "{record["arrays"][name]}"' in text
+        decoded = np.frombuffer(base64.b64decode(record["arrays"][name]), "<f8")
+        assert decoded.reshape(arr.shape).tobytes() == arr.tobytes()
+
+
+def test_round_trip_keeps_edge_floats_and_the_query_map_layout(tmp_path):
+    """Signed zeros, subnormals and the largest floats keep every bit, and a
+    one-hot model's column-major query map is written in logical order and
+    restored column-major."""
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1.5e-310,
+             1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, -0.1]
+    config = PopConfig(d_query=5, d_cand=3, d_ent=4, n_sensors=3, use_bias=True)
+    params = init_params(config, Rng(11))
+    for offset, arr in enumerate(params.named_arrays().values()):
+        arr.flat = [edges[(offset + i) % len(edges)] for i in range(arr.size)]
+    params = laid_out(params, "one-hot")
+    assert not params.query_map.flags.c_contiguous
+    path = tmp_path / "model.json"
+    save_checkpoint(pop_record(params, "trpop", {"encoding": "one-hot"}), path)
+    stored = json.loads(path.read_text())["arrays"]
+    for name, arr in params.named_arrays().items():
+        assert base64.b64decode(stored[name]) == arr.tobytes(order="C")
+    restored = restore_pop(load_checkpoint(path))
+    assert restored.query_map.flags.f_contiguous
+    for name, arr in params.named_arrays().items():
+        got = restored.named_arrays()[name]
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert got.tobytes() == arr.tobytes()
+    assert np.signbit(restored.query_map).any()

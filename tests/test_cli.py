@@ -1,7 +1,9 @@
 """End-to-end command-line tests driven through ``main(argv)``."""
 
+import base64
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -336,13 +338,26 @@ def test_eval_rejects_a_tampered_act_naming_its_line(tmp_path, trained, capsys, 
     assert "Traceback" not in err
 
 
+def _b64(values) -> str:
+    """``values`` in the checkpoint's array format."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
 @pytest.mark.parametrize("edit, named", [
     pytest.param(lambda r: r.update(arrays=None), "arrays", id="null-arrays"),
     pytest.param(lambda r: r["arrays"].update(entity_bias=[0.0] * 4), "entity_bias",
                  id="array-outside-the-config"),
     pytest.param(lambda r: r.update(notes="hand-edited"), "notes", id="unknown-key"),
-    pytest.param(lambda r: r["arrays"]["sensor_out"][0].__setitem__(slice(0, 2), ["0.5", True]),
-                 "sensor_out", id="entries-that-are-not-numbers"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out=[[0.5] * 5]), "old text format",
+                 id="old-text-format"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out=None), "sensor_out",
+                 id="null-array"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out="!" + r["arrays"]["sensor_out"][1:]),
+                 "sensor_out", id="not-base64"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out=_b64([0.5] * 4)),
+                 "sensor_out", id="bytes-that-do-not-fit"),
+    pytest.param(lambda r: r["arrays"].update(sensor_out=_b64([0.5] * 4 + [float("nan")])),
+                 "sensor_out", id="nan-bytes"),
 ])
 def test_eval_rejects_a_malformed_checkpoint_container(tmp_path, trained, capsys,
                                                        edit, named):
@@ -355,6 +370,29 @@ def test_eval_rejects_a_malformed_checkpoint_container(tmp_path, trained, capsys
                  "--test", str(trained / "data" / "test.jsonl")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("at_line", [1, 3])
+@pytest.mark.parametrize("reader", ["checkpoint", "jsonl", "config"])
+def test_a_file_that_is_not_utf8_exits_2_naming_the_line(
+        tmp_path, trained, capsys, reader, at_line):
+    data = trained / "data"
+    source = {"checkpoint": trained / "pop.json", "jsonl": data / "test.jsonl",
+              "config": trained / "spec.cfg"}[reader]
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines.insert(at_line - 1, b"\xff\xfe\n")
+    bad = tmp_path / source.name
+    bad.write_bytes(b"".join(lines))
+    argv = {
+        "checkpoint": ["eval", "--checkpoint", str(bad), "--test", str(data / "test.jsonl")],
+        "jsonl": ["baseline", "--kind", "majority", "--test", str(bad)],
+        "config": ["gen-data", "--spec", str(bad), "--out", str(tmp_path / "out")],
+    }[reader]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line {at_line}: {bad} is not UTF-8 text" in err
     assert "Traceback" not in err
 
 

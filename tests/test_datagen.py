@@ -621,6 +621,12 @@ def test_read_jsonl_reports_line_numbers(tmp_path):
         read_jsonl(path)
     assert err.value.line == 3
 
+    # "\r\n" and a lone "\r" end a line, as "\n" does.
+    path.write_bytes((good + "\r\n" + good + "\r{not json}\r\n").encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        read_jsonl(path)
+    assert err.value.line == 3
+
 
 # ---------------------------------------------------------------------------
 # Statistics

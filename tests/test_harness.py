@@ -307,6 +307,11 @@ def test_parse_kv_file_error_lines(tmp_path):
     assert err.value.line == 3
     assert "duplicate" in str(err.value)
 
+    path.write_bytes(b"task = x\r\n# gap\rtask = y\r\n")
+    with pytest.raises(ParseError) as err:
+        parse_kv_file(path)
+    assert err.value.line == 3
+
 
 def test_validate_manifest_keys():
     validate_manifest_keys({"task": "object-only", "world.sigma": "0.1"})

@@ -4,10 +4,14 @@
 training gradient.  These tests fail when a rename leaves a probe pointing
 at nothing, when a gradient stops offering what the tracer reads, or when
 work moves out of the stage the benchmark times it in, so such a change is
-caught here rather than by a failing or misleading benchmark run.
+caught here rather than by a failing or misleading benchmark run.  The
+bench's check that each run's checkpoint loads (``experiment.py``'s
+``checkpoint_loads``) is held here too: it must accept a checkpoint of every
+kind and answer False, not raise, for a file popref's loader rejects.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ from popref import (
     checkpoint,
     datagen,
     embeddings,
+    errors,
     harness,
     pipeline_model,
     pop_model,
@@ -140,3 +145,30 @@ def test_stage_clock_times_every_stage_and_all_scoring_in_its_stage(
     assert stages == SCORED_IN[workload]
     assert sum(n for stage, _, n in scored if stage == "evaluate") == \
         int(manifest["data.n_test"])
+
+
+@pytest.mark.parametrize("workload, kind", [("pop-objonly", "pop"),
+                                            ("trpop-objonly", "trpop"),
+                                            ("pipeline-attr", "pipeline")])
+def test_the_bench_loader_check_accepts_each_kind_and_rejects_bad_files(
+        tmp_path, workload, kind):
+    experiment = _load("experiment")
+    modules = {**MODULES, "errors": errors}
+    manifest = _load("workloads").manifest_for(workload, 3, toy=True)
+    assert harness.run_experiment(manifest, tmp_path / "run")["status"] == "ok"
+    path = tmp_path / "run" / "checkpoint.json"
+    record = checkpoint.load_checkpoint(path)
+    assert record["kind"] == kind
+    assert experiment.checkpoint_loads(modules, path) is True
+
+    params = (checkpoint.restore_pipeline(record)[0] if kind == "pipeline"
+              else checkpoint.restore_pop(record))
+    old_text = {**record, "arrays": {name: arr.tolist()
+                                     for name, arr in params.named_arrays().items()}}
+    good = path.read_bytes()
+    bad = tmp_path / "bad.json"
+    for content in (good[:len(good) // 2], b"\xff\xfe" + good,
+                    json.dumps(old_text, sort_keys=True, indent=1).encode("utf-8")):
+        bad.write_bytes(content)
+        assert experiment.checkpoint_loads(modules, bad) is False
+    assert experiment.checkpoint_loads(modules, tmp_path / "missing.json") is False
